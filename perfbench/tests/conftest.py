@@ -1,0 +1,10 @@
+"""Make the benchmark's modules, the library and the repository's test helpers importable."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (ROOT / "tests", ROOT / "src", BENCH):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
