@@ -111,14 +111,21 @@ def _check_index(n: int) -> None:
 
 
 def delta_from_json_dict(data: dict) -> DeltaSequence:
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    fields = {"power": ("c", "a"), "constant": ("c",), "table": ("values",)}.get(kind)
+    if fields is None:
+        raise ValueError(f"delta JSON needs 'kind' power, constant or table, got {kind!r}")
+    if not all(name in data for name in fields):
+        raise ValueError(f"a {kind} delta needs {' and '.join(map(repr, fields))}")
     if kind == "power":
-        return Power(parse_fraction(data["c"]), int(data["a"]))
+        if type(data["a"]) not in (int, str):
+            raise ValueError(f"'a' must be an integer, got {data['a']!r}")
+        return Power(parse_fraction(data["c"], "'c'"), int(data["a"]))
     if kind == "constant":
-        return Constant(parse_fraction(data["c"]))
-    if kind == "table":
-        return Table(tuple(parse_fraction(v) for v in data["values"]))
-    raise ValueError(f"unknown delta kind: {kind!r}")
+        return Constant(parse_fraction(data["c"], "'c'"))
+    if not isinstance(data["values"], list):
+        raise ValueError(f"'values' must be a list, got {data['values']!r}")
+    return Table(tuple(parse_fraction(v, f"values[{i}]") for i, v in enumerate(data["values"])))
 
 
 def parse_delta(text: str) -> DeltaSequence:

@@ -53,15 +53,18 @@ class Arc:
 
     def segments(self) -> list[Segment]:
         """Split at the 0/1 seam into line segments inside [0, 1]."""
-        s = self.start.value
-        e = s + self.length
-        if e <= ONE:
-            return [(s, e)]
-        return [(s, ONE), (ZERO, e - 1)]
+        return _split_at_seam(self.start.value, self.start.value + self.length)
 
     def __str__(self) -> str:
         end = self.start.value + self.length
         return f"[{format_fraction(self.start.value)}, {format_fraction(end)})"
+
+
+def _split_at_seam(start: Fraction, end: Fraction) -> list[Segment]:
+    """Segments of [start, end) for 0 <= start < 1 and end <= start + 1, cut at 1."""
+    if end <= ONE:
+        return [(start, end)]
+    return [(start, ONE), (ZERO, end - 1)]
 
 
 def arc(start: RationalLike | CirclePoint, length: RationalLike) -> Arc:
@@ -185,12 +188,7 @@ class ArcSet:
         raw = []
         for lo, hi in self.segments:
             start = (lo + a.value) % 1
-            end = start + (hi - lo)
-            if end <= ONE:
-                raw.append((start, end))
-            else:
-                raw.append((start, ONE))
-                raw.append((ZERO, end - 1))
+            raw.extend(_split_at_seam(start, start + (hi - lo)))
         return ArcSet(tuple(raw))
 
     def mul_image(self, m: int) -> "ArcSet":
@@ -203,12 +201,7 @@ class ArcSet:
             if length >= ONE:
                 return ArcSet.full()
             start = (m * lo) % 1
-            end = start + length
-            if end <= ONE:
-                raw.append((start, end))
-            else:
-                raw.append((start, ONE))
-                raw.append((ZERO, end - 1))
+            raw.extend(_split_at_seam(start, start + length))
         return ArcSet(tuple(raw))
 
     # -- presentation ---------------------------------------------------------
@@ -244,10 +237,16 @@ class ArcSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
-        return cls.from_arcs(
-            Arc(CirclePoint(parse_fraction(item["start"])), parse_fraction(item["length"]))
-            for item in data["arcs"]
-        )
+        items = data.get("arcs") if isinstance(data, dict) else None
+        if not isinstance(items, list):
+            raise ValueError("arc-set JSON must be an object with an 'arcs' list")
+        out = []
+        for i, item in enumerate(items):
+            if not isinstance(item, dict) or not {"start", "length"} <= item.keys():
+                raise ValueError(f"arcs[{i}] must be an object with 'start' and 'length'")
+            start = parse_fraction(item["start"], f"arcs[{i}].start")
+            out.append(Arc(CirclePoint(start), parse_fraction(item["length"], f"arcs[{i}].length")))
+        return cls.from_arcs(out)
 
     @classmethod
     def from_json(cls, text: str) -> "ArcSet":
@@ -276,8 +275,7 @@ def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:
     unsatisfiable); delta >= 1/2 gives the full circle for nonempty input.
     """
     d = as_fraction(delta)
-    pts = list(points)
-    if d <= 0 or not pts:
+    if d <= 0:
         return ArcSet.empty()
     length = min(ONE, 2 * d)
-    return ArcSet.from_arcs(Arc(p + CirclePoint(-d), length) for p in pts)
+    return ArcSet.from_arcs(Arc(p + CirclePoint(-d), length) for p in points)

@@ -8,6 +8,7 @@ pure and exact, so set-level equality downstream stays decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -24,12 +25,16 @@ def as_fraction(value: RationalLike) -> Fraction:
 
 def format_fraction(q: Fraction) -> str:
     """Render 'p/q', omitting the denominator when it is 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        num, den = str(q.numerator), str(q.denominator)
+    except ValueError:  # beyond sys.get_int_max_str_digits(); Decimal prints exact digits
+        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
+    return num if den == "1" else f"{num}/{den}"
 
 
-def parse_fraction(text: str) -> Fraction:
+def parse_fraction(text: str, name: str = "value") -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"{name} must be a string such as '1/4', got {text!r}")
     return Fraction(text.strip())
 
 
@@ -58,19 +63,20 @@ class CirclePoint:
     def dist_to_order(self, n: int) -> Fraction:
         """Distance to the nearest reduced fraction with denominator exactly n.
 
-        Scans all totient(n) reduced fractions m/n; O(n), which is fine at
-        desk scale.  For n == 1 the only candidate is the zero point.
+        Walks down from floor(x*n) and up from floor(x*n) + 1 to the nearest
+        numerators coprime to n; the nearer of the two is the answer.  For
+        n == 1 the only candidate is the zero point.
         """
         if n < 1:
             raise ValueError(f"order must be a positive integer, got {n}")
-        best: Fraction | None = None
-        for m in range(n):
-            if gcd(m, n) == 1:
-                d = (self - CirclePoint(Fraction(m, n))).norm()
-                if best is None or d < best:
-                    best = d
-        assert best is not None  # m = 0 always qualifies when n == 1
-        return best
+        v = self.value
+        below = v.numerator * n // v.denominator
+        above = below + 1
+        while gcd(below, n) != 1:
+            below -= 1
+        while gcd(above, n) != 1:
+            above += 1
+        return min(v - Fraction(below, n), Fraction(above, n) - v)
 
     def __add__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):

@@ -35,18 +35,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _inline_or_file(text: str) -> str:
+    if not text.startswith("{") and os.path.isfile(text):
+        with open(text, encoding="utf-8") as fh:
+            return fh.read()
+    return text
+
+
 def _load_delta(text: str) -> DeltaSequence:
-    if not text.startswith("{") and os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    return parse_delta(text)
-
-
-def _load_arcset(text: str) -> ArcSet:
-    if not text.startswith("{") and os.path.isfile(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    return ArcSet.from_json(text)
+    return parse_delta(_inline_or_file(text))
 
 
 def _point(text: str) -> CirclePoint:
@@ -134,7 +131,7 @@ def _cmd_measure(args) -> int:
     if args.set is not None:
         if args.delta is not None:
             raise ValueError("--set and --delta are mutually exclusive")
-        s = _load_arcset(args.set)
+        s = ArcSet.from_json(_inline_or_file(args.set))
         params: dict[str, object] = {"set": "explicit"}
     else:
         if args.delta is None or args.n_min is None or args.n_max is None:
@@ -169,7 +166,8 @@ def _cmd_ergodic_search(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    profile = density_profile(_load_arcset(args.set), _point(args.x), _fraction_list(args.eps))
+    s = ArcSet.from_json(_inline_or_file(args.set))
+    profile = density_profile(s, _point(args.x), _fraction_list(args.eps))
     if args.output == "json":
         text = json.dumps(
             {"rows": [{"eps": format_fraction(e), "ratio": format_fraction(r)} for e, r in profile]},

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arcs import ONE, Arc, ArcSet
+from .arcs import ONE, ArcSet, thicken
 from .circle import CirclePoint, RationalLike, as_fraction
 
 
@@ -17,9 +17,7 @@ def ball(center: CirclePoint, radius: RationalLike) -> ArcSet:
     r = as_fraction(radius)
     if r < 0:
         raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0:
-        return ArcSet.empty()
-    return ArcSet.from_arcs([Arc(center + CirclePoint(-r), min(ONE, 2 * r))])
+    return thicken([center], r)
 
 
 def doubling_check(eps: RationalLike) -> bool:

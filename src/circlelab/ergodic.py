@@ -3,17 +3,18 @@
 The map y -> n*y + x preserves arc-length measure for every n >= 1, and for
 n >= 2 admits no nontrivial exactly-invariant set.  Neither is provable by
 finite computation in full generality; this module instead provides the
-exact preimage machinery, measure-preservation self-checks, and a
-brute-force search for invariant sets among unions of grid cells.
+exact preimage machinery, measure-preservation self-checks, and an exact
+search for invariant sets among unions of grid cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Iterable, Sequence
 
-from .arcs import ONE, ZERO, ArcSet, union_all
+from .arcs import ArcSet, _split_at_seam, union_all
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -50,12 +51,7 @@ class AffineCircleMap:
             sub = (hi - lo) / n
             for k in range(n):
                 start = (base + k) / n
-                end = start + sub
-                if end <= ONE:
-                    raw.append((start, end))
-                else:
-                    raw.append((start, ONE))
-                    raw.append((ZERO, end - 1))
+                raw.extend(_split_at_seam(start, start + sub))
         return ArcSet(tuple(raw))
 
     def preserves_measure_on(self, sample: Iterable[ArcSet]) -> bool:
@@ -77,41 +73,34 @@ def grid_cells(denominator: int) -> list[ArcSet]:
     ]
 
 
-def invariant_set_search(
-    t: AffineCircleMap, grid_denominator: int, *, prefilter: bool = True
-) -> list[ArcSet]:
-    """All unions of grid cells that the map leaves exactly invariant.
+def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcSet]:
+    """All unions of grid cells that the map leaves exactly invariant, sorted by cell bitmask.
 
-    Enumerates the 2**k cell subsets (k capped at 20), returning the
-    invariant ones sorted by their cell bitmask.  The prefilter skips
-    subsets violating the closure condition that each chosen cell's
-    preimage may only touch chosen cells; every surviving candidate is
-    still verified by the exact preimage equality, so the result is
-    identical to the plain brute force.
+    A union of cells is invariant exactly when it holds every cell that the
+    preimage of one of its cells touches: preimages preserve measure, and
+    canonical half-open sets equal up to measure zero are identical.  So the
+    invariant unions are the unions of the closures reach[j], each still
+    verified by exact preimage equality.  k is capped at 20, since for
+    n = 1 all 2**k unions can be invariant.
     """
     k = grid_denominator
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
     cells = grid_cells(k)
-    pre = [t.preimage(c) for c in cells]
-    touched = []
-    for p in pre:
-        mask = 0
-        for j, c in enumerate(cells):
-            if not (p & c).is_empty():
-                mask |= 1 << j
-        touched.append(mask)
-    universe = (1 << k) - 1
-    found = []
-    for bits in range(1 << k):
-        if prefilter and any(
-            bits >> j & 1 and touched[j] & ~bits & universe for j in range(k)
-        ):
-            continue
-        s = union_all(cells[j] for j in range(k) if bits >> j & 1)
-        if t.preimage(s) == s:
-            found.append(s)
-    return found
+    reach = [1 << j for j in range(k)]
+    for j, c in enumerate(cells):
+        for lo, hi in t.preimage(c).segments:
+            for i in range(floor(lo * k), ceil(hi * k)):
+                reach[j] |= 1 << i
+    for m in range(k):  # Warshall: reach[j] becomes its transitive closure
+        for j in range(k):
+            if reach[j] >> m & 1:
+                reach[j] |= reach[m]
+    closed = {0}
+    for r in reach:
+        closed |= {c | r for c in closed}
+    unions = (union_all(cells[j] for j in range(k) if bits >> j & 1) for bits in sorted(closed))
+    return [s for s in unions if t.preimage(s) == s]
 
 
 def conjugation_check(n: int, x: CirclePoint, sample: Sequence[CirclePoint]) -> bool:

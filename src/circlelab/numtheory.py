@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 def is_prime(n: int) -> bool:
@@ -152,7 +153,9 @@ class Or(IndexPredicate):
 
 
 def parse_predicate(text: str) -> IndexPredicate:
-    """Parse the textual predicate form: all | ndvd:p | exact:p | sq:p | or(a,b)."""
+    """Parse the textual predicate form all | ndvd:p | exact:p | sq:p | or(a,b), <= 64 deep."""
+    if max(accumulate((ch == "(") - (ch == ")") for ch in text), default=0) > 64:
+        raise ValueError("predicate nests more than 64 levels deep")
     text = text.strip()
     if text == "all":
         return All()

@@ -4,17 +4,31 @@ The membership oracle here deliberately avoids the ArcSet sweep machinery:
 sets are probed pointwise with raw Fraction arithmetic on a common grid,
 so measures of boolean combinations can be cross-checked against an
 implementation that shares no code with the library's canonicalisation.
+The brute-force oracles check the library's structured searches against
+plain enumeration.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
-from circlelab import Arc, ArcSet, CirclePoint, arc, format_fraction, parse_fraction
+from circlelab import (
+    AffineCircleMap,
+    Arc,
+    ArcSet,
+    CirclePoint,
+    arc,
+    format_fraction,
+    grid_cells,
+    parse_fraction,
+    union_all,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "measures.json"
 
@@ -75,13 +89,38 @@ def grid_measure(member: Callable[[Fraction], bool], denom: int) -> Fraction:
     return Fraction(hits, denom)
 
 
+# -- brute-force oracles ----------------------------------------------------------
+
+
+def invariant_sets_brute_force(t: AffineCircleMap, k: int) -> list[ArcSet]:
+    """Every union of 1/k grid cells with t.preimage(s) == s, in cell-bitmask order; 2**k tries."""
+    cells = grid_cells(k)
+    found = []
+    for bits in range(1 << k):
+        s = union_all(cells[j] for j in range(k) if bits >> j & 1)
+        if t.preimage(s) == s:
+            found.append(s)
+    return found
+
+
+def dist_to_order_scan(x: Fraction, n: int) -> Fraction:
+    """Circle distance from x to the nearest m/n with gcd(m, n) == 1, scanning all n numerators."""
+    return min(circ_dist(x, Fraction(m, n)) for m in range(n) if gcd(m, n) == 1)
+
+
 # -- golden values --------------------------------------------------------------
 
 
 def golden_check(name: str, value: Fraction) -> bool:
-    """Compare against the frozen value, writing it on first encounter."""
+    """Compare against the frozen value.
+
+    A missing key fails, so a renamed key is never silently re-blessed.
+    With CIRCLELAB_REGEN_GOLDEN=1 a missing key is written and passes.
+    """
     data = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     if name not in data:
+        if os.environ.get("CIRCLELAB_REGEN_GOLDEN") != "1":
+            return False
         data[name] = format_fraction(value)
         GOLDEN_PATH.parent.mkdir(exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

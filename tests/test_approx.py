@@ -27,6 +27,7 @@ from circlelab import (
     tail_union,
     totient,
 )
+import helpers
 from helpers import golden_check
 
 
@@ -117,6 +118,19 @@ def test_tail_union_golden_value():
     w = tail_union(TailUnionSpec(2, 50, All(), Power(Fraction(1), 2)))
     assert Fraction(1, 2) < w.measure < 1
     assert golden_check("tail_union_power_1_2_all_2_50", w.measure)
+
+
+def test_golden_check_fails_on_missing_key(tmp_path, monkeypatch):
+    path = tmp_path / "measures.json"
+    monkeypatch.setattr(helpers, "GOLDEN_PATH", path)
+    monkeypatch.delenv("CIRCLELAB_REGEN_GOLDEN", raising=False)
+    assert not golden_check("no_such_key", Fraction(99, 7))
+    assert not path.exists()
+    monkeypatch.setenv("CIRCLELAB_REGEN_GOLDEN", "1")
+    assert golden_check("no_such_key", Fraction(99, 7))
+    monkeypatch.delenv("CIRCLELAB_REGEN_GOLDEN")
+    assert golden_check("no_such_key", Fraction(99, 7))
+    assert not golden_check("no_such_key", Fraction(1, 7))
 
 
 def test_tail_union_membership_matches_scan_oracle():

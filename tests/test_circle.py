@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlelab import CirclePoint, circle_point, format_fraction, parse_fraction
+from helpers import dist_to_order_scan, rand_fraction
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 small_orders = st.integers(min_value=1, max_value=40)
@@ -47,6 +48,14 @@ def test_dist_to_order_scan_oracle():
     expected = min(min((x - Fraction(m, 5)) % 1, (Fraction(m, 5) - x) % 1) for m in (1, 2, 3, 4))
     assert expected == Fraction(13, 720)
     assert circle_point("89/144").dist_to_order(5) == expected
+
+
+def test_dist_to_order_matches_scan_oracle():
+    rng = random.Random(71)
+    pairs = [(Fraction(0), n) for n in range(1, 41)] + [(rand_fraction(rng, 60), 1) for _ in range(40)]
+    pairs += [(rand_fraction(rng, 200), rng.randint(1, 120)) for _ in range(2000)]
+    for x, n in pairs:
+        assert circle_point(x).dist_to_order(n) == dist_to_order_scan(x, n), (x, n)
 
 
 def test_dist_to_order_rejects_bad_n():

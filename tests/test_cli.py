@@ -2,11 +2,22 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import circlelab
-from circlelab import ArcSet, ExperimentReport, ReportRow, Verdict, arc
+from circlelab import (
+    ArcSet,
+    ExperimentReport,
+    Power,
+    ReportRow,
+    Verdict,
+    arc,
+    duffin_schaeffer_classify,
+)
 from circlelab.cli import _emit_report, main
 
 
@@ -111,6 +122,38 @@ def test_measure_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "measure", "--set", '{"arcs":[]}', "--delta", "power:1:2")
     assert code == 1
+
+
+def test_duffin_schaeffer_output_beyond_int_str_digit_limit(capsys):
+    # the partial sums at cap 8192 have more digits than str(int) may print by default
+    code, out, _ = run_cli(capsys, "duffin-schaeffer", "--delta", "power:1:2", "--cap", "8192")
+    assert code == 0
+    expected = duffin_schaeffer_classify(Power(Fraction(1), 2), 8192).rows[-1].exact
+    num, den = json.loads(out)["rows"][-1]["exact"].split("/")
+    assert len(num) > sys.get_int_max_str_digits()
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["measure", "--set", '{"arcs":[{"start":0,"length":"1/4"}]}'], "arcs[0].start"),
+        (["measure", "--set", "[1,2]"], "'arcs' list"),
+        (["ao", "--n", "5", "--delta", '{"kind":"table"}'], "table delta needs 'values'"),
+        (
+            ["measure", "--delta", "power:1:2", "--n-min", "1", "--n-max", "5",
+             "--pred", "or(" * 1500 + "all" + ",all)" * 1500],
+            "more than 64 levels",
+        ),
+    ],
+    ids=["int-start", "list-set", "table-without-values", "deep-predicate"],
+)
+def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("circlelab: error: ") and err.count("\n") == 1
+    assert names in err
+    assert "Traceback" not in err
 
 
 def test_ergodic_search(capsys):

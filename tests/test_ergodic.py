@@ -14,7 +14,7 @@ from circlelab import (
     invariant_set_search,
     union_all,
 )
-from helpers import rand_arcset, rand_point
+from helpers import invariant_sets_brute_force, rand_arcset, rand_point
 
 arcsets = st.lists(
     st.tuples(
@@ -157,12 +157,16 @@ def test_search_grid_range_validation():
         invariant_set_search(AffineCircleMap(2), 21)
 
 
-def test_search_prefilter_matches_brute_force():
+def test_search_matches_brute_force_oracle():
+    # one small and one large grid per multiplier; offsets with denominators up to 6
+    # give rotations (n = 1) with many invariant unions on the 1/12 grid
     rng = random.Random(59)
-    for _ in range(8):
-        t = AffineCircleMap(rng.randint(1, 4), rand_point(rng, 6))
-        k = rng.randint(1, 6)
-        assert invariant_set_search(t, k) == invariant_set_search(t, k, prefilter=False)
+    for n in range(1, 6):
+        for k in (rng.randint(1, 8), rng.randint(9, 12)):
+            t = AffineCircleMap(n, rand_point(rng, 6))
+            assert invariant_set_search(t, k) == invariant_sets_brute_force(t, k)
+    t = AffineCircleMap(1, circle_point("1/4"))
+    assert invariant_set_search(t, 12) == invariant_sets_brute_force(t, 12)
 
 
 def test_grid_cells_cover_circle():
