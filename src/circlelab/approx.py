@@ -15,9 +15,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
-from .arcs import ArcSet, thicken, union_all
+from .arcs import ArcSet, _thickening_union, thicken
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction
 from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, is_prime
 
@@ -152,7 +152,11 @@ def finite_order_points(n: int) -> list[CirclePoint]:
     """The totient(n) points of order exactly n, sorted: reduced fractions m/n."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
-    return [CirclePoint(Fraction(m, n)) for m in range(n) if gcd(m, n) == 1]
+    return [CirclePoint(Fraction(m, n)) for m in _coprime_residues(n)]
+
+
+def _coprime_residues(n: int) -> Iterable[int]:
+    return (m for m in range(n) if gcd(m, n) == 1)
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -181,13 +185,22 @@ class TailUnionSpec:
 
 
 def tail_union(spec: TailUnionSpec) -> ArcSet:
-    """Union of approx_order_set(i, delta_i) over n_min <= i <= n_max with pred(i)."""
-    terms = (
-        approx_order_set(i, spec.delta.eval_at(i))
-        for i in range(spec.n_min, spec.n_max + 1)
-        if spec.pred(i)
-    )
-    return union_all(terms)
+    """Union of approx_order_set(i, delta_i) over n_min <= i <= n_max with pred(i).
+
+    Every arc of every term goes into one sort and one merge.  A term with
+    delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
+    """
+    terms = []
+    for n in range(spec.n_min, spec.n_max + 1):
+        if not spec.pred(n):
+            continue
+        d = spec.delta.eval_at(n)
+        if d <= 0:
+            continue
+        if 2 * d >= 1:
+            return ArcSet.full()
+        terms.append((n, _coprime_residues(n), d))
+    return _thickening_union(terms)
 
 
 # -- scaling/translation inclusion checks ----------------------------------------

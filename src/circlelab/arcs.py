@@ -14,6 +14,16 @@ Everything here is half-open ``[a, b)``.  Boundary points are finite sets
 of measure zero, so measures and containments computed on the half-open
 canonicalisations are exact for the sets of interest.
 
+Exact keys
+----------
+Canonicalisation sorts on integers, not on Fractions and never on floats.
+The key of a rational a/b is ``(a << k) // b`` with ``k = 2 * maxbits + 2``,
+where every denominator in play is below ``2 ** maxbits``.  Two distinct
+such rationals differ by more than ``2 ** -(2 * maxbits)``, so their keys
+differ and are ordered as the rationals are; equal rationals, reduced or
+not, get equal keys.  Boolean operations on canonical sets need no sort:
+one linear sweep over the endpoints of both operands serves them all.
+
 All values are immutable and all operations pure.
 """
 
@@ -23,7 +33,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .circle import (
     CirclePoint,
@@ -37,6 +48,8 @@ Segment = tuple[Fraction, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_start = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -74,23 +87,129 @@ def arc(start: RationalLike | CirclePoint, length: RationalLike) -> Arc:
     return Arc(start, as_fraction(length))
 
 
-def _canonical(raw: Iterable[Segment]) -> tuple[Segment, ...]:
-    segs = []
-    for lo, hi in raw:
-        if lo == hi:
-            continue
-        if not (ZERO <= lo < hi <= ONE):
-            raise ValueError(f"segment out of range: ({lo}, {hi})")
-        segs.append((lo, hi))
-    segs.sort()
-    merged: list[list[Fraction]] = []
-    for lo, hi in segs:
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1][1] = hi
+def _key_bits(max_den: int) -> int:
+    """The shift k that gives exact keys (num << k) // den for denominators up to max_den."""
+    return 2 * max_den.bit_length() + 2
+
+
+def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
+    """Sort nonempty segments by exact key and merge those that overlap or touch.
+
+    Each item starts with ``(lo_key, hi_key)``; the rest is its endpoints in
+    whatever form the caller keeps them.  Returns one ``(first, last)`` pair
+    of items per merged segment: ``first`` holds its start and ``last`` its end.
+    """
+    keyed.sort()
+    merged = []
+    items = iter(keyed)
+    first = last = next(items, None)
+    if first is None:
+        return merged
+    for item in items:
+        if item[0] <= last[1]:
+            if item[1] > last[1]:
+                last = item
         else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
+            merged.append((first, last))
+            first = last = item
+    merged.append((first, last))
+    return merged
+
+
+def _canonical_segments(raw: Iterable[Segment]) -> tuple[Segment, ...]:
+    """Canonical form of in-range (lo, hi) pairs; empty pairs are dropped, others checked."""
+    raw = tuple(raw)
+    k = _key_bits(max((x.denominator for seg in raw for x in seg), default=1))
+    one = 1 << k
+    keyed = []
+    for lo, hi in raw:
+        lo_key = (lo.numerator << k) // lo.denominator
+        hi_key = (hi.numerator << k) // hi.denominator
+        if lo_key == hi_key:
+            continue
+        if not 0 <= lo_key < hi_key <= one:
+            raise ValueError(f"segment out of range: ({lo}, {hi})")
+        keyed.append((lo_key, hi_key, lo, hi))
+    return tuple((first[2], last[3]) for first, last in _canonical(keyed))
+
+
+def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "ArcSet":
+    """Union of the arcs [m/n - d, m/n + d) over the terms (n, ms, d) and every m in ms.
+
+    Needs 0 < d < 1/2.  With d = p/q, the endpoints of a term are integers
+    over n*q: the arc around m/n starts at (m*q - p*n) mod n*q and has length
+    2*p*n.  All arcs are sorted once by exact key, and Fractions are built
+    only for the endpoints of the merged segments.
+    """
+    terms = [(n * d.denominator, d.denominator, d.numerator * n, ms) for n, ms, d in terms]
+    k = _key_bits(max((den for den, _, _, _ in terms), default=1))
+    keyed = []
+    for den, q, pn, ms in terms:
+        for m in ms:
+            lo = (m * q - pn) % den
+            hi = lo + 2 * pn
+            if hi <= den:
+                keyed.append(((lo << k) // den, (hi << k) // den, lo, hi, den))
+            else:
+                keyed.append(((lo << k) // den, 1 << k, lo, den, den))
+                keyed.append((0, ((hi - den) << k) // den, 0, hi - den, den))
+    merged = _canonical(keyed)
+    del keyed
+    merged.reverse()
+    segments = []
+    while merged:  # popping frees each keyed item once its Fractions are built
+        first, last = merged.pop()
+        segments.append((Fraction(first[2], first[4]), Fraction(last[3], last[4])))
+    return ArcSet._trusted(tuple(segments))
+
+
+# beyond every endpoint, so neither list of a sweep runs out before the other
+_PAST_END = Fraction(2)
+
+# keep[2 * in_a + in_b]: whether a point inside a or not, and b or not, is in the result
+_OR = (False, True, True, True)
+_AND = (False, False, False, True)
+_SUB = (False, False, True, False)
+_XOR = (False, True, True, False)
+
+
+def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -> Iterable[Segment]:
+    """Yield, in order, the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
+
+    a and b are canonical, so each one's flattened endpoints strictly
+    increase and a point lies inside after an odd number of them.
+    """
+    ea = [x for seg in a for x in seg] + [_PAST_END]
+    eb = [x for seg in b for x in seg] + [_PAST_END]
+    last_a, last_b = len(ea) - 1, len(eb) - 1
+    i = j = 0
+    inside = False
+    while i < last_a or j < last_b:
+        x, y = ea[i], eb[j]
+        if x < y:
+            i += 1
+        elif x == y:
+            i += 1
+            j += 1
+        else:
+            x = y
+            j += 1
+        if keep[2 * (i & 1) + (j & 1)] != inside:
+            inside = not inside
+            if inside:
+                start = x
+            else:
+                yield (start, x)
+
+
+def _measure(segments: Iterable[Segment]) -> Fraction:
+    """Sum of hi - lo, adding the endpoint numerators per denominator first."""
+    by_den: dict[int, int] = {}
+    for lo, hi in segments:
+        by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
+        by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
+    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+
 
 
 @dataclass(frozen=True)
@@ -105,17 +224,24 @@ class ArcSet:
     segments: tuple[Segment, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _canonical(self.segments))
+        object.__setattr__(self, "segments", _canonical_segments(self.segments))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, segments: tuple[Segment, ...]) -> "ArcSet":
+        """Wrap segments that are already canonical, skipping canonicalisation."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "segments", segments)
+        return s
+
+    @classmethod
     def empty(cls) -> "ArcSet":
-        return cls(())
+        return cls._trusted(())
 
     @classmethod
     def full(cls) -> "ArcSet":
-        return cls(((ZERO, ONE),))
+        return cls._trusted(((ZERO, ONE),))
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc]) -> "ArcSet":
@@ -131,12 +257,11 @@ class ArcSet:
 
     @property
     def measure(self) -> Fraction:
-        return sum((hi - lo for lo, hi in self.segments), ZERO)
+        return _measure(self.segments)
 
     def __contains__(self, point: CirclePoint) -> bool:
         v = point.value
-        starts = [lo for lo, _ in self.segments]
-        i = bisect_right(starts, v) - 1
+        i = bisect_right(self.segments, v, key=_start) - 1
         return i >= 0 and v < self.segments[i][1]
 
     # -- boolean algebra ----------------------------------------------------
@@ -150,31 +275,31 @@ class ArcSet:
             cursor = hi
         if cursor < ONE:
             gaps.append((cursor, ONE))
-        return ArcSet(tuple(gaps))
+        return ArcSet._trusted(tuple(gaps))
 
     __invert__ = complement
 
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet(self.segments + other.segments)
+        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _OR)))
 
     __or__ = union
 
     def intersection(self, other: "ArcSet") -> "ArcSet":
-        return (~self | ~other).complement()
+        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _AND)))
 
     __and__ = intersection
 
     def difference(self, other: "ArcSet") -> "ArcSet":
-        return self & ~other
+        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _SUB)))
 
     __sub__ = difference
 
     def symm_diff_measure(self, other: "ArcSet") -> Fraction:
         """measure(self \\ other) + measure(other \\ self); zero iff equal."""
-        return (self - other).measure + (other - self).measure
+        return _measure(_sweep(self.segments, other.segments, _XOR))
 
     def issubset(self, other: "ArcSet") -> bool:
-        return (self - other).is_empty()
+        return next(_sweep(self.segments, other.segments, _SUB), None) is None
 
     __le__ = issubset
 
@@ -275,7 +400,9 @@ def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:
     unsatisfiable); delta >= 1/2 gives the full circle for nonempty input.
     """
     d = as_fraction(delta)
-    if d <= 0:
+    values = [p.value for p in points]
+    if d <= 0 or not values:
         return ArcSet.empty()
-    length = min(ONE, 2 * d)
-    return ArcSet.from_arcs(Arc(p + CirclePoint(-d), length) for p in points)
+    if 2 * d >= ONE:
+        return ArcSet.full()
+    return _thickening_union((v.denominator, (v.numerator,), d) for v in values)

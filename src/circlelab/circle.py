@@ -7,6 +7,7 @@ pure and exact, so set-level equality downstream stays decidable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -32,10 +33,23 @@ def format_fraction(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
+_LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: str, name: str = "value") -> Fraction:
+    """Read what format_fraction writes, or any other literal that Fraction accepts."""
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a string such as '1/4', got {text!r}")
-    return Fraction(text.strip())
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except ValueError:
+        # past sys.get_int_max_str_digits() int() refuses p/q; Decimal reads exact digits
+        match = _LONG_RATIONAL.fullmatch(text)
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 @dataclass(frozen=True, order=True)

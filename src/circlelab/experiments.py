@@ -137,15 +137,15 @@ def gallagher_experiment(
     )
     measures = []
     for n_min in schedule:
-        w = tail_union(TailUnionSpec(n_min, n_max, All(), delta))
+        measure = tail_union(TailUnionSpec(n_min, n_max, All(), delta)).measure
         bound = sum(
             (2 * phi[n] * max(delta.eval_at(n), Fraction(0)) for n in range(n_min, n_max + 1)),
             Fraction(0),
         )
-        report.rows.append(ReportRow(f"measure[n_min={n_min}]", w.measure))
+        report.rows.append(ReportRow(f"measure[n_min={n_min}]", measure))
         report.rows.append(ReportRow(f"upper_bound[n_min={n_min}]", bound))
-        report.verdicts.append(Verdict(f"measure_le_bound[n_min={n_min}]", w.measure <= bound))
-        measures.append(w.measure)
+        report.verdicts.append(Verdict(f"measure_le_bound[n_min={n_min}]", measure <= bound))
+        measures.append(measure)
     report.verdicts.append(
         Verdict(
             "measures_nonincreasing",
@@ -183,15 +183,16 @@ def cassels_experiment(
             "n_max": n_max,
         },
     )
+    symm_diff = w1.symm_diff_measure(wm)
     report.rows.append(ReportRow("measure[m=1]", w1.measure))
     report.rows.append(ReportRow(f"measure[m={format_fraction(scale)}]", wm.measure))
-    report.rows.append(ReportRow("symm_diff_measure", w1.symm_diff_measure(wm)))
+    report.rows.append(ReportRow("symm_diff_measure", symm_diff))
     if scale >= 1:
         report.verdicts.append(Verdict("base_subset_scaled", w1 <= wm))
     if scale <= 1:
         report.verdicts.append(Verdict("scaled_subset_base", wm <= w1))
     if scale == 1:
-        report.verdicts.append(Verdict("symm_diff_zero", w1.symm_diff_measure(wm) == 0))
+        report.verdicts.append(Verdict("symm_diff_zero", symm_diff == 0))
     return report
 
 

@@ -5,7 +5,9 @@ sets are probed pointwise with raw Fraction arithmetic on a common grid,
 so measures of boolean combinations can be cross-checked against an
 implementation that shares no code with the library's canonicalisation.
 The brute-force oracles check the library's structured searches against
-plain enumeration.
+plain enumeration, and the slow-path oracles keep the library's earlier
+algorithms: a Fraction sort for canonicalisation and one set per term for
+tail unions.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from circlelab import (
     Arc,
     ArcSet,
     CirclePoint,
+    TailUnionSpec,
+    approx_order_set,
     arc,
     format_fraction,
     grid_cells,
@@ -106,6 +110,38 @@ def invariant_sets_brute_force(t: AffineCircleMap, k: int) -> list[ArcSet]:
 def dist_to_order_scan(x: Fraction, n: int) -> Fraction:
     """Circle distance from x to the nearest m/n with gcd(m, n) == 1, scanning all n numerators."""
     return min(circ_dist(x, Fraction(m, n)) for m in range(n) if gcd(m, n) == 1)
+
+
+# -- slow-path oracles -------------------------------------------------------------
+
+
+def canonical_by_fraction_sort(raw) -> tuple:
+    """Canonical segments of raw (lo, hi) pairs by sorting and merging Fractions directly."""
+    segs = sorted((lo, hi) for lo, hi in raw if lo != hi)
+    merged: list[list[Fraction]] = []
+    for lo, hi in segs:
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def thicken_by_arcs(points, delta: Fraction) -> tuple:
+    """Canonical segments of the thickening, one Arc per point, merged by Fraction sort."""
+    if delta <= 0:
+        return ()
+    arcs = [Arc(p + CirclePoint(-delta), min(Fraction(1), 2 * delta)) for p in points]
+    return canonical_by_fraction_sort(seg for a in arcs for seg in a.segments())
+
+
+def tail_union_per_term(spec: TailUnionSpec) -> ArcSet:
+    """The tail union as the union of one approx_order_set per admitted index."""
+    return union_all(
+        approx_order_set(n, spec.delta.eval_at(n))
+        for n in range(spec.n_min, spec.n_max + 1)
+        if spec.pred(n)
+    )
 
 
 # -- golden values --------------------------------------------------------------

@@ -212,6 +212,57 @@ def test_tail_union_negative_radii_empty():
     assert tail_union(TailUnionSpec(1, 20, All(), Constant(Fraction(-1, 7)))) == ArcSet.empty()
 
 
+Q60 = 2**60 - 93
+
+PER_TERM_CASES = [
+    # power laws, with overlapping arcs within a term when c / n**a > 1 / (2n)
+    (Power(Fraction(1), 2), All(), 2, 40),
+    (Power(Fraction(1), 3), NotDiv(3), 1, 45),
+    (Power(Fraction(3, 7), 1), ExactlyOnce(2), 1, 30),
+    (Power(Fraction(1, 5), 0), DivBySquare(2), 1, 40),
+    (Power(Fraction(1, 3), 2), Or(DivBySquare(3), NotDiv(2)), 1, 35),
+    # delta <= 0 skips the term; 2 * delta >= 1 gives the full circle
+    (Constant(Fraction(-1, 3)), All(), 1, 12),
+    (Constant(Fraction(0)), All(), 1, 12),
+    (Constant(Fraction(1, 2)), NotDiv(2), 3, 9),
+    (Constant(Fraction(3, 4)), All(), 5, 6),
+    (Constant(Fraction(1, 5)), All(), 2, 12),
+    (Constant(Fraction(1, 50)), ExactlyOnce(3), 2, 40),
+    (Table((Fraction(1, 4), Fraction(-1, 9), Fraction(0), Fraction(1, 16), Fraction(2, 5))), All(), 1, 8),
+    (Table((Fraction(1, 9), Fraction(1, 2), Fraction(1, 100))), All(), 1, 3),
+    # arcs of different terms touching exactly, at 1/5 and at 4/5
+    (Table((Fraction(1, 5), Fraction(0), Fraction(2, 15))), All(), 1, 3),
+    # denominators near 2**60, where a Fraction sort and exact keys must agree
+    (Table((Fraction(1, 4), Fraction(Q60 // 7, Q60), Fraction(1, Q60), Fraction(Q60 // 5, Q60 + 2))), All(), 1, 4),
+]
+
+
+@pytest.mark.parametrize("delta, pred, n_min, n_max", PER_TERM_CASES)
+def test_tail_union_matches_per_term_oracle(delta, pred, n_min, n_max):
+    spec = TailUnionSpec(n_min, n_max, pred, delta)
+    segments = tail_union(spec).segments
+    assert segments == helpers.tail_union_per_term(spec).segments
+    # the same union with no exact keys: Fraction arcs, merged by a Fraction sort
+    arcs = [
+        seg
+        for n in range(n_min, n_max + 1)
+        if pred(n)
+        for seg in helpers.thicken_by_arcs(finite_order_points(n), delta.eval_at(n))
+    ]
+    assert segments == helpers.canonical_by_fraction_sort(arcs)
+
+
+def test_tail_union_edge_cases_exact():
+    assert tail_union(TailUnionSpec(3, 9, NotDiv(2), Constant(Fraction(1, 2)))) == ArcSet.full()
+    assert tail_union(TailUnionSpec(1, 2, All(), Table((Fraction(1, 5), Fraction(3, 10))))) == ArcSet.full()
+    # [-1/5, 1/5) touches [1/5, 7/15), and [8/15, 4/5) touches [4/5, 1)
+    touching = Table((Fraction(1, 5), Fraction(0), Fraction(2, 15)))
+    assert tail_union(TailUnionSpec(1, 3, All(), touching)).segments == (
+        (Fraction(0), Fraction(7, 15)),
+        (Fraction(8, 15), Fraction(1)),
+    )
+
+
 # -- inclusion checks ----------------------------------------------------------------
 
 

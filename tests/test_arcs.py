@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlelab import Arc, ArcSet, arc, circle_point, thicken, union_all
-from helpers import grid_measure, in_arc, rand_grid_arcs
+from helpers import canonical_by_fraction_sort, grid_measure, in_arc, rand_grid_arcs, thicken_by_arcs
 
 starts = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q < 1)
 lengths = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q > 0)
@@ -257,3 +258,104 @@ def test_union_all_matches_pairwise():
             acc = acc | s
         assert union_all(sets) == acc
     assert union_all([]) == ArcSet.empty()
+
+
+def test_thicken_examples_against_arc_oracle():
+    pts = [circle_point(x) for x in ("0", "1/3", "1/2", "5/7", "99/100")]
+    for d in (Fraction(-1, 3), Fraction(0), Fraction(1, 1000), Fraction(1, 7), Fraction(1, 4), Fraction(1, 2), 2):
+        assert thicken(pts, d).segments == thicken_by_arcs(pts, Fraction(d))
+
+
+@given(
+    st.lists(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda q: q < 1), max_size=6),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**6),
+)
+def test_thicken_matches_arc_oracle(xs, d):
+    pts = [circle_point(x) for x in xs]
+    assert thicken(pts, d).segments == thicken_by_arcs(pts, d)
+
+
+# -- exact keys ------------------------------------------------------------------------
+
+Q1 = 2**60 - 93
+Q2 = 2**60 - 57
+
+
+def _neighbours(q1: int, q2: int) -> tuple[Fraction, Fraction]:
+    """a/q1 < b/q2 with b/q2 - a/q1 == 1/(q1*q2), both in (0, 1)."""
+    a = pow(-q2, -1, q1)  # b*q1 - a*q2 == 1 needs a*q2 == -1 mod q1
+    b = (1 + a * q2) // q1
+    assert b * q1 - a * q2 == 1
+    return Fraction(a, q1), Fraction(b, q2)
+
+
+def test_keys_merge_shared_endpoint_near_2_60():
+    x, y = _neighbours(Q1, Q2)
+    lo, hi = Fraction(0), Fraction(1)
+    for shared in (x, y):
+        assert ArcSet(((shared, hi), (lo, shared))).segments == ((lo, hi),)
+    # arcs that wrap and touch at an endpoint computed as start + length
+    left, right = arc(x, 1 - x + Fraction(1, Q2)), arc(Fraction(1, Q2), x - Fraction(1, Q2))
+    assert ArcSet.from_arcs([left, right]) == ArcSet.full()
+
+
+def test_keys_keep_gap_of_one_over_q1_q2():
+    x, y = _neighbours(Q1, Q2)
+    lo, hi = Fraction(0), Fraction(1)
+    assert lo < x < y < hi
+    expected = ((lo, x), (y, hi))
+    assert ArcSet(((y, hi), (lo, x))).segments == expected
+    # starts 1/(q1*q2) apart sort by value, not by denominator
+    assert ArcSet(((y, hi), (x, y))).segments == ((x, hi),)
+    assert ArcSet(((x, hi), (y, hi))).segments == ((x, hi),)
+    assert ArcSet(((x, y), (lo, x))).segments == ((lo, y),)
+    assert (circle_point(x) in ArcSet(expected), circle_point(y) in ArcSet(expected)) == (False, True)
+    assert ArcSet(expected).measure == hi - lo - (y - x)
+
+
+def test_canonical_matches_fraction_sort_oracle():
+    rng = random.Random(29)
+    dens = (3, 7, 2**31 - 1, Q1, Q2, 2**61 - 1, 10**40 + 3)
+    for _ in range(300):
+        raw = []
+        for _ in range(rng.randint(0, 8)):
+            d1, d2 = rng.choice(dens), rng.choice(dens)
+            lo = Fraction(rng.randrange(d1), d1)
+            hi = Fraction(rng.randrange(d2 + 1), d2)
+            raw.append((lo, hi) if lo <= hi else (hi, lo))
+        assert ArcSet(tuple(raw)).segments == canonical_by_fraction_sort(raw)
+
+
+# -- boolean operations against the grid oracle -------------------------------------------
+
+
+@st.composite
+def grid_sets(draw):
+    denom = draw(st.sampled_from((12, 24, 36)))
+    cells = st.integers(min_value=0, max_value=denom - 1)
+    arcs_ = draw(st.lists(st.tuples(cells, cells), max_size=5))
+    return denom, [(Fraction(j, denom), Fraction(k + 1, denom)) for j, k in arcs_]
+
+
+@given(grid_sets(), grid_sets())
+@settings(max_examples=150)
+def test_boolean_ops_match_grid_oracle(ga, gb):
+    (da, a_arcs), (db, b_arcs) = ga, gb
+    d = lcm(da, db)
+    a = ArcSet.from_arcs(arc(s, l) for s, l in a_arcs)
+    b = ArcSet.from_arcs(arc(s, l) for s, l in b_arcs)
+
+    def in_a(x):
+        return any(in_arc(x, s, l) for s, l in a_arcs)
+
+    def in_b(x):
+        return any(in_arc(x, s, l) for s, l in b_arcs)
+
+    assert (a & b).measure == grid_measure(lambda x: in_a(x) and in_b(x), d)
+    assert (a | b).measure == grid_measure(lambda x: in_a(x) or in_b(x), d)
+    assert (a - b).measure == grid_measure(lambda x: in_a(x) and not in_b(x), d)
+    assert a.symm_diff_measure(b) == grid_measure(lambda x: in_a(x) != in_b(x), d)
+    assert (a <= b) == (grid_measure(lambda x: in_a(x) and not in_b(x), d) == 0)
+    # grid-aligned results: each result cell is in or out as a whole
+    probes = [Fraction(2 * j + 1, 2 * d) for j in range(d)]
+    assert [circle_point(x) in (a - b) for x in probes] == [in_a(x) and not in_b(x) for x in probes]

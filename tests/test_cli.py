@@ -134,6 +134,19 @@ def test_duffin_schaeffer_output_beyond_int_str_digit_limit(capsys):
     assert Fraction(int(Decimal(num)), int(Decimal(den))) == expected
 
 
+def test_inputs_beyond_int_str_digit_limit(capsys):
+    # what the CLI prints past 4,300 digits it also reads back
+    q = 10**5000 + 1
+    x, half, eps = f"1/{Decimal(q)}", f"{Decimal(q // 2)}/{Decimal(q)}", f"1/{Decimal(2 * q)}"
+    code, out, _ = run_cli(capsys, "witnesses", "--x", x, "--delta", "power:1:2", "--n-max", "3")
+    assert code == 0
+    assert json.loads(out) == {"x": x, "n_max": 3, "witnesses": [1]}
+    arcs = json.dumps({"arcs": [{"start": half, "length": x}]})
+    code, out, _ = run_cli(capsys, "density", "--set", arcs, "--x", half, "--eps", eps)
+    assert code == 0
+    assert out == f"eps,ratio\n{eps},1/2\n"
+
+
 @pytest.mark.parametrize(
     "argv, names",
     [

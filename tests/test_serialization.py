@@ -1,6 +1,10 @@
 import json
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
+
+import pytest
 
 from circlelab import (
     ArcSet,
@@ -13,6 +17,7 @@ from circlelab import (
     arc,
     delta_from_json_dict,
     parse_delta,
+    parse_fraction,
     thicken,
 )
 from circlelab import circle_point
@@ -75,8 +80,6 @@ def test_parse_delta_inline_forms():
 
 
 def test_parse_delta_rejects_garbage():
-    import pytest
-
     for bad in ("", "power", "wibble:1", '{"kind":"nope"}'):
         with pytest.raises(ValueError):
             parse_delta(bad)
@@ -101,3 +104,16 @@ def test_report_csv_shape():
     assert lines[0] == "kind,label,value,decimal"
     assert "row,m,1/2,0.5" in lines
     assert "verdict,check,FAIL," in lines
+
+
+def test_arcset_json_round_trip_beyond_int_str_digit_limit():
+    # 10**5000 + 1 has more digits than int() may parse by default
+    q = 10**5000 + 1
+    s = ArcSet.from_arcs([arc(0, Fraction(1, q)), arc(Fraction(q // 2, q), Fraction(1, 3))])
+    text = s.to_json()
+    assert len(text) > 2 * sys.get_int_max_str_digits()
+    assert ArcSet.from_json(text) == s
+    assert parse_fraction(f" -{Decimal(q)}/7 ") == Fraction(-q, 7)
+    for bad in ("1" * 5000 + "/x", "1.5/" + "1" * 5000, "3/-" + "1" * 5000):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
