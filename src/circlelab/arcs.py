@@ -22,7 +22,10 @@ where every denominator in play is below ``2 ** maxbits``.  Two distinct
 such rationals differ by more than ``2 ** -(2 * maxbits)``, so their keys
 differ and are ordered as the rationals are; equal rationals, reduced or
 not, get equal keys.  Boolean operations on canonical sets need no sort:
-one linear sweep over the endpoints of both operands serves them all.
+one sweep over the endpoints of both operands serves them all, galloping
+over long runs of one operand's endpoints, so its cost follows the
+interleaving of the operands and the size of the result, not the size
+of the larger operand.
 
 All values are immutable and all operations pure.
 """
@@ -30,11 +33,12 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .circle import (
     CirclePoint,
@@ -163,8 +167,10 @@ def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "
     return ArcSet._trusted(tuple(segments))
 
 
-# beyond every endpoint, so neither list of a sweep runs out before the other
+# beyond every endpoint: the next endpoint of an operand a sweep has passed through
 _PAST_END = Fraction(2)
+# endpoints in a row from one operand after which a sweep gallops
+_GALLOP_AFTER = 8
 
 # keep[2 * in_a + in_b]: whether a point inside a or not, and b or not, is in the result
 _OR = (False, True, True, True)
@@ -173,41 +179,111 @@ _SUB = (False, False, True, False)
 _XOR = (False, True, True, False)
 
 
-def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -> Iterable[Segment]:
+def _run_end(segs: Sequence[Segment], i: int, y: Fraction) -> int:
+    """The first flattened index after i whose endpoint is not below y, given endpoint i is.
+
+    Gallops over segment starts 1, 2, 4, ... places ahead and bisects the
+    last step, so a run of r endpoints costs O(log r) comparisons.
+    """
+    n = len(segs)
+    lo, hi, step = i >> 1, (i >> 1) + 1, 1
+    while hi < n and segs[hi][0] < y:
+        lo = hi
+        step *= 2
+        hi = lo + step
+    s = bisect_left(segs, y, lo + 1, min(hi, n), key=_start)
+    # every segment before s starts below y; the last of them ends at index 2s - 1
+    return 2 * s - 1 if segs[s - 1][1] >= y else 2 * s
+
+
+def _take(start: Fraction | None, segs: Sequence[Segment], i: int, k: int,
+          inside: bool) -> Generator[Segment, None, Fraction | None]:
+    """Yield the result's segments that end at endpoints i to k - 1 of segs; return the open start.
+
+    Over these endpoints the result is inside segs (``inside``) or outside
+    it.  Inside, the result's segments are segs' own, and those are reused;
+    outside, they are the gaps between segs' segments.
+    """
+    if inside:
+        if i & 1:  # endpoint i ends the segment the result is in
+            seg = segs[i >> 1]
+            yield seg if start is seg[0] else (start, seg[1])
+            i += 1
+        yield from segs[i >> 1:k >> 1]
+        return segs[k >> 1][0] if k & 1 else None
+    ends = list(chain.from_iterable(segs[i >> 1:(k + 1) >> 1]))
+    ends = ends[i & 1:len(ends) - (k & 1)]
+    if start is not None:
+        ends.insert(0, start)
+    yield from zip(ends[0::2], ends[1::2])
+    return ends[-1] if len(ends) & 1 else None
+
+
+def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -> Iterator[Segment]:
     """Yield, in order, the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
 
-    a and b are canonical, so each one's flattened endpoints strictly
-    increase and a point lies inside after an odd number of them.
+    a and b are canonical, so each one's flattened endpoints (index i is
+    ``segs[i >> 1][i & 1]``) strictly increase and a point lies inside
+    after an odd number of them.  The sweep steps through both lists in
+    order; once _GALLOP_AFTER endpoints in a row come from one operand,
+    the rest of that run (its endpoints below the other's next one) is
+    found by galloping and taken at once, since all of them bound the
+    result or none do.  So a ball against a large set costs O(log n)
+    comparisons plus its output.  Segments of a or b that are whole in
+    the result are yielded as they are, not rebuilt.
     """
-    ea = [x for seg in a for x in seg] + [_PAST_END]
-    eb = [x for seg in b for x in seg] + [_PAST_END]
-    last_a, last_b = len(ea) - 1, len(eb) - 1
+    na, nb = 2 * len(a), 2 * len(b)
+    start = None  # where the result's open segment began
     i = j = 0
-    inside = False
-    while i < last_a or j < last_b:
-        x, y = ea[i], eb[j]
+    streak = 0  # endpoints taken in a row: > 0 from a, < 0 from b
+    while i < na or j < nb:
+        x = a[i >> 1][i & 1] if i < na else _PAST_END
+        y = b[j >> 1][j & 1] if j < nb else _PAST_END
+        seg = None  # the segment that x ends, if any
         if x < y:
+            streak = streak + 1 if streak > 0 else 1
+            if streak == _GALLOP_AFTER:
+                k = _run_end(a, i, y)
+                if keep[2 + (j & 1)] != keep[j & 1]:
+                    start = yield from _take(start, a, i, k, keep[2 + (j & 1)])
+                i, streak = k, 0
+                continue
+            if i & 1:
+                seg = a[i >> 1]
             i += 1
-        elif x == y:
-            i += 1
-            j += 1
-        else:
+        elif y < x:
+            streak = streak - 1 if streak < 0 else -1
+            if streak == -_GALLOP_AFTER:
+                k = _run_end(b, j, x)
+                if keep[2 * (i & 1) + 1] != keep[2 * (i & 1)]:
+                    start = yield from _take(start, b, j, k, keep[2 * (i & 1) + 1])
+                j, streak = k, 0
+                continue
+            if j & 1:
+                seg = b[j >> 1]
             x = y
             j += 1
-        if keep[2 * (i & 1) + (j & 1)] != inside:
-            inside = not inside
-            if inside:
+        else:
+            i += 1
+            j += 1
+            streak = 0
+        if keep[2 * (i & 1) + (j & 1)] != (start is not None):
+            if start is None:
                 start = x
             else:
-                yield (start, x)
+                # a segment of a or b that the result holds whole is reused
+                yield seg if seg is not None and start is seg[0] else (start, x)
+                start = None
 
 
 def _measure(segments: Iterable[Segment]) -> Fraction:
     """Sum of hi - lo, adding the endpoint numerators per denominator first."""
     by_den: dict[int, int] = {}
     for lo, hi in segments:
-        by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
-        by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
+        num, d = hi.as_integer_ratio()
+        by_den[d] = by_den.get(d, 0) + num
+        num, d = lo.as_integer_ratio()
+        by_den[d] = by_den.get(d, 0) - num
     return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
 
 

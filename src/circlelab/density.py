@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
-from .arcs import ONE, ArcSet, _start, thicken
+from .arcs import ONE, ArcSet, thicken
 from .circle import CirclePoint, RationalLike, as_fraction
 
 
@@ -39,19 +38,7 @@ def density_ratio(s: ArcSet, x: CirclePoint, eps: RationalLike) -> Fraction:
     if e <= 0:
         raise ValueError(f"eps must be positive, got {e}")
     b = ball(x, e)
-    return (_near(s, b) & b).measure / b.measure
-
-
-def _near(s: ArcSet, b: ArcSet) -> ArcSet:
-    """The segments of s that may meet b, found by bisection; (s & b) == (_near(s, b) & b)."""
-    segs = s.segments
-    picked: list = []
-    done = 0
-    for lo, hi in b.segments:
-        i = max(bisect_right(segs, lo, key=_start) - 1, done)
-        done = max(bisect_left(segs, hi, key=_start), i)
-        picked.extend(segs[i:done])
-    return ArcSet._trusted(tuple(picked))
+    return (s & b).measure / b.measure
 
 
 def density_profile(

@@ -93,6 +93,19 @@ def grid_measure(member: Callable[[Fraction], bool], denom: int) -> Fraction:
     return Fraction(hits, denom)
 
 
+def grid_segments(member: Callable[[Fraction], bool], denom: int) -> tuple:
+    """Canonical segments of a union of 1/denom grid cells, from the midpoint of every cell."""
+    out: list[tuple[Fraction, Fraction]] = []
+    for j in range(denom):
+        if not member(Fraction(2 * j + 1, 2 * denom)):
+            continue
+        lo, hi = Fraction(j, denom), Fraction(j + 1, denom)
+        if out and out[-1][1] == lo:
+            lo = out.pop()[0]
+        out.append((lo, hi))
+    return tuple(out)
+
+
 # -- brute-force oracles ----------------------------------------------------------
 
 

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlelab import Arc, ArcSet, arc, circle_point, thicken, union_all
-from helpers import canonical_by_fraction_sort, grid_measure, in_arc, rand_grid_arcs, thicken_by_arcs
+from circlelab import arcs as arcs_module
+from helpers import (
+    canonical_by_fraction_sort,
+    grid_measure,
+    grid_segments,
+    in_arc,
+    rand_grid_arcs,
+    thicken_by_arcs,
+)
 
 starts = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q < 1)
 lengths = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q > 0)
@@ -359,3 +367,67 @@ def test_boolean_ops_match_grid_oracle(ga, gb):
     # grid-aligned results: each result cell is in or out as a whole
     probes = [Fraction(2 * j + 1, 2 * d) for j in range(d)]
     assert [circle_point(x) in (a - b) for x in probes] == [in_a(x) and not in_b(x) for x in probes]
+
+
+@pytest.mark.parametrize("gallop_after", [1, 2, 8])
+def test_sweep_runs_match_grid_segments(monkeypatch, gallop_after):
+    """Large sets against small ones, so long runs from one operand are galloped over.
+
+    The gallop threshold is lowered too, so that the galloping path is
+    also taken for short runs.
+    """
+    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
+    rng = random.Random(41 + gallop_after)
+    d = 240
+    for _ in range(100):
+        sizes = rng.choice([(60, 1), (1, 60), (40, 3), (3, 40), (30, 30), (0, 25), (25, 0)])
+        a_cells, b_cells = ([(rng.randrange(d), rng.randint(1, 4)) for _ in range(k)] for k in sizes)
+        a = ArcSet.from_arcs(arc(Fraction(j, d), Fraction(k, d)) for j, k in a_cells)
+        b = ArcSet.from_arcs(arc(Fraction(j, d), Fraction(k, d)) for j, k in b_cells)
+        cells_a = {(j + t) % d for j, k in a_cells for t in range(k)}
+        cells_b = {(j + t) % d for j, k in b_cells for t in range(k)}
+
+        def in_a(x):
+            return x.numerator * d // x.denominator in cells_a
+
+        def in_b(x):
+            return x.numerator * d // x.denominator in cells_b
+
+        assert (a & b).segments == grid_segments(lambda x: in_a(x) and in_b(x), d)
+        assert (a | b).segments == grid_segments(lambda x: in_a(x) or in_b(x), d)
+        assert (a - b).segments == grid_segments(lambda x: in_a(x) and not in_b(x), d)
+        assert (b - a).segments == grid_segments(lambda x: in_b(x) and not in_a(x), d)
+        assert a.symm_diff_measure(b) == grid_measure(lambda x: in_a(x) != in_b(x), d)
+        assert (a <= b) == (not grid_segments(lambda x: in_a(x) and not in_b(x), d))
+        assert (b <= a) == (not grid_segments(lambda x: in_b(x) and not in_a(x), d))
+        assert (a & b) <= a and a <= (a | b)
+
+
+def test_sweep_reuses_whole_segments():
+    """Segments of an operand that are whole in the result are its own tuples, not copies."""
+    big = thicken([circle_point(Fraction(m, 97)) for m in range(97)], Fraction(1, 400))
+    ball = ArcSet(((Fraction(1, 3), Fraction(1, 2)),))
+    outside = [seg for seg in big.segments if seg[1] < ball.segments[0][0] or seg[0] > ball.segments[0][1]]
+    assert len(outside) > 80
+    kept = {id(seg) for seg in (big - ball).segments}
+    assert all(id(seg) in kept for seg in outside)
+
+
+def test_sweep_cost_follows_runs_not_size(monkeypatch):
+    """A ball against a set of 3,000 segments takes O(log n) comparisons, not O(n)."""
+    big = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
+    ball = ArcSet(((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)),))
+    compared = 0
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        plain = getattr(Fraction, name)
+
+        def counting(x, y, plain=plain):
+            nonlocal compared
+            compared += 1
+            return plain(x, y)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    for op in (ArcSet.intersection, ArcSet.issubset, ArcSet.__ge__, ArcSet.symm_diff_measure):
+        compared = 0
+        op(big, ball)
+        assert compared < 200, (op.__name__, compared)
