@@ -23,7 +23,7 @@ from circlelab import (
 # Convergent regime: delta_n = 1/n^3.  Tail measures fall with the bound.
 print("=== radii 1/n^3 (convergent series) ===")
 report = gallagher_experiment(Power(Fraction(1), 3), [2, 5, 10, 20], 60)
-print(report.render_text())
+print(report.to_csv(), end="")
 
 # Divergent regime: delta_n = 1/n^2.  The truncated union keeps growing.
 print("\n=== radii 1/n^2 (divergent series) ===")
@@ -35,7 +35,7 @@ for n_max in (25, 50, 100):
 # Rescaling every radius by a constant moves the truncation by a nested,
 # exactly-contained amount; in the limit the difference is null.
 print("\n=== rescaled radii (factor 2) ===")
-print(cassels_experiment(Power(Fraction(1), 2), 2, All(), 2, 50).render_text())
+print(cassels_experiment(Power(Fraction(1), 2), 2, All(), 2, 50).to_csv(), end="")
 
 # The series classifier names the predicted limit class.
 print("\n=== totient-series classifier ===")

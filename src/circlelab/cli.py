@@ -18,12 +18,15 @@ from .circle import CirclePoint, format_fraction, parse_fraction
 from .density import density_profile
 from .ergodic import AffineCircleMap, invariant_set_search
 from .experiments import (
+    REPORT_CSV_HEADER,
     ExperimentReport,
     ReportRow,
     cassels_experiment,
+    csv_text,
     duffin_schaeffer_classify,
     gallagher_experiment,
     membership_witnesses,
+    report_csv_rows,
 )
 from .numtheory import parse_predicate
 
@@ -58,18 +61,21 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [parse_fraction(v) for v in text.split(",") if v.strip()]
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, value, header, rows, code: int = 0) -> int:
+    """Write `value` as JSON, or `header` and `rows` (a generator: JSON skips it) as CSV."""
+    text = csv_text(header, rows) if args.output == "csv" else json.dumps(value, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+    return code
 
 
 def _emit_report(report: ExperimentReport, args) -> int:
-    text = report.to_csv() if args.output == "csv" else report.to_json()
-    _write(text, args.out)
-    return 0 if report.all_pass() else 2
+    data = report.to_json_dict()
+    code = 0 if report.all_pass() else 2
+    return _emit(args, data, REPORT_CSV_HEADER, report_csv_rows(data), code)
 
 
 def _add_io_flags(sub, default_output: str = "json") -> None:
@@ -100,31 +106,17 @@ def _cmd_duffin_schaeffer(args) -> int:
 
 def _cmd_witnesses(args) -> int:
     witnesses = membership_witnesses(_point(args.x), _load_delta(args.delta), args.n_max)
-    if args.output == "csv":
-        text = "n\n" + "\n".join(str(n) for n in witnesses) + "\n"
-    else:
-        text = json.dumps({"x": args.x, "n_max": args.n_max, "witnesses": witnesses}, indent=2)
-    _write(text, args.out)
-    return 0
-
-
-def _arcset_csv(s: ArcSet) -> list[str]:
-    return [
-        f"{format_fraction(a.start.value)},{format_fraction(a.length)}" for a in s.arcs
-    ]
+    value = {"x": args.x, "n_max": args.n_max, "witnesses": witnesses}
+    return _emit(args, value, ("n",), ((n,) for n in witnesses))
 
 
 def _cmd_ao(args) -> int:
     if (args.radius is None) == (args.delta is None):
         raise ValueError("provide exactly one of --radius or --delta")
     radius = parse_fraction(args.radius) if args.radius else _load_delta(args.delta).eval_at(args.n)
-    s = approx_order_set(args.n, radius)
-    if args.output == "csv":
-        text = "start,length\n" + "\n".join(_arcset_csv(s)) + "\n"
-    else:
-        text = json.dumps(s.to_json_dict(), indent=2)
-    _write(text, args.out)
-    return 0
+    data = approx_order_set(args.n, radius).to_json_dict()
+    rows = ((a["start"], a["length"]) for a in data["arcs"])
+    return _emit(args, data, ("start", "length"), rows)
 
 
 def _cmd_measure(args) -> int:
@@ -152,33 +144,17 @@ def _cmd_measure(args) -> int:
 
 def _cmd_ergodic_search(args) -> int:
     t = AffineCircleMap(args.n, _point(args.x))
-    sets = invariant_set_search(t, args.grid)
-    if args.output == "csv":
-        lines = ["set_index,start,length"]
-        for i, s in enumerate(sets):
-            rows = _arcset_csv(s) or [","]
-            lines.extend(f"{i},{row}" for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps([s.to_json_dict() for s in sets], indent=2)
-    _write(text, args.out)
-    return 0
+    sets = [s.to_json_dict() for s in invariant_set_search(t, args.grid)]
+    blank = [{"start": "", "length": ""}]  # the empty set's one row
+    rows = ((i, a["start"], a["length"]) for i, s in enumerate(sets) for a in s["arcs"] or blank)
+    return _emit(args, sets, ("set_index", "start", "length"), rows)
 
 
 def _cmd_density(args) -> int:
     s = ArcSet.from_json(_inline_or_file(args.set))
     profile = density_profile(s, _point(args.x), _fraction_list(args.eps))
-    if args.output == "json":
-        text = json.dumps(
-            {"rows": [{"eps": format_fraction(e), "ratio": format_fraction(r)} for e, r in profile]},
-            indent=2,
-        )
-    else:
-        text = "eps,ratio\n" + "\n".join(
-            f"{format_fraction(e)},{format_fraction(r)}" for e, r in profile
-        ) + "\n"
-    _write(text, args.out)
-    return 0
+    data = {"rows": [{"eps": format_fraction(e), "ratio": format_fraction(r)} for e, r in profile]}
+    return _emit(args, data, ("eps", "ratio"), ((r["eps"], r["ratio"]) for r in data["rows"]))
 
 
 def build_parser() -> _Parser:

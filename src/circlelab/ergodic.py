@@ -32,8 +32,6 @@ class AffineCircleMap:
     def __call__(self, y: CirclePoint) -> CirclePoint:
         return self.multiplier * y + self.offset
 
-    apply = __call__
-
     def preimage(self, s: ArcSet) -> ArcSet:
         """Exact inverse image; each arc pulls back to multiplier sub-arcs.
 

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .approx import Constant, DeltaSequence, Power, TailUnionSpec, tail_union
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction
@@ -83,30 +83,32 @@ class ExperimentReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def to_csv(self) -> str:
-        def field(value: object) -> str:
-            text = str(value)
-            if any(ch in text for ch in ',"\n'):
-                text = '"' + text.replace('"', '""') + '"'
-            return text
+        return csv_text(REPORT_CSV_HEADER, report_csv_rows(self.to_json_dict()))
 
-        lines = ["kind,label,value,decimal"]
-        for key, value in self.params.items():
-            lines.append(f"param,{field(key)},{field(value)},")
-        for r in self.rows:
-            lines.append(f"row,{r.label},{format_fraction(r.exact)},{r.decimal}")
-        for v in self.verdicts:
-            lines.append(f"verdict,{v.name},{'pass' if v.passed else 'FAIL'},")
-        return "\n".join(lines) + "\n"
 
-    def render_text(self) -> str:
-        width = max((len(r.label) for r in self.rows), default=8)
-        lines = [f"experiment: {self.experiment}"]
-        lines += [f"  {k} = {v}" for k, v in self.params.items()]
-        for r in self.rows:
-            lines.append(f"  {r.label.ljust(width)}  {format_fraction(r.exact)}  ≈ {r.decimal}")
-        for v in self.verdicts:
-            lines.append(f"  [{'pass' if v.passed else 'FAIL'}] {v.name}")
-        return "\n".join(lines)
+REPORT_CSV_HEADER = ("kind", "label", "value", "decimal")
+
+
+def report_csv_rows(data: dict) -> Iterator[tuple]:
+    """The CSV records of a report's `to_json_dict()`: params, rows, then verdicts."""
+    for key, value in data["params"].items():
+        yield "param", key, value, ""
+    for r in data["rows"]:
+        yield "row", r["label"], r["exact"], r["decimal"]
+    for v in data["verdicts"]:
+        yield "verdict", v["name"], "pass" if v["pass"] else "FAIL", ""
+
+
+def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """One line per row after the header; a field holding a comma, quote or newline is quoted."""
+
+    def field(value: object) -> str:
+        text = str(value)
+        if "," in text or '"' in text or "\n" in text:
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    return "".join(",".join(map(field, row)) + "\n" for row in (header, *rows))
 
 
 # -- drivers --------------------------------------------------------------------

@@ -258,3 +258,281 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["arcs"]) == 2
+
+
+# -- exact bytes: every expected string below was worked out by hand -------------
+
+_GALLAGHER = ["gallagher", "--delta", "power:1:3", "--n-min-schedule", "2,5", "--n-max", "5"]
+_CASSELS = ["cassels", "--delta", "power:1:2", "--m", "3/2", "--n-min", "2", "--n-max", "3"]
+_DUFFIN_SCHAEFFER = ["duffin-schaeffer", "--delta", "power:1:2", "--cap", "4"]
+_WITNESSES = ["witnesses", "--x", "1/2", "--delta", "power:1:2", "--n-max", "6"]
+_AO = ["ao", "--n", "6", "--radius", "1/5"]
+_MEASURE = ["measure", "--set", '{"arcs":[{"start":"3/4","length":"1/2"}]}']
+_ERGODIC_SEARCH = ["ergodic-search", "--n", "1", "--x", "1/2", "--grid", "2"]
+_DENSITY = ["density", "--set", '{"arcs":[{"start":"0","length":"1/2"}]}', "--x", "1/8",
+            "--eps", "1/4,1/8"]
+
+EXACT_OUTPUTS = {
+    # power:1:3 over n = 2..5: the order-2 arc [3/8, 5/8] swallows the arcs at
+    # 2/5 and 3/5, so measure[n_min=2] = 1/4 + 4/27 + 1/16 + 4/125 = 26603/54000,
+    # while its bound counts all four order-5 arcs: 28331/54000
+    "gallagher-json": (_GALLAGHER, """\
+{
+  "experiment": "gallagher",
+  "params": {
+    "delta": "power:1:3",
+    "n_min_schedule": [
+      2,
+      5
+    ],
+    "n_max": 5
+  },
+  "rows": [
+    {
+      "label": "measure[n_min=2]",
+      "exact": "26603/54000",
+      "decimal": "0.492648148148"
+    },
+    {
+      "label": "upper_bound[n_min=2]",
+      "exact": "28331/54000",
+      "decimal": "0.524648148148"
+    },
+    {
+      "label": "measure[n_min=5]",
+      "exact": "8/125",
+      "decimal": "0.064"
+    },
+    {
+      "label": "upper_bound[n_min=5]",
+      "exact": "8/125",
+      "decimal": "0.064"
+    }
+  ],
+  "verdicts": [
+    {
+      "name": "measure_le_bound[n_min=2]",
+      "pass": true
+    },
+    {
+      "name": "measure_le_bound[n_min=5]",
+      "pass": true
+    },
+    {
+      "name": "measures_nonincreasing",
+      "pass": true
+    }
+  ]
+}
+"""),
+    "gallagher-csv": (_GALLAGHER + ["--output", "csv"], """\
+kind,label,value,decimal
+param,delta,power:1:3,
+param,n_min_schedule,"[2, 5]",
+param,n_max,5,
+row,measure[n_min=2],26603/54000,0.492648148148
+row,upper_bound[n_min=2],28331/54000,0.524648148148
+row,measure[n_min=5],8/125,0.064
+row,upper_bound[n_min=5],8/125,0.064
+verdict,measure_le_bound[n_min=2],pass,
+verdict,measure_le_bound[n_min=5],pass,
+verdict,measures_nonincreasing,pass,
+"""),
+    # radii 1/n^2: [1/4, 3/4] ∪ [2/9, 4/9] ∪ [5/9, 7/9] = [2/9, 7/9];
+    # radii 3/(2n^2): [1/8, 7/8] holds both order-3 arcs
+    "cassels-json": (_CASSELS, """\
+{
+  "experiment": "cassels",
+  "params": {
+    "delta": "power:1:2",
+    "m": "3/2",
+    "pred": "all",
+    "n_min": 2,
+    "n_max": 3
+  },
+  "rows": [
+    {
+      "label": "measure[m=1]",
+      "exact": "5/9",
+      "decimal": "0.555555555556"
+    },
+    {
+      "label": "measure[m=3/2]",
+      "exact": "3/4",
+      "decimal": "0.75"
+    },
+    {
+      "label": "symm_diff_measure",
+      "exact": "7/36",
+      "decimal": "0.194444444444"
+    }
+  ],
+  "verdicts": [
+    {
+      "name": "base_subset_scaled",
+      "pass": true
+    }
+  ]
+}
+"""),
+    "cassels-csv": (_CASSELS + ["--output", "csv"], """\
+kind,label,value,decimal
+param,delta,power:1:2,
+param,m,3/2,
+param,pred,all,
+param,n_min,2,
+param,n_max,3,
+row,measure[m=1],5/9,0.555555555556
+row,measure[m=3/2],3/4,0.75
+row,symm_diff_measure,7/36,0.194444444444
+verdict,base_subset_scaled,pass,
+"""),
+    # 1 + 1/4 = 5/4 at n = 2, then + 2/9 + 2/16 = 115/72 at n = 4
+    "duffin-schaeffer-json": (_DUFFIN_SCHAEFFER, """\
+{
+  "experiment": "duffin-schaeffer",
+  "params": {
+    "delta": "power:1:2",
+    "partial_sum_cap": 4,
+    "series": "divergent",
+    "predicted_class": "full"
+  },
+  "rows": [
+    {
+      "label": "partial_sum[n_max=2]",
+      "exact": "5/4",
+      "decimal": "1.25"
+    },
+    {
+      "label": "partial_sum[n_max=4]",
+      "exact": "115/72",
+      "decimal": "1.59722222222"
+    }
+  ],
+  "verdicts": [
+    {
+      "name": "partial_sums_nondecreasing",
+      "pass": true
+    }
+  ]
+}
+"""),
+    "duffin-schaeffer-csv": (_DUFFIN_SCHAEFFER + ["--output", "csv"], """\
+kind,label,value,decimal
+param,delta,power:1:2,
+param,partial_sum_cap,4,
+param,series,divergent,
+param,predicted_class,full,
+row,partial_sum[n_max=2],5/4,1.25
+row,partial_sum[n_max=4],115/72,1.59722222222
+verdict,partial_sums_nondecreasing,pass,
+"""),
+    # 1/2 is 1/2 from 0 (delta_1 = 1) and on the order-2 point; for n = 3..6
+    # the distances 1/6, 1/4, 1/10, 1/3 all exceed 1/n^2
+    "witnesses-json": (_WITNESSES, """\
+{
+  "x": "1/2",
+  "n_max": 6,
+  "witnesses": [
+    1,
+    2
+  ]
+}
+"""),
+    "witnesses-csv": (_WITNESSES + ["--output", "csv"], "n\n1\n2\n"),
+    # 1/6 ± 1/5 and 5/6 ± 1/5 overlap across 0: one arc from 19/30 of length 22/30
+    "ao-json": (_AO, """\
+{
+  "arcs": [
+    {
+      "start": "19/30",
+      "length": "11/15"
+    }
+  ]
+}
+"""),
+    "ao-csv": (_AO + ["--output", "csv"], "start,length\n19/30,11/15\n"),
+    "measure-json": (_MEASURE, """\
+{
+  "experiment": "measure",
+  "params": {
+    "set": "explicit"
+  },
+  "rows": [
+    {
+      "label": "measure",
+      "exact": "1/2",
+      "decimal": "0.5"
+    }
+  ],
+  "verdicts": []
+}
+"""),
+    "measure-csv": (_MEASURE + ["--output", "csv"], """\
+kind,label,value,decimal
+param,set,explicit,
+row,measure,1/2,0.5
+"""),
+    # y -> y + 1/2 swaps the two cells, so only the empty set and the circle remain
+    "ergodic-search-json": (_ERGODIC_SEARCH, """\
+[
+  {
+    "arcs": []
+  },
+  {
+    "arcs": [
+      {
+        "start": "0",
+        "length": "1"
+      }
+    ]
+  }
+]
+"""),
+    "ergodic-search-csv": (_ERGODIC_SEARCH + ["--output", "csv"],
+                           "set_index,start,length\n0,,\n1,0,1\n"),
+    # the ball [-1/8, 3/8] meets [0, 1/2] in 3/8 of its 1/2; [0, 1/4] lies inside
+    "density-json": (_DENSITY + ["--output", "json"], """\
+{
+  "rows": [
+    {
+      "eps": "1/4",
+      "ratio": "3/4"
+    },
+    {
+      "eps": "1/8",
+      "ratio": "1"
+    }
+  ]
+}
+"""),
+    "density-csv": (_DENSITY, "eps,ratio\n1/4,3/4\n1/8,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_OUTPUTS))
+def test_exact_bytes(capsys, case):
+    argv, expected = EXACT_OUTPUTS[case]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ao", "--n", "5", "--radius", "0"], "start,length\n"),
+        (["witnesses", "--x", "1/2", "--delta", "const:0", "--n-max", "3"], "n\n"),
+    ],
+    ids=["ao", "witnesses"],
+)
+def test_empty_csv_is_the_header_alone(capsys, argv, expected):
+    assert run_cli(capsys, *argv, "--output", "csv") == (0, expected, "")
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_OUTPUTS))
+def test_out_file_holds_what_stdout_prints(capsys, tmp_path, case):
+    argv, _ = EXACT_OUTPUTS[case]
+    _, printed, _ = run_cli(capsys, *argv)
+    target = tmp_path / "out"
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed.encode("utf-8")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import random
 import sys
@@ -104,6 +106,25 @@ def test_report_csv_shape():
     assert lines[0] == "kind,label,value,decimal"
     assert "row,m,1/2,0.5" in lines
     assert "verdict,check,FAIL," in lines
+
+
+def test_report_csv_quotes_every_field():
+    rep = ExperimentReport("demo", params={'say "hi"': "a\nb"})
+    rep.rows.append(ReportRow("a,b", Fraction(1, 2)))
+    rep.verdicts.append(Verdict("x,y", True))
+    text = rep.to_csv()
+    assert text == (
+        "kind,label,value,decimal\n"
+        'param,"say ""hi""","a\nb",\n'
+        'row,"a,b",1/2,0.5\n'
+        'verdict,"x,y",pass,\n'
+    )
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["kind", "label", "value", "decimal"],
+        ["param", 'say "hi"', "a\nb", ""],
+        ["row", "a,b", "1/2", "0.5"],
+        ["verdict", "x,y", "pass", ""],
+    ]
 
 
 def test_arcset_json_round_trip_beyond_int_str_digit_limit():
