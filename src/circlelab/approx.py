@@ -14,12 +14,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .arcs import ArcSet, _thickening_union, thicken
+from .arcs import (
+    ArcSet,
+    _canonical,
+    _keyed_comparison,
+    _keyed_measure,
+    _keyed_thickenings,
+    _thickening_union,
+    thicken,
+)
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction
-from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, is_prime
+from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize, is_prime
 
 
 # -- radius sequences ---------------------------------------------------------
@@ -156,7 +165,11 @@ def finite_order_points(n: int) -> list[CirclePoint]:
 
 
 def _coprime_residues(n: int) -> Iterable[int]:
-    return (m for m in range(n) if gcd(m, n) == 1)
+    """The m in [0, n) coprime to n, sieved by the prime factors of n."""
+    mask = bytearray(b"\x01") * n
+    for p in factorize(n):
+        mask[::p] = bytes(n // p)
+    return compress(range(n), mask)
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -184,23 +197,75 @@ class TailUnionSpec:
             raise ValueError(f"need n_min <= n_max, got [{self.n_min}, {self.n_max}]")
 
 
+def _tail_terms(
+    pred: IndexPredicate, delta: DeltaSequence, n_min: int, n_max: int
+) -> tuple[int, list]:
+    """The last index in [n_min, n_max] whose term is the full circle (or 0), and the terms above.
+
+    The terms are (n, delta_n) for the n with pred(n).  A term with
+    delta_n <= 0 is empty and left out.  One with 2*delta_n >= 1 is the full
+    circle, so every tail union from a start up to its index is full.
+    """
+    terms = []
+    for n in range(n_max, n_min - 1, -1):
+        if not pred(n):
+            continue
+        d = delta.eval_at(n)
+        if d <= 0:
+            continue
+        if 2 * d >= 1:
+            return n, terms
+        terms.append((n, d))
+    return 0, terms
+
+
+def _with_residues(terms: Iterable[tuple[int, Fraction]]) -> list[tuple]:
+    """The terms (n, delta_n) as the arc writer takes them: (n, residues coprime to n, delta_n)."""
+    return [(n, _coprime_residues(n), d) for n, d in terms]
+
+
 def tail_union(spec: TailUnionSpec) -> ArcSet:
     """Union of approx_order_set(i, delta_i) over n_min <= i <= n_max with pred(i).
 
     Every arc of every term goes into one sort and one merge.  A term with
     delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
     """
-    terms = []
-    for n in range(spec.n_min, spec.n_max + 1):
-        if not spec.pred(n):
-            continue
-        d = spec.delta.eval_at(n)
-        if d <= 0:
-            continue
-        if 2 * d >= 1:
-            return ArcSet.full()
-        terms.append((n, _coprime_residues(n), d))
-    return _thickening_union(terms)
+    full, terms = _tail_terms(spec.pred, spec.delta, spec.n_min, spec.n_max)
+    return ArcSet.full() if full else _thickening_union(_with_residues(terms))
+
+
+def tail_union_measures(
+    pred: IndexPredicate, delta: DeltaSequence, n_mins: Sequence[int], n_max: int
+) -> list[Fraction]:
+    """The measure of the tail union over [N, n_max] for each start N in n_mins.
+
+    Every arc needed is written once, tagged with its index, and sorted
+    once.  Each start merges the arcs with index >= N, which are already in
+    order, and sums their integer endpoints per denominator.
+    """
+    full, terms = _tail_terms(pred, delta, min(n_mins), n_max)
+    starts = [n_min for n_min in n_mins if n_min > full]
+    first = min(starts, default=n_max + 1)
+    keyed, = _keyed_thickenings(_with_residues(t for t in terms if t[0] >= first))
+    keyed.sort()
+    measures = {s: _keyed_measure(_canonical([a for a in keyed if a[5] >= s])) for s in starts}
+    return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
+
+
+def scaled_tail_union_comparison(
+    pred: IndexPredicate, delta: DeltaSequence, scale: Fraction, n_min: int, n_max: int
+) -> tuple[Fraction, Fraction, Fraction, bool, bool]:
+    """The tail unions W1 at radii delta_n and Wm at radii scale*delta_n over [n_min, n_max]:
+    their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
+    """
+
+    def union_terms(d: DeltaSequence) -> list:
+        full, terms = _tail_terms(pred, d, n_min, n_max)
+        # the full circle as one arc: [-1/2, 1/2) around 0
+        return [(full, (0,), Fraction(1, 2))] if full else _with_residues(terms)
+
+    keyed = _keyed_thickenings(union_terms(delta), union_terms(delta.scale(scale)))
+    return _keyed_comparison(*keyed)
 
 
 # -- scaling/translation inclusion checks ----------------------------------------

@@ -25,7 +25,10 @@ not, get equal keys.  Boolean operations on canonical sets need no sort:
 one sweep over the endpoints of both operands serves them all, galloping
 over long runs of one operand's endpoints, so its cost follows the
 interleaving of the operands and the size of the result, not the size
-of the larger operand.
+of the larger operand.  The sweep needs only ordered endpoints, so it also
+runs on keys: the tail-union experiments that report only measures and
+inclusions never build an ArcSet, and make Fractions only in the final
+per-denominator sum.
 
 All values are immutable and all operations pure.
 """
@@ -37,6 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 from operator import itemgetter
 from typing import Generator, Iterable, Iterator, Sequence
 
@@ -134,41 +138,107 @@ def _canonical_segments(raw: Iterable[Segment]) -> tuple[Segment, ...]:
         if not 0 <= lo_key < hi_key <= one:
             raise ValueError(f"segment out of range: ({lo}, {hi})")
         keyed.append((lo_key, hi_key, lo, hi))
-    return tuple((first[2], last[3]) for first, last in _canonical(keyed))
+    # integer endpoints become Fractions, whose ratios _measure reads
+    return tuple(
+        (lo if type(lo) is Fraction else Fraction(lo), hi if type(hi) is Fraction else Fraction(hi))
+        for (_, _, lo, _), (_, _, _, hi) in _canonical(keyed)
+    )
+
+
+def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]]) -> list:
+    """Keyed arcs [m/n - d, m/n + d) for the terms (n, ms, d), m in ms: one list per term list.
+
+    Needs 0 < d <= 1/2.  With d = p/q and g = gcd(n, q), the endpoints of a
+    term are integers over den = lcm(n, q) = n * (q/g): the arc around m/n
+    starts at (m*(q/g) - p*(n/g)) mod den and has length 2*p*(n/g).  Each
+    item is ``(lo_key, hi_key, lo, hi, den, n)``, one per arc or two for an
+    arc across the seam.  All lists share one key shift, so their keys
+    compare as the rationals do.
+    """
+    grids = []
+    for terms in term_lists:
+        grid = []
+        for n, ms, d in terms:
+            g = gcd(n, d.denominator)
+            step = d.denominator // g
+            grid.append((n * step, step, d.numerator * (n // g), ms, n))
+        grids.append(grid)
+    k = _key_bits(max((t[0] for grid in grids for t in grid), default=1))
+    out = []
+    for grid in grids:
+        keyed = []
+        for den, step, pn, ms, n in grid:
+            for m in ms:
+                lo = (m * step - pn) % den
+                hi = lo + 2 * pn
+                if hi <= den:
+                    keyed.append(((lo << k) // den, (hi << k) // den, lo, hi, den, n))
+                else:
+                    keyed.append(((lo << k) // den, 1 << k, lo, den, den, n))
+                    keyed.append((0, ((hi - den) << k) // den, 0, hi - den, den, n))
+        out.append(keyed)
+    return out
+
+
+# the start and the end of a merged keyed segment, as (numerator, denominator)
+_LO = itemgetter(2, 4)
+_HI = itemgetter(3, 4)
 
 
 def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "ArcSet":
-    """Union of the arcs [m/n - d, m/n + d) over the terms (n, ms, d) and every m in ms.
-
-    Needs 0 < d < 1/2.  With d = p/q, the endpoints of a term are integers
-    over n*q: the arc around m/n starts at (m*q - p*n) mod n*q and has length
-    2*p*n.  All arcs are sorted once by exact key, and Fractions are built
-    only for the endpoints of the merged segments.
-    """
-    terms = [(n * d.denominator, d.denominator, d.numerator * n, ms) for n, ms, d in terms]
-    k = _key_bits(max((den for den, _, _, _ in terms), default=1))
-    keyed = []
-    for den, q, pn, ms in terms:
-        for m in ms:
-            lo = (m * q - pn) % den
-            hi = lo + 2 * pn
-            if hi <= den:
-                keyed.append(((lo << k) // den, (hi << k) // den, lo, hi, den))
-            else:
-                keyed.append(((lo << k) // den, 1 << k, lo, den, den))
-                keyed.append((0, ((hi - den) << k) // den, 0, hi - den, den))
+    """Union of the keyed arcs of the terms, with Fractions built only for merged endpoints."""
+    keyed, = _keyed_thickenings(terms)
     merged = _canonical(keyed)
     del keyed
     merged.reverse()
     segments = []
     while merged:  # popping frees each keyed item once its Fractions are built
         first, last = merged.pop()
-        segments.append((Fraction(first[2], first[4]), Fraction(last[3], last[4])))
+        segments.append((Fraction(*_LO(first)), Fraction(*_HI(last))))
     return ArcSet._trusted(tuple(segments))
 
 
-# beyond every endpoint: the next endpoint of an operand a sweep has passed through
-_PAST_END = Fraction(2)
+def _keyed_measure(merged: list[tuple[tuple, tuple]]) -> Fraction:
+    """Measure of the segments that _canonical merged from keyed arcs."""
+    return _measure(merged, _LO, _HI)
+
+
+def _keyed_comparison(a: list, b: list) -> tuple[Fraction, Fraction, Fraction, bool, bool]:
+    """Measures of the unions A and B of two keyed-arc lists on one key shift, then
+    the measure of their symmetric difference, A <= B and B <= A.
+
+    The sweep runs on the keys; the symmetric difference looks its keys up
+    as (numerator, denominator).
+    """
+    ends: dict[int, tuple[int, int]] = {}
+    measures, key_segments = [], []
+    for keyed in (a, b):
+        merged = _canonical(keyed)
+        measures.append(_keyed_measure(merged))
+        key_segments.append([(first[0], last[1]) for first, last in merged])
+        for first, last in merged:
+            ends[first[0]], ends[last[1]] = _LO(first), _HI(last)
+    sa, sb = key_segments
+    ratio = ends.__getitem__
+    return (*measures, _measure(_sweep(sa, sb, _XOR), ratio, ratio),
+            next(_sweep(sa, sb, _SUB), None) is None, next(_sweep(sb, sa, _SUB), None) is None)
+
+
+class _PastEnd:
+    """Above every endpoint of any ordered type: the next endpoint of a swept-through operand."""
+
+    __slots__ = ()
+
+    def __gt__(self, other) -> bool:
+        return True
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    __ge__, __le__ = __gt__, __lt__
+
+
+_PAST_END = _PastEnd()
 # endpoints in a row from one operand after which a sweep gallops
 _GALLOP_AFTER = 8
 
@@ -276,13 +346,17 @@ def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -
                 start = None
 
 
-def _measure(segments: Iterable[Segment]) -> Fraction:
-    """Sum of hi - lo, adding the endpoint numerators per denominator first."""
+def _measure(segments: Iterable[tuple], lo_ratio=Fraction.as_integer_ratio,
+             hi_ratio=Fraction.as_integer_ratio) -> Fraction:
+    """Sum of hi - lo over endpoints that lo_ratio and hi_ratio give as (numerator, denominator).
+
+    The numerators are added per denominator first, so one Fraction is built per denominator.
+    """
     by_den: dict[int, int] = {}
     for lo, hi in segments:
-        num, d = hi.as_integer_ratio()
+        num, d = hi_ratio(hi)
         by_den[d] = by_den.get(d, 0) + num
-        num, d = lo.as_integer_ratio()
+        num, d = lo_ratio(lo)
         by_den[d] = by_den.get(d, 0) - num
     return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
 

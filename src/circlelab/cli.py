@@ -12,7 +12,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .approx import DeltaSequence, TailUnionSpec, approx_order_set, parse_delta, tail_union
+from .approx import DeltaSequence, TailUnionSpec, approx_order_set, parse_delta, tail_union_measures
 from .arcs import ArcSet
 from .circle import CirclePoint, format_fraction, parse_fraction
 from .density import density_profile
@@ -123,14 +123,14 @@ def _cmd_measure(args) -> int:
     if args.set is not None:
         if args.delta is not None:
             raise ValueError("--set and --delta are mutually exclusive")
-        s = ArcSet.from_json(_inline_or_file(args.set))
+        measure = ArcSet.from_json(_inline_or_file(args.set)).measure
         params: dict[str, object] = {"set": "explicit"}
     else:
         if args.delta is None or args.n_min is None or args.n_max is None:
             raise ValueError("need --set, or --delta with --n-min and --n-max")
-        s = tail_union(
-            TailUnionSpec(args.n_min, args.n_max, parse_predicate(args.pred), _load_delta(args.delta))
-        )
+        pred, delta = parse_predicate(args.pred), _load_delta(args.delta)
+        TailUnionSpec(args.n_min, args.n_max, pred, delta)  # checks the range
+        measure, = tail_union_measures(pred, delta, [args.n_min], args.n_max)
         params = {
             "delta": args.delta,
             "pred": args.pred,
@@ -138,7 +138,7 @@ def _cmd_measure(args) -> int:
             "n_max": args.n_max,
         }
     report = ExperimentReport("measure", params=params)
-    report.rows.append(ReportRow("measure", s.measure))
+    report.rows.append(ReportRow("measure", measure))
     return _emit_report(report, args)
 
 

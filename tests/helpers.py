@@ -120,6 +120,11 @@ def invariant_sets_brute_force(t: AffineCircleMap, k: int) -> list[ArcSet]:
     return found
 
 
+def coprime_residues_scan(n: int) -> list[int]:
+    """The m in [0, n) with gcd(m, n) == 1, by one gcd per m."""
+    return [m for m in range(n) if gcd(m, n) == 1]
+
+
 def dist_to_order_scan(x: Fraction, n: int) -> Fraction:
     """Circle distance from x to the nearest m/n with gcd(m, n) == 1, scanning all n numerators."""
     return min(circ_dist(x, Fraction(m, n)) for m in range(n) if gcd(m, n) == 1)

@@ -27,6 +27,7 @@ from circlelab import (
     tail_union,
     totient,
 )
+from circlelab import approx as approx_module
 import helpers
 from helpers import golden_check
 
@@ -344,3 +345,108 @@ def test_decomposition_reassembles_whole():
 def test_decomposition_rejects_composite():
     with pytest.raises(ValueError):
         gallagher_decomposition(4, 2, 10, Constant(Fraction(1, 100)))
+
+
+# -- coprime residues -----------------------------------------------------------------
+
+
+def test_coprime_residues_match_gcd_scan():
+    for n in range(1, 2001):
+        assert list(approx_module._coprime_residues(n)) == helpers.coprime_residues_scan(n), n
+
+
+# -- tail-union measures on integer endpoints ---------------------------------------------
+
+F = Fraction
+
+MEASURE_CASES = [
+    (Power(F(1), 2), All(), [2, 5, 17, 40], 40),  # the last start is n_max
+    (Power(F(1), 3), NotDiv(3), [1, 9, 30], 45),
+    (Power(F(3, 7), 1), ExactlyOnce(2), [1, 2, 11], 30),
+    (Power(F(1, 5), 0), DivBySquare(2), [4], 40),  # a single start
+    (Power(F(1, 3), 2), Or(DivBySquare(3), NotDiv(2)), [1, 3, 20, 35], 35),
+    (Constant(F(-1, 3)), All(), [1, 6], 12),
+    (Constant(F(0)), All(), [3], 12),
+    (Constant(F(1, 5)), All(), [2, 7, 12], 12),
+    (Constant(F(1, 2)), NotDiv(2), [3, 9], 9),
+    # a full-circle term at index 5 (2 * 1/2 >= 1) and at 7 (2 * 3/5 > 1): starts on both sides
+    (Table((F(1, 9), F(1, 100), F(-1, 4), F(1, 16), F(1, 2), F(1, 30), F(3, 5), F(1, 50), F(0), F(1, 40))),
+     All(), [1, 4, 5, 6, 7, 8, 10], 10),
+    (Table((F(1, 4), F(-1, 9), F(0), F(1, 16), F(2, 5))), All(), [1, 2, 3, 4, 5, 8], 8),
+    # arcs of different terms touching exactly, at 1/5 and at 4/5
+    (Table((F(1, 5), F(0), F(2, 15))), All(), [1, 2, 3], 3),
+    (Table((F(1, 4), F(Q60 // 7, Q60), F(1, Q60), F(Q60 // 5, Q60 + 2))), All(), [1, 2, 4], 4),
+]
+
+
+@pytest.mark.parametrize("delta, pred, starts, n_max", MEASURE_CASES)
+def test_tail_union_measures_match_per_term_oracle(delta, pred, starts, n_max):
+    measures = approx_module.tail_union_measures(pred, delta, starts, n_max)
+    specs = [TailUnionSpec(n_min, n_max, pred, delta) for n_min in starts]
+    assert measures == [helpers.tail_union_per_term(spec).measure for spec in specs]
+    assert measures == [tail_union(spec).measure for spec in specs]
+
+
+def test_tail_union_measures_random_against_per_term_oracle():
+    rng = random.Random(2302)
+    preds = [All(), NotDiv(2), ExactlyOnce(3), DivBySquare(2), Or(NotDiv(3), DivBySquare(2))]
+    for _ in range(60):
+        kind = rng.randrange(3)
+        if kind == 0:
+            delta = Power(F(rng.randint(1, 4), rng.randint(1, 6)), rng.randint(0, 3))
+        elif kind == 1:
+            delta = Constant(F(rng.randint(-2, 3), rng.randint(1, 12)))
+        else:
+            delta = Table(tuple(F(rng.randint(-1, 4), rng.randint(2, 30)) for _ in range(rng.randint(1, 20))))
+        pred = rng.choice(preds)
+        n_max = rng.randint(1, 40)
+        starts = sorted(rng.sample(range(1, n_max + 1), min(n_max, rng.randint(1, 4))))
+        expected = [helpers.tail_union_per_term(TailUnionSpec(s, n_max, pred, delta)).measure for s in starts]
+        measures = approx_module.tail_union_measures(pred, delta, starts, n_max)
+        assert measures == expected, (delta, pred, starts, n_max)
+
+
+def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
+    """Starts up to the last full-circle term measure 1; only the terms from the next start on are written."""
+    written = []
+    keyed_thickenings = approx_module._keyed_thickenings
+
+    def counting(*term_lists):
+        written.extend(len(terms) for terms in term_lists)
+        return keyed_thickenings(*term_lists)
+
+    monkeypatch.setattr(approx_module, "_keyed_thickenings", counting)
+    delta = Power(F(1), 1)  # 2 * delta_n >= 1 for n <= 2
+    assert approx_module.tail_union_measures(All(), delta, [1, 2], 2000) == [1, 1]
+    assert written == [0]
+    expected = helpers.tail_union_per_term(TailUnionSpec(40, 60, All(), delta)).measure
+    assert approx_module.tail_union_measures(All(), delta, [2, 40], 60) == [1, expected]
+    assert written == [0, 21]
+
+
+COMPARISON_CASES = [
+    (Power(F(1), 2), F(1, 2), All(), 2, 30),
+    (Power(F(1), 2), F(1), NotDiv(2), 2, 30),
+    (Power(F(1), 2), F(2), ExactlyOnce(2), 2, 40),
+    (Power(F(2, 3), 3), F(3, 2), DivBySquare(2), 1, 60),
+    (Power(F(1, 10), 2), F(2), Or(NotDiv(5), ExactlyOnce(3)), 4, 50),
+    (Power(F(1, 8), 1), F(2, 3), Or(DivBySquare(3), NotDiv(2)), 3, 25),
+    # full-circle terms: every scaled one; the unscaled one at n = 1; the scaled one at n = 3
+    (Power(F(1, 8), 0), F(4), All(), 2, 12),
+    (Power(F(1, 2), 1), F(1, 3), All(), 1, 15),
+    (Table((F(1, 9), F(1, 100), F(1, 4), F(1, 16), F(1, 30))), F(3), All(), 1, 5),
+    (Constant(F(-1, 5)), F(2), All(), 1, 10),
+]
+
+
+@pytest.mark.parametrize("delta, m, pred, n_min, n_max", COMPARISON_CASES)
+def test_scaled_comparison_matches_arcset_path(delta, m, pred, n_min, n_max):
+    w1 = tail_union(TailUnionSpec(n_min, n_max, pred, delta))
+    wm = tail_union(TailUnionSpec(n_min, n_max, pred, delta.scale(m)))
+    assert approx_module.scaled_tail_union_comparison(pred, delta, m, n_min, n_max) == (
+        w1.measure,
+        wm.measure,
+        w1.symm_diff_measure(wm),
+        w1 <= wm,
+        wm <= w1,
+    )

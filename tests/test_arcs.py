@@ -431,3 +431,40 @@ def test_sweep_cost_follows_runs_not_size(monkeypatch):
         compared = 0
         op(big, ball)
         assert compared < 200, (op.__name__, compared)
+
+
+def test_sweep_on_integer_endpoints():
+    """The sweep needs only ordered endpoints: here integers far above 1."""
+    xor = arcs_module._sweep([(0, 5), (10, 20)], [(3, 12)], arcs_module._XOR)
+    assert list(xor) == [(0, 3), (5, 10), (12, 20)]
+    assert list(arcs_module._sweep([(0, 5), (10, 20)], [], arcs_module._OR)) == [(0, 5), (10, 20)]
+    assert list(arcs_module._sweep([], [(3, 12)], arcs_module._SUB)) == []
+
+
+@pytest.mark.parametrize("gallop_after", [1, 8])
+def test_sweep_on_integers_matches_fraction_sweep(monkeypatch, gallop_after):
+    """Segments on a 1/d grid, swept as Fractions in [0, 1] and as integers scaled far above 2."""
+    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
+    rng = random.Random(7 + gallop_after)
+    d, scale, shift = 64, 10**15 + 37, 3 * 2**70
+
+    def to_int(x: Fraction) -> int:
+        return x.numerator * (d // x.denominator) * scale + shift
+
+    for _ in range(150):
+        pair = []
+        for size in rng.choice([(20, 1), (1, 20), (12, 12), (0, 6), (6, 0), (30, 4)]):
+            ends = sorted(rng.sample(range(d + 1), 2 * min(size, (d + 1) // 2)))
+            pair.append(tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(ends[::2], ends[1::2])))
+        a, b = pair
+        a_int, b_int = ([(to_int(lo), to_int(hi)) for lo, hi in segs] for segs in (a, b))
+        for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, arcs_module._XOR):
+            expected = [(to_int(lo), to_int(hi)) for lo, hi in arcs_module._sweep(a, b, keep)]
+            assert list(arcs_module._sweep(a_int, b_int, keep)) == expected
+
+
+def test_integer_endpoints_become_fractions():
+    s = ArcSet(((0, Fraction(1, 2)), (Fraction(3, 4), 1)))
+    assert all(type(x) is Fraction for seg in s.segments for x in seg)
+    assert s.measure == Fraction(3, 4)
+    assert s.symm_diff_measure(ArcSet(((0, 1),))) == Fraction(1, 4)

@@ -196,3 +196,15 @@ def test_bound_matches_direct_sum():
     rep = gallagher_experiment(delta, [5], 40)
     direct = sum((2 * totient(n) * delta.eval_at(n) for n in range(5, 41)), Fraction(0))
     assert rep.row("upper_bound[n_min=5]").exact == direct
+
+
+def test_bounds_match_direct_sums_at_every_start():
+    delta = Table(tuple(Fraction(k % 5 - 1, 3 * k) for k in range(1, 31)))
+    schedule = [1, 2, 7, 19, 30]
+    rep = gallagher_experiment(delta, schedule, 30)
+    for n_min in schedule:
+        terms = (2 * totient(n) * max(delta.eval_at(n), Fraction(0)) for n in range(n_min, 31))
+        direct = sum(terms, Fraction(0))
+        assert rep.row(f"upper_bound[n_min={n_min}]").exact == direct
+        measure = tail_union(TailUnionSpec(n_min, 30, All(), delta)).measure
+        assert rep.row(f"measure[n_min={n_min}]").exact == measure
