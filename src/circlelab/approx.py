@@ -12,6 +12,7 @@ the subadditive upper bound.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -52,6 +53,11 @@ class Power:
         _check_index(n)
         return self.coeff / n**self.exponent
 
+    def ratio_at(self, n: int) -> tuple[int, int]:
+        """delta_n as an unreduced pair (p, q), q > 0."""
+        _check_index(n)
+        return self.coeff.numerator, self.coeff.denominator * n**self.exponent
+
     def scale(self, m: RationalLike) -> "Power":
         return Power(self.coeff * as_fraction(m), self.exponent)
 
@@ -74,6 +80,9 @@ class Constant:
     def eval_at(self, n: int) -> Fraction:
         _check_index(n)
         return self.value
+
+    def ratio_at(self, n: int) -> tuple[int, int]:
+        return self.eval_at(n).as_integer_ratio()
 
     def scale(self, m: RationalLike) -> "Constant":
         return Constant(self.value * as_fraction(m))
@@ -99,6 +108,9 @@ class Table:
         if n <= len(self.values):
             return self.values[n - 1]
         return Fraction(0)
+
+    def ratio_at(self, n: int) -> tuple[int, int]:
+        return self.eval_at(n).as_integer_ratio()
 
     def scale(self, m: RationalLike) -> "Table":
         f = as_fraction(m)
@@ -198,25 +210,33 @@ class TailUnionSpec:
 
 
 def _tail_terms(
-    pred: IndexPredicate, delta: DeltaSequence, n_min: int, n_max: int
+    pred: IndexPredicate, delta: DeltaSequence, n_mins: Sequence[int], n_max: int
 ) -> tuple[int, list]:
-    """The last index in [n_min, n_max] whose term is the full circle (or 0), and the terms above.
+    """The last index in [min(n_mins), n_max] whose term is the full circle (or 0), and the
+    terms above it, from the lowest start that lies above it for Power and Constant.
 
     The terms are (n, delta_n) for the n with pred(n).  A term with
     delta_n <= 0 is empty and left out.  One with 2*delta_n >= 1 is the full
     circle, so every tail union from a start up to its index is full.
     """
+    full = 0
+    if not isinstance(delta, Table):
+        # Power and Constant never increase in n, so their full terms are a prefix of the range
+        indices = range(min(n_mins), n_max + 1)
+        prefix = indices[:bisect_left(indices, True, key=lambda n: 2 * delta.eval_at(n) < 1)]
+        full = next((n for n in reversed(prefix) if pred(n)), 0)
+    first = min((s for s in n_mins if s > full), default=n_max + 1)
     terms = []
-    for n in range(n_max, n_min - 1, -1):
+    for n in range(n_max, first - 1, -1):
         if not pred(n):
             continue
         d = delta.eval_at(n)
         if d <= 0:
             continue
-        if 2 * d >= 1:
+        if 2 * d >= 1:  # only a Table's term can be full here
             return n, terms
         terms.append((n, d))
-    return 0, terms
+    return full, terms
 
 
 def _with_residues(terms: Iterable[tuple[int, Fraction]]) -> list[tuple]:
@@ -230,7 +250,7 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
     Every arc of every term goes into one sort and one merge.  A term with
     delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
     """
-    full, terms = _tail_terms(spec.pred, spec.delta, spec.n_min, spec.n_max)
+    full, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
     return ArcSet.full() if full else _thickening_union(_with_residues(terms))
 
 
@@ -243,7 +263,7 @@ def tail_union_measures(
     once.  Each start merges the arcs with index >= N, which are already in
     order, and sums their integer endpoints per denominator.
     """
-    full, terms = _tail_terms(pred, delta, min(n_mins), n_max)
+    full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
     keyed, = _keyed_thickenings(_with_residues(t for t in terms if t[0] >= first))
@@ -260,7 +280,7 @@ def scaled_tail_union_comparison(
     """
 
     def union_terms(d: DeltaSequence) -> list:
-        full, terms = _tail_terms(pred, d, n_min, n_max)
+        full, terms = _tail_terms(pred, d, [n_min], n_max)
         # the full circle as one arc: [-1/2, 1/2) around 0
         return [(full, (0,), Fraction(1, 2))] if full else _with_residues(terms)
 

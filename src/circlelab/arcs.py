@@ -47,6 +47,7 @@ from typing import Generator, Iterable, Iterator, Sequence
 from .circle import (
     CirclePoint,
     RationalLike,
+    _sum_ratios,
     as_fraction,
     format_fraction,
     parse_fraction,
@@ -350,7 +351,7 @@ def _measure(segments: Iterable[tuple], lo_ratio=Fraction.as_integer_ratio,
              hi_ratio=Fraction.as_integer_ratio) -> Fraction:
     """Sum of hi - lo over endpoints that lo_ratio and hi_ratio give as (numerator, denominator).
 
-    The numerators are added per denominator first, so one Fraction is built per denominator.
+    The numerators are added per denominator first, and the sums per denominator in one tree.
     """
     by_den: dict[int, int] = {}
     for lo, hi in segments:
@@ -358,7 +359,7 @@ def _measure(segments: Iterable[tuple], lo_ratio=Fraction.as_integer_ratio,
         by_den[d] = by_den.get(d, 0) + num
         num, d = lo_ratio(lo)
         by_den[d] = by_den.get(d, 0) - num
-    return sum((Fraction(num, den) for den, num in by_den.items()), ZERO)
+    return _sum_ratios((num, den) for den, num in by_den.items() if num)
 
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
-from typing import Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -31,6 +31,25 @@ def format_fraction(q: Fraction) -> str:
     except ValueError:  # beyond sys.get_int_max_str_digits(); Decimal prints exact digits
         num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
     return num if den == "1" else f"{num}/{den}"
+
+
+def _sum_ratios(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of p/q over integer pairs (p, q) with q > 0, reduced once at the end.
+
+    Neighbours are added level by level as (p1*q2 + p2*q1, q1*q2), or
+    (p1 + p2, q) over a shared q, without reducing: a balanced tree keeps
+    the operands of each product of equal size (binary splitting), where a
+    running sum would run one gcd on a growing denominator per term.
+    """
+    level = list(pairs)
+    while len(level) > 1:
+        odd_one_out = level[-1:] if len(level) & 1 else []
+        it = iter(level)
+        level = [
+            (p1 + p2, q1) if q1 == q2 else (p1 * q2 + p2 * q1, q1 * q2)
+            for (p1, q1), (p2, q2) in zip(it, it)
+        ] + odd_one_out
+    return Fraction(*level[0]) if level else Fraction(0)
 
 
 _LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

@@ -7,6 +7,7 @@ Exit codes: 0 when the command succeeds and every report verdict passes,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -223,8 +224,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every main() call in this process, built on the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits itself on usage errors and --help

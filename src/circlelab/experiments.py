@@ -24,7 +24,7 @@ from .approx import (
     scaled_tail_union_comparison,
     tail_union_measures,
 )
-from .circle import CirclePoint, RationalLike, as_fraction, format_fraction
+from .circle import CirclePoint, RationalLike, _sum_ratios, as_fraction, format_fraction
 from .numtheory import All, IndexPredicate, totient_range
 
 DECIMAL_DIGITS = 12
@@ -121,6 +121,12 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
 # -- drivers --------------------------------------------------------------------
 
 
+def _totient_sum(delta: DeltaSequence, phi: Sequence[int], lo: int, hi: int) -> Fraction:
+    """Exact sum of phi[n] * max(delta_n, 0) over lo <= n < hi, as one summation tree."""
+    ratios = ((phi[n], delta.ratio_at(n)) for n in range(lo, hi))
+    return _sum_ratios((f * p, q) for f, (p, q) in ratios if p > 0)
+
+
 def gallagher_experiment(
     delta: DeltaSequence, n_min_schedule: Sequence[int], n_max: int
 ) -> ExperimentReport:
@@ -144,13 +150,12 @@ def gallagher_experiment(
         "gallagher",
         params={"delta": str(delta), "n_min_schedule": schedule, "n_max": n_max},
     )
-    # the bounds are suffix sums, taken in one pass down from n_max
-    bounds = dict.fromkeys(schedule)
+    # the bounds are suffix sums: one tree per schedule interval, added from the top
+    bounds = {}
     bound = Fraction(0)
-    for n in range(n_max, schedule[0] - 1, -1):
-        bound += 2 * phi[n] * max(delta.eval_at(n), Fraction(0))
-        if n in bounds:
-            bounds[n] = bound
+    for lo, hi in reversed(list(zip(schedule, schedule[1:] + [n_max + 1]))):
+        bound += 2 * _totient_sum(delta, phi, lo, hi)
+        bounds[lo] = bound
     measures = tail_union_measures(All(), delta, schedule, n_max)
     for n_min, measure in zip(schedule, measures):
         bound = bounds[n_min]
@@ -236,13 +241,13 @@ def duffin_schaeffer_classify(delta: DeltaSequence, partial_sum_cap: int) -> Exp
         params={"delta": str(delta), "partial_sum_cap": partial_sum_cap},
     )
 
+    # one tree per doubling block, the block sums added as a running prefix
     total = Fraction(0)
-    n = 1
+    lo = 1
     sums = []
     for cutoff in cutoffs:
-        while n <= cutoff:
-            total += phi[n] * max(delta.eval_at(n), Fraction(0))
-            n += 1
+        total += _totient_sum(delta, phi, lo, cutoff + 1)
+        lo = cutoff + 1
         report.rows.append(ReportRow(f"partial_sum[n_max={cutoff}]", total))
         sums.append(total)
     report.verdicts.append(

@@ -6,8 +6,8 @@ so measures of boolean combinations can be cross-checked against an
 implementation that shares no code with the library's canonicalisation.
 The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
-algorithms: a Fraction sort for canonicalisation and one set per term for
-tail unions.
+algorithms: a Fraction sort for canonicalisation, one set per term for
+tail unions, and one Fraction addition per term for exact sums.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from circlelab import (
     format_fraction,
     grid_cells,
     parse_fraction,
+    totient,
     union_all,
 )
 
@@ -160,6 +161,26 @@ def tail_union_per_term(spec: TailUnionSpec) -> ArcSet:
         for n in range(spec.n_min, spec.n_max + 1)
         if spec.pred(n)
     )
+
+
+def partial_sums_sequential(delta, cutoffs) -> list[Fraction]:
+    """Sums of totient(n) * max(delta_n, 0) over n <= each cutoff, one Fraction addition per term."""
+    total, n, sums = Fraction(0), 1, []
+    for cutoff in cutoffs:
+        while n <= cutoff:
+            total += totient(n) * max(delta.eval_at(n), Fraction(0))
+            n += 1
+        sums.append(total)
+    return sums
+
+
+def measure_per_denominator(segments) -> Fraction:
+    """Sum of hi - lo, with the numerators added per denominator and the sums added in turn."""
+    by_den: dict[int, int] = {}
+    for lo, hi in segments:
+        by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
+        by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
 # -- golden values --------------------------------------------------------------

@@ -376,6 +376,10 @@ MEASURE_CASES = [
     # arcs of different terms touching exactly, at 1/5 and at 4/5
     (Table((F(1, 5), F(0), F(2, 15))), All(), [1, 2, 3], 3),
     (Table((F(1, 4), F(Q60 // 7, Q60), F(1, Q60), F(Q60 // 5, Q60 + 2))), All(), [1, 2, 4], 4),
+    # full for n <= 6, where the predicate drops 6: the last full term is 5
+    (Power(F(3), 1), NotDiv(2), [1, 5, 6, 7, 20], 30),
+    # full for n <= 3, where the predicate admits no index
+    (Power(F(9, 2), 2), DivBySquare(2), [1, 3, 4], 20),
 ]
 
 
@@ -404,6 +408,23 @@ def test_tail_union_measures_random_against_per_term_oracle():
         expected = [helpers.tail_union_per_term(TailUnionSpec(s, n_max, pred, delta)).measure for s in starts]
         measures = approx_module.tail_union_measures(pred, delta, starts, n_max)
         assert measures == expected, (delta, pred, starts, n_max)
+
+
+def test_tail_terms_of_a_nonincreasing_delta_skip_the_full_prefix(monkeypatch):
+    """power:1:1 is full for n <= 2: a union from 1 evaluates delta_n at O(log n_max) indices."""
+    delta = Power(F(1), 1)
+    top = helpers.tail_union_per_term(TailUnionSpec(1499, 1500, All(), delta)).measure
+    calls = []
+    eval_at = Power.eval_at
+    monkeypatch.setattr(Power, "eval_at", lambda self, n: calls.append(n) or eval_at(self, n))
+    for n_max in (1500, 15000):
+        calls.clear()
+        assert approx_module.tail_union_measures(All(), delta, [1], n_max) == [1]
+        assert len(calls) <= 2 * n_max.bit_length()
+    calls.clear()
+    # a start above the full prefix evaluates only the indices from there on
+    assert approx_module.tail_union_measures(All(), delta, [1, 1499], 1500) == [1, top]
+    assert len(calls) <= 2 * (1500).bit_length() + 2
 
 
 def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):

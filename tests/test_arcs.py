@@ -12,6 +12,7 @@ from helpers import (
     grid_measure,
     grid_segments,
     in_arc,
+    measure_per_denominator,
     rand_grid_arcs,
     thicken_by_arcs,
 )
@@ -133,6 +134,28 @@ def test_measure_examples():
     assert S((0, "1/3")).measure == Fraction(1, 3)
     assert ArcSet.empty().measure == 0
     assert S((0, "1/8"), ("1/2", "1/4")).measure == Fraction(3, 8)
+
+
+def test_measure_matches_per_denominator_oracle():
+    rng = random.Random(4107)
+    assert arcs_module._measure([]) == 0 == measure_per_denominator([])
+    # touching segments: the numerators over 3 cancel to 0
+    chain = [(Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 5)), (Fraction(2, 5), Fraction(1, 2))]
+    assert arcs_module._measure(chain) == Fraction(3, 10) == measure_per_denominator(chain)
+    for _ in range(300):
+        dens = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
+        segments = []
+        for _ in range(rng.randint(1, 40)):
+            lo = Fraction(rng.randrange(d := rng.choice(dens)), d)
+            segments.append((lo, lo + Fraction(rng.randint(1, 60), rng.choice(dens) * 60)))
+        assert arcs_module._measure(segments) == measure_per_denominator(segments)
+        assert arcs_module._measure(segments) == sum((hi - lo for lo, hi in segments), Fraction(0))
+    # distinct denominators of about 133 bits, each start and end over its own
+    segments = []
+    for _ in range(200):
+        q, r = (rng.getrandbits(133) | 1 << 132 for _ in range(2))
+        segments.append((Fraction(rng.randrange(q), q), Fraction(q - 1, q) + Fraction(1, r)))
+    assert arcs_module._measure(segments) == measure_per_denominator(segments)
 
 
 def test_measure_against_grid_oracle():

@@ -18,6 +18,7 @@ from circlelab import (
     arc,
     duffin_schaeffer_classify,
 )
+from circlelab import cli
 from circlelab.cli import _emit_report, main
 
 
@@ -536,3 +537,32 @@ def test_out_file_holds_what_stdout_prints(capsys, tmp_path, case):
     target = tmp_path / "out"
     assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
     assert target.read_bytes() == printed.encode("utf-8")
+
+
+def test_one_parser_serves_every_call_as_fresh_ones_do(capsys, monkeypatch):
+    calls = [
+        ["duffin-schaeffer", "--cap", "x"],  # a usage error
+        ["--help"],
+        _DUFFIN_SCHAEFFER,
+        _WITNESSES + ["--output", "csv"],
+        ["witnesses", "--help"],
+        [],
+        _GALLAGHER,
+    ]
+
+    def run_all(fresh: bool) -> list:
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            results.append(run_cli(capsys, *argv))
+        return results
+
+    expected = run_all(fresh=True)
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._shared_parser.cache_clear()
+    assert run_all(fresh=False) == expected
+    assert len(built) == 1
+    assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 1, 0]

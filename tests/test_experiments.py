@@ -21,6 +21,7 @@ from circlelab import (
     tail_union,
     totient,
 )
+from helpers import partial_sums_sequential
 
 
 def test_decimal_rendering():
@@ -158,6 +159,27 @@ def test_classifier_schedule_and_monotonicity():
     assert rep.all_pass()
     with pytest.raises(ValueError):
         duffin_schaeffer_classify(Power(Fraction(1), 2), 0)
+
+
+_DS_DELTAS = [
+    *(Power(c, a) for a in (0, 1, 2, 3) for c in (Fraction(1), Fraction(7, 3), Fraction(1, 10))),
+    Constant(Fraction(1, 10)),
+    Constant(Fraction(0)),
+    Constant(Fraction(-1, 3)),
+    # zero and negative entries, and shorter than every cap above 7
+    Table((Fraction(1, 4), Fraction(0), Fraction(-1, 9), Fraction(2, 7), Fraction(0), Fraction(1, 3), Fraction(-5))),
+]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 1000, 4096])
+@pytest.mark.parametrize("delta", _DS_DELTAS, ids=str)
+def test_classifier_partial_sums_match_sequential_oracle(delta, cap):
+    cutoffs = [2**k for k in range(1, cap.bit_length()) if 2**k <= cap] or [cap]
+    rep = duffin_schaeffer_classify(delta, cap)
+    expected = partial_sums_sequential(delta, cutoffs)
+    assert [(r.label, r.exact) for r in rep.rows] == [
+        (f"partial_sum[n_max={c}]", total) for c, total in zip(cutoffs, expected)
+    ]
 
 
 # -- membership witnesses ------------------------------------------------------------
