@@ -25,10 +25,16 @@ not, get equal keys.  Boolean operations on canonical sets need no sort:
 one sweep over the endpoints of both operands serves them all, galloping
 over long runs of one operand's endpoints, so its cost follows the
 interleaving of the operands and the size of the result, not the size
-of the larger operand.  The sweep needs only ordered endpoints, so it also
-runs on keys: the tail-union experiments that report only measures and
-inclusions never build an ArcSet, and make Fractions only in the final
-per-denominator sum.
+of the larger operand.
+
+The sweep and membership compare cached keys first.  Each ArcSet keeps
+``floor(x * 2**63)`` of its endpoints x in a flat ``array("Q")``, computed
+on the first sweep or lookup that needs it.  Floor is monotone, so
+unequal keys order as the endpoints do; only endpoints with equal keys
+are compared as Fractions, which settles ties exactly.  The sweep needs
+only ordered keys, so integer endpoints serve as their own: the
+tail-union experiments that report only measures and inclusions never
+build an ArcSet, and make Fractions only in the final per-denominator sum.
 
 All values are immutable and all operations pure.
 """
@@ -36,9 +42,11 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import gcd
 from operator import itemgetter
@@ -58,7 +66,8 @@ Segment = tuple[Fraction, Fraction]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_start = itemgetter(0)
+# an ArcSet's endpoint x in [0, 1] has the key floor(x * 2**_KEY_BITS), which fits array("Q")
+_KEY_BITS = 63
 
 
 @dataclass(frozen=True)
@@ -208,8 +217,8 @@ def _keyed_comparison(a: list, b: list) -> tuple[Fraction, Fraction, Fraction, b
     """Measures of the unions A and B of two keyed-arc lists on one key shift, then
     the measure of their symmetric difference, A <= B and B <= A.
 
-    The sweep runs on the keys; the symmetric difference looks its keys up
-    as (numerator, denominator).
+    The sweep runs on the integer keys as endpoints, each its own sweep
+    key; the symmetric difference looks its keys up as (numerator, denominator).
     """
     ends: dict[int, tuple[int, int]] = {}
     measures, key_segments = [], []
@@ -220,13 +229,14 @@ def _keyed_comparison(a: list, b: list) -> tuple[Fraction, Fraction, Fraction, b
         for first, last in merged:
             ends[first[0]], ends[last[1]] = _LO(first), _HI(last)
     sa, sb = key_segments
+    ka, kb = (list(chain.from_iterable(segs)) for segs in key_segments)
     ratio = ends.__getitem__
-    return (*measures, _measure(_sweep(sa, sb, _XOR), ratio, ratio),
-            next(_sweep(sa, sb, _SUB), None) is None, next(_sweep(sb, sa, _SUB), None) is None)
+    return (*measures, _measure(_sweep(sa, sb, _XOR, ka, kb), ratio, ratio),
+            next(_sweep(sa, sb, _SUB, ka, kb), None) is None, next(_sweep(sb, sa, _SUB, kb, ka), None) is None)
 
 
 class _PastEnd:
-    """Above every endpoint of any ordered type: the next endpoint of a swept-through operand."""
+    """Above every endpoint and key of any ordered type: the next key of a swept-through operand."""
 
     __slots__ = ()
 
@@ -250,21 +260,35 @@ _SUB = (False, False, True, False)
 _XOR = (False, True, True, False)
 
 
-def _run_end(segs: Sequence[Segment], i: int, y: Fraction) -> int:
-    """The first flattened index after i whose endpoint is not below y, given endpoint i is.
+def _bisect(segs: Sequence[Segment], keys: Sequence, x, x_key, lo: int, hi: int, side=bisect_left) -> int:
+    """Where endpoint x goes among the flattened endpoints of segs, as bisect_left or bisect_right.
 
-    Gallops over segment starts 1, 2, 4, ... places ahead and bisects the
-    last step, so a run of r endpoints costs O(log r) comparisons.
+    keys[lo:hi] holds the place by key; endpoints whose keys tie with x's
+    are compared with x exactly.
     """
-    n = len(segs)
-    lo, hi, step = i >> 1, (i >> 1) + 1, 1
-    while hi < n and segs[hi][0] < y:
-        lo = hi
+    k = bisect_left(keys, x_key, lo, hi)
+    if k < len(keys) and keys[k] == x_key:
+        k += side(range(k, bisect_right(keys, x_key, k)), x, key=lambda t: segs[t >> 1][t & 1])
+    return k
+
+
+def _run_end(segs: Sequence[Segment], keys: Sequence, i: int, other: Sequence[Segment],
+             other_keys: Sequence, j: int) -> int:
+    """The first flattened index after i whose endpoint is not below other's endpoint j, given endpoint i is.
+
+    Gallops over keys 1, 2, 4, ... places ahead and bisects the last step,
+    so a run of r endpoints costs O(log r) key comparisons.
+    """
+    n = len(keys)
+    if j == len(other_keys):
+        return n
+    y_key = other_keys[j]
+    lo, hi, step = i + 1, i + 1, 1
+    while hi < n and keys[hi] < y_key:
+        lo = hi + 1
+        hi += step
         step *= 2
-        hi = lo + step
-    s = bisect_left(segs, y, lo + 1, min(hi, n), key=_start)
-    # every segment before s starts below y; the last of them ends at index 2s - 1
-    return 2 * s - 1 if segs[s - 1][1] >= y else 2 * s
+    return _bisect(segs, keys, other[j >> 1][j & 1], y_key, lo, min(hi, n))
 
 
 def _take(start: Fraction | None, segs: Sequence[Segment], i: int, k: int,
@@ -290,12 +314,16 @@ def _take(start: Fraction | None, segs: Sequence[Segment], i: int, k: int,
     return ends[-1] if len(ends) & 1 else None
 
 
-def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -> Iterator[Segment]:
+def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...],
+           a_keys: Sequence | None = None, b_keys: Sequence | None = None) -> Iterator[Segment]:
     """Yield, in order, the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
 
     a and b are canonical, so each one's flattened endpoints (index i is
     ``segs[i >> 1][i & 1]``) strictly increase and a point lies inside
-    after an odd number of them.  The sweep steps through both lists in
+    after an odd number of them.  a_keys and b_keys are the flattened
+    endpoints' keys, which order as the endpoints do wherever they differ;
+    endpoints whose keys are equal are compared themselves.  Omitted, the
+    endpoints are their own keys.  The sweep steps through both lists in
     order; once _GALLOP_AFTER endpoints in a row come from one operand,
     the rest of that run (its endpoints below the other's next one) is
     found by galloping and taken at once, since all of them bound the
@@ -303,47 +331,49 @@ def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...]) -
     comparisons plus its output.  Segments of a or b that are whole in
     the result are yielded as they are, not rebuilt.
     """
-    na, nb = 2 * len(a), 2 * len(b)
+    a_keys = list(chain.from_iterable(a)) if a_keys is None else a_keys
+    b_keys = list(chain.from_iterable(b)) if b_keys is None else b_keys
+    na, nb = len(a_keys), len(b_keys)
     start = None  # where the result's open segment began
     i = j = 0
     streak = 0  # endpoints taken in a row: > 0 from a, < 0 from b
     while i < na or j < nb:
-        x = a[i >> 1][i & 1] if i < na else _PAST_END
-        y = b[j >> 1][j & 1] if j < nb else _PAST_END
-        seg = None  # the segment that x ends, if any
+        x = a_keys[i] if i < na else _PAST_END
+        y = b_keys[j] if j < nb else _PAST_END
+        if x == y:  # equal keys: the endpoints decide
+            x, y = a[i >> 1][i & 1], b[j >> 1][j & 1]
         if x < y:
             streak = streak + 1 if streak > 0 else 1
             if streak == _GALLOP_AFTER:
-                k = _run_end(a, i, y)
+                k = _run_end(a, a_keys, i, b, b_keys, j)
                 if keep[2 + (j & 1)] != keep[j & 1]:
                     start = yield from _take(start, a, i, k, keep[2 + (j & 1)])
                 i, streak = k, 0
                 continue
-            if i & 1:
-                seg = a[i >> 1]
+            segs, t = a, i
             i += 1
         elif y < x:
             streak = streak - 1 if streak < 0 else -1
             if streak == -_GALLOP_AFTER:
-                k = _run_end(b, j, x)
+                k = _run_end(b, b_keys, j, a, a_keys, i)
                 if keep[2 * (i & 1) + 1] != keep[2 * (i & 1)]:
                     start = yield from _take(start, b, j, k, keep[2 * (i & 1) + 1])
                 j, streak = k, 0
                 continue
-            if j & 1:
-                seg = b[j >> 1]
-            x = y
+            segs, t = b, j
             j += 1
         else:
+            segs, t = a, i
             i += 1
             j += 1
             streak = 0
         if keep[2 * (i & 1) + (j & 1)] != (start is not None):
+            seg = segs[t >> 1]
             if start is None:
-                start = x
+                start = seg[t & 1]
             else:
                 # a segment of a or b that the result holds whole is reused
-                yield seg if seg is not None and start is seg[0] else (start, x)
+                yield seg if t & 1 and start is seg[0] else (start, seg[t & 1])
                 start = None
 
 
@@ -376,6 +406,17 @@ class ArcSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", _canonical_segments(self.segments))
+
+    @cached_property
+    def _keys(self) -> array:
+        """The flattened endpoints' keys, computed on the first sweep or lookup that needs them.
+
+        A cache: it takes no part in ==, hash, repr, copies or pickles.
+        """
+        return array("Q", ((x.numerator << _KEY_BITS) // x.denominator for seg in self.segments for x in seg))
+
+    def __getstate__(self) -> dict:
+        return {"segments": self.segments}
 
     # -- constructors ------------------------------------------------------
 
@@ -411,9 +452,10 @@ class ArcSet:
         return _measure(self.segments)
 
     def __contains__(self, point: CirclePoint) -> bool:
-        v = point.value
-        i = bisect_right(self.segments, v, key=_start) - 1
-        return i >= 0 and v < self.segments[i][1]
+        v, keys = point.value, self._keys
+        # a point is inside after an odd number of endpoints
+        return _bisect(self.segments, keys, v, (v.numerator << _KEY_BITS) // v.denominator,
+                       0, len(keys), bisect_right) & 1 == 1
 
     # -- boolean algebra ----------------------------------------------------
 
@@ -430,27 +472,30 @@ class ArcSet:
 
     __invert__ = complement
 
+    def _boolean(self, other: "ArcSet", keep: tuple[bool, ...]) -> Iterator[Segment]:
+        return _sweep(self.segments, other.segments, keep, self._keys, other._keys)
+
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _OR)))
+        return ArcSet._trusted(tuple(self._boolean(other, _OR)))
 
     __or__ = union
 
     def intersection(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _AND)))
+        return ArcSet._trusted(tuple(self._boolean(other, _AND)))
 
     __and__ = intersection
 
     def difference(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(_sweep(self.segments, other.segments, _SUB)))
+        return ArcSet._trusted(tuple(self._boolean(other, _SUB)))
 
     __sub__ = difference
 
     def symm_diff_measure(self, other: "ArcSet") -> Fraction:
         """measure(self \\ other) + measure(other \\ self); zero iff equal."""
-        return _measure(_sweep(self.segments, other.segments, _XOR))
+        return _measure(self._boolean(other, _XOR))
 
     def issubset(self, other: "ArcSet") -> bool:
-        return next(_sweep(self.segments, other.segments, _SUB), None) is None
+        return next(self._boolean(other, _SUB), None) is None
 
     __le__ = issubset
 

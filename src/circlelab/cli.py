@@ -106,8 +106,9 @@ def _cmd_duffin_schaeffer(args) -> int:
 
 
 def _cmd_witnesses(args) -> int:
-    witnesses = membership_witnesses(_point(args.x), _load_delta(args.delta), args.n_max)
-    value = {"x": args.x, "n_max": args.n_max, "witnesses": witnesses}
+    x = _point(args.x)
+    witnesses = membership_witnesses(x, _load_delta(args.delta), args.n_max)
+    value = {"x": format_fraction(x.value), "n_max": args.n_max, "witnesses": witnesses}
     return _emit(args, value, ("n",), ((n,) for n in witnesses))
 
 
@@ -133,8 +134,8 @@ def _cmd_measure(args) -> int:
         TailUnionSpec(args.n_min, args.n_max, pred, delta)  # checks the range
         measure, = tail_union_measures(pred, delta, [args.n_min], args.n_max)
         params = {
-            "delta": args.delta,
-            "pred": args.pred,
+            "delta": str(delta),
+            "pred": str(pred),
             "n_min": args.n_min,
             "n_max": args.n_max,
         }

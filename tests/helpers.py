@@ -6,8 +6,9 @@ so measures of boolean combinations can be cross-checked against an
 implementation that shares no code with the library's canonicalisation.
 The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
-algorithms: a Fraction sort for canonicalisation, one set per term for
-tail unions, and one Fraction addition per term for exact sums.
+algorithms: a Fraction sort for canonicalisation, a sweep that compares
+Fraction endpoints for boolean operations, one set per term for tail
+unions, and one Fraction addition per term for exact sums.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from __future__ import annotations
 import json
 import os
 import random
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain
 from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -144,6 +148,99 @@ def canonical_by_fraction_sort(raw) -> tuple:
         else:
             merged.append([lo, hi])
     return tuple((lo, hi) for lo, hi in merged)
+
+
+class _PastEnd:
+    """Above every Fraction: the next endpoint of a swept-through operand."""
+
+    def __gt__(self, other) -> bool:
+        return True
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    __ge__, __le__ = __gt__, __lt__
+
+
+_PAST_END = _PastEnd()
+
+
+def _run_end_by_fraction(segs, i: int, y) -> int:
+    """The first flattened index after i whose endpoint is not below y, galloping over segment starts."""
+    n = len(segs)
+    lo, hi, step = i >> 1, (i >> 1) + 1, 1
+    while hi < n and segs[hi][0] < y:
+        lo = hi
+        step *= 2
+        hi = lo + step
+    s = bisect_left(segs, y, lo + 1, min(hi, n), key=itemgetter(0))
+    return 2 * s - 1 if segs[s - 1][1] >= y else 2 * s
+
+
+def _take_by_fraction(start, segs, i: int, k: int, inside: bool):
+    """Yield the result's segments that end at endpoints i to k - 1 of segs; return the open start."""
+    if inside:
+        if i & 1:
+            seg = segs[i >> 1]
+            yield seg if start is seg[0] else (start, seg[1])
+            i += 1
+        yield from segs[i >> 1:k >> 1]
+        return segs[k >> 1][0] if k & 1 else None
+    ends = list(chain.from_iterable(segs[i >> 1:(k + 1) >> 1]))
+    ends = ends[i & 1:len(ends) - (k & 1)]
+    if start is not None:
+        ends.insert(0, start)
+    yield from zip(ends[0::2], ends[1::2])
+    return ends[-1] if len(ends) & 1 else None
+
+
+def sweep_by_fraction(a, b, keep: tuple[bool, ...], gallop_after: int = 8):
+    """The canonical segments of {x : keep[2 * (x in a) + (x in b)]}, comparing the endpoints themselves.
+
+    The library's earlier sweep: it steps through both operands' endpoints
+    in order and gallops over runs of gallop_after or more from one of them.
+    """
+    na, nb = 2 * len(a), 2 * len(b)
+    start = None
+    i = j = 0
+    streak = 0
+    while i < na or j < nb:
+        x = a[i >> 1][i & 1] if i < na else _PAST_END
+        y = b[j >> 1][j & 1] if j < nb else _PAST_END
+        seg = None
+        if x < y:
+            streak = streak + 1 if streak > 0 else 1
+            if streak == gallop_after:
+                k = _run_end_by_fraction(a, i, y)
+                if keep[2 + (j & 1)] != keep[j & 1]:
+                    start = yield from _take_by_fraction(start, a, i, k, keep[2 + (j & 1)])
+                i, streak = k, 0
+                continue
+            if i & 1:
+                seg = a[i >> 1]
+            i += 1
+        elif y < x:
+            streak = streak - 1 if streak < 0 else -1
+            if streak == -gallop_after:
+                k = _run_end_by_fraction(b, j, x)
+                if keep[2 * (i & 1) + 1] != keep[2 * (i & 1)]:
+                    start = yield from _take_by_fraction(start, b, j, k, keep[2 * (i & 1) + 1])
+                j, streak = k, 0
+                continue
+            if j & 1:
+                seg = b[j >> 1]
+            x = y
+            j += 1
+        else:
+            i += 1
+            j += 1
+            streak = 0
+        if keep[2 * (i & 1) + (j & 1)] != (start is not None):
+            if start is None:
+                start = x
+            else:
+                yield seg if seg is not None and start is seg[0] else (start, x)
+                start = None
 
 
 def thicken_by_arcs(points, delta: Fraction) -> tuple:

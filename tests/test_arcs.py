@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -14,6 +16,7 @@ from helpers import (
     in_arc,
     measure_per_denominator,
     rand_grid_arcs,
+    sweep_by_fraction,
     thicken_by_arcs,
 )
 
@@ -484,6 +487,128 @@ def test_sweep_on_integers_matches_fraction_sweep(monkeypatch, gallop_after):
         for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, arcs_module._XOR):
             expected = [(to_int(lo), to_int(hi)) for lo, hi in arcs_module._sweep(a, b, keep)]
             assert list(arcs_module._sweep(a_int, b_int, keep)) == expected
+
+
+def _crowded_pair(rng: random.Random) -> tuple[ArcSet, ArcSet]:
+    """Two sets whose endpoints crowd into clusters 2**-70 apart around points over 2**40 + 15.
+
+    Distinct endpoints of a cluster often share a 63-bit key; the sets share
+    endpoints, touch each other, and are built from touching raw segments.
+    """
+    q, gap = 2**40 + 15, Fraction(1, 2**70)
+    bases = sorted(Fraction(rng.randrange(1, q), q) for _ in range(3))
+    points = [Fraction(0)] + [c + t * gap for c in bases for t in range(24)] + [Fraction(1)]
+    pair = []
+    for _ in range(2):
+        ends = sorted(rng.sample(points, 2 * rng.randint(0, 12)))
+        raw = []
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            cut = lo + gap * rng.randint(1, 3)
+            raw.extend([(lo, cut), (cut, hi)] if cut < hi else [(lo, hi)])
+        pair.append(ArcSet(raw))
+    return pair[0], pair[1]
+
+
+@pytest.mark.parametrize("gallop_after", [1, 2, 8])
+def test_key_ties_are_settled_exactly(monkeypatch, gallop_after):
+    """Every boolean operation and lookup agrees with the Fraction sweep where keys tie."""
+    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
+    rng = random.Random(1729 + gallop_after)
+    ops = ((arcs_module._OR, ArcSet.union), (arcs_module._AND, ArcSet.intersection),
+           (arcs_module._SUB, ArcSet.difference))
+    tied_within = tied_across = 0
+    for _ in range(150):
+        a, b = _crowded_pair(rng)
+        ka, kb = a._keys, b._keys
+        tied_within += sum(x == y for x, y in zip(ka, ka[1:]))
+        exact_by_key = {k: x for k, x in zip(ka, (x for seg in a.segments for x in seg))}
+        tied_across += sum(k in exact_by_key and exact_by_key[k] != x
+                           for k, x in zip(kb, (x for seg in b.segments for x in seg)))
+        for s, t in ((a, b), (b, a)):
+            for keep, op in ops:
+                assert op(s, t).segments == tuple(sweep_by_fraction(s.segments, t.segments, keep))
+            xor = sweep_by_fraction(s.segments, t.segments, arcs_module._XOR)
+            assert s.symm_diff_measure(t) == sum((hi - lo for lo, hi in xor), Fraction(0))
+            assert (s <= t) == (next(sweep_by_fraction(s.segments, t.segments, arcs_module._SUB), None) is None)
+            assert (s >= t) == (next(sweep_by_fraction(t.segments, s.segments, arcs_module._SUB), None) is None)
+        ends = [x for seg in a.segments + b.segments for x in seg]
+        probes = {y for x in ends for y in (x, x - Fraction(1, 2**80), x + Fraction(1, 2**80)) if 0 <= y < 1}
+        for x in probes:
+            assert (circle_point(x) in a) == any(lo <= x < hi for lo, hi in a.segments)
+    assert tied_within > 50 and tied_across > 50
+
+
+class _CountingKeys:
+    """A key sequence that counts its reads."""
+
+    def __init__(self, keys):
+        self.keys, self.reads = keys, 0
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.keys[i]
+
+
+def test_sweep_reads_log_n_keys_for_a_ball():
+    """A ball against 3,001 segments reads O(log n) of their keys, whatever it keeps."""
+    big = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
+    ball = ArcSet(((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)),))
+    bound = 8 * len(big.segments).bit_length()
+    for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, arcs_module._XOR):
+        for big_first in (True, False):
+            big_keys, ball_keys = _CountingKeys(big._keys), _CountingKeys(ball._keys)
+            operands = [(big.segments, big_keys), (ball.segments, ball_keys)][::1 if big_first else -1]
+            (a, ka), (b, kb) = operands
+            list(arcs_module._sweep(a, b, keep, ka, kb))
+            assert big_keys.reads < bound, (keep, big_first, big_keys.reads)
+
+
+def test_large_booleans_compare_fractions_only_on_key_ties(monkeypatch):
+    """Two sets of thousands of segments share keys only at 0 and 1, so a sweep compares few Fractions."""
+    a = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
+    b = thicken([circle_point(Fraction(m, 2003)) for m in range(2003)], Fraction(1, 5000))
+    ties = len(set(a._keys) & set(b._keys))
+    assert ties == 2
+    compared = 0
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        plain = getattr(Fraction, name)
+
+        def counting(x, y, plain=plain):
+            nonlocal compared
+            compared += 1
+            return plain(x, y)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    for op in (ArcSet.intersection, ArcSet.union, ArcSet.difference, ArcSet.symm_diff_measure,
+               ArcSet.issubset, ArcSet.__ge__):
+        compared = 0
+        op(a, b)
+        assert compared <= 2 * ties, (op.__name__, compared)
+
+
+def test_key_cache_is_invisible():
+    """Computing a set's keys changes none of ==, hash, repr, copies or pickles."""
+    s = thicken([circle_point(Fraction(m, 17)) for m in range(0, 17, 3)], Fraction(1, 40))
+    t = ArcSet(((Fraction(1, 5), Fraction(3, 4)),))
+
+    def views(x: ArcSet) -> tuple:
+        return x, hash(x), repr(x), pickle.dumps(x), copy.copy(x), copy.deepcopy(x)
+
+    before = views(s)
+    assert "_keys" not in vars(s)
+    assert circle_point(Fraction(3, 17)) in s
+    results = [s | t, s & t, s - t, t - s]
+    assert "_keys" in vars(s)
+    assert views(s) == before
+    thawed = pickle.loads(pickle.dumps(s))
+    assert thawed == s and "_keys" not in vars(thawed) and thawed & t == s & t
+    for r in results:
+        rebuilt = ArcSet(r.segments)
+        assert (r, hash(r), repr(r)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+        assert "_keys" not in vars(r)
 
 
 def test_integer_endpoints_become_fractions():

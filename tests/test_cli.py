@@ -269,6 +269,8 @@ _DUFFIN_SCHAEFFER = ["duffin-schaeffer", "--delta", "power:1:2", "--cap", "4"]
 _WITNESSES = ["witnesses", "--x", "1/2", "--delta", "power:1:2", "--n-max", "6"]
 _AO = ["ao", "--n", "6", "--radius", "1/5"]
 _MEASURE = ["measure", "--set", '{"arcs":[{"start":"3/4","length":"1/2"}]}']
+_MEASURE_DELTA = ["measure", "--delta", '{"kind": "power", "c": "2/2", "a": 2}', "--pred", " or(ndvd:2, sq:3)",
+                  "--n-min", "2", "--n-max", "4"]
 _ERGODIC_SEARCH = ["ergodic-search", "--n", "1", "--x", "1/2", "--grid", "2"]
 _DENSITY = ["density", "--set", '{"arcs":[{"start":"0","length":"1/2"}]}', "--x", "1/8",
             "--eps", "1/4,1/8"]
@@ -508,6 +510,45 @@ row,measure,1/2,0.5
 }
 """),
     "density-csv": (_DENSITY, "eps,ratio\n1/4,3/4\n1/8,1\n"),
+    # params echo the parsed values, not the text given: 2/4 is 1/2
+    "witnesses-unreduced-x": (["witnesses", "--x", "2/4", "--delta", "power:1:2", "--n-max", "6"], """\
+{
+  "x": "1/2",
+  "n_max": 6,
+  "witnesses": [
+    1,
+    2
+  ]
+}
+"""),
+    # of n = 2..4 only 3 is odd or divisible by 9: [2/9, 4/9) and [5/9, 7/9)
+    "measure-delta-json": (_MEASURE_DELTA, """\
+{
+  "experiment": "measure",
+  "params": {
+    "delta": "power:1:2",
+    "pred": "or(ndvd:2,sq:3)",
+    "n_min": 2,
+    "n_max": 4
+  },
+  "rows": [
+    {
+      "label": "measure",
+      "exact": "4/9",
+      "decimal": "0.444444444444"
+    }
+  ],
+  "verdicts": []
+}
+"""),
+    "measure-delta-csv": (_MEASURE_DELTA + ["--output", "csv"], """\
+kind,label,value,decimal
+param,delta,power:1:2,
+param,pred,"or(ndvd:2,sq:3)",
+param,n_min,2,
+param,n_max,4,
+row,measure,4/9,0.444444444444
+"""),
 }
 
 
@@ -528,6 +569,14 @@ def test_exact_bytes(capsys, case):
 )
 def test_empty_csv_is_the_header_alone(capsys, argv, expected):
     assert run_cli(capsys, *argv, "--output", "csv") == (0, expected, "")
+
+
+def test_measure_echoes_a_delta_file_as_its_sequence(capsys, tmp_path):
+    path = tmp_path / "delta.json"
+    path.write_text('{"kind": "power", "c": "1", "a": 2}')
+    code, out, _ = run_cli(capsys, "measure", "--delta", str(path), "--n-min", "2", "--n-max", "3")
+    assert code == 0
+    assert json.loads(out)["params"]["delta"] == "power:1:2"
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_OUTPUTS))
