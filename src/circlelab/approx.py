@@ -15,14 +15,13 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .arcs import (
     ArcSet,
     _canonical,
-    _keyed_comparison,
     _keyed_measure,
     _keyed_thickenings,
     _thickening_union,
@@ -277,6 +276,9 @@ def scaled_tail_union_comparison(
 ) -> tuple[Fraction, Fraction, Fraction, bool, bool]:
     """The tail unions W1 at radii delta_n and Wm at radii scale*delta_n over [n_min, n_max]:
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
+
+    Each union is merged once, and W1 | Wm once more from those merged
+    segments; the rest follows from the three measures.
     """
 
     def union_terms(d: DeltaSequence) -> list:
@@ -284,8 +286,13 @@ def scaled_tail_union_comparison(
         # the full circle as one arc: [-1/2, 1/2) around 0
         return [(full, (0,), Fraction(1, 2))] if full else _with_residues(terms)
 
-    keyed = _keyed_thickenings(union_terms(delta), union_terms(delta.scale(scale)))
-    return _keyed_comparison(*keyed)
+    terms = union_terms(delta), union_terms(delta.scale(scale))
+    merged = [_canonical(keyed) for keyed in _keyed_thickenings(*terms)]
+    # a merged segment (first, last) is the keyed item (lo_key, hi_key, first, last)
+    both = _canonical([(first[0], last[1], first, last) for first, last in chain(*merged)])
+    mu_1, mu_m = map(_keyed_measure, merged)
+    mu_both = _keyed_measure((first[2], last[3]) for first, last in both)
+    return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 
 # -- scaling/translation inclusion checks ----------------------------------------

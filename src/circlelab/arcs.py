@@ -31,10 +31,18 @@ The sweep and membership compare cached keys first.  Each ArcSet keeps
 ``floor(x * 2**63)`` of its endpoints x in a flat ``array("Q")``, computed
 on the first sweep or lookup that needs it.  Floor is monotone, so
 unequal keys order as the endpoints do; only endpoints with equal keys
-are compared as Fractions, which settles ties exactly.  The sweep needs
-only ordered keys, so integer endpoints serve as their own: the
-tail-union experiments that report only measures and inclusions never
-build an ArcSet, and make Fractions only in the final per-denominator sum.
+are compared as Fractions, which settles ties exactly.
+
+Measures and inclusions
+-----------------------
+On canonical half-open sets, mu(A ^ B) = mu(A) + mu(B) - 2 mu(A & B)
+= 2 mu(A | B) - mu(A) - mu(B), and A <= B exactly when mu(A | B) = mu(B),
+since a nonempty difference of half-open sets has positive measure.  An
+ArcSet caches its measure, so :meth:`ArcSet.symm_diff_measure` sweeps
+only for the intersection.  The tail-union experiments that report only
+measures and inclusions never build an ArcSet or sweep: they merge
+keyed integer arcs for A, for B, and for A | B from those two merges,
+and make Fractions only in the final per-denominator sums.
 
 All values are immutable and all operations pure.
 """
@@ -213,43 +221,8 @@ def _keyed_measure(merged: list[tuple[tuple, tuple]]) -> Fraction:
     return _measure(merged, _LO, _HI)
 
 
-def _keyed_comparison(a: list, b: list) -> tuple[Fraction, Fraction, Fraction, bool, bool]:
-    """Measures of the unions A and B of two keyed-arc lists on one key shift, then
-    the measure of their symmetric difference, A <= B and B <= A.
-
-    The sweep runs on the integer keys as endpoints, each its own sweep
-    key; the symmetric difference looks its keys up as (numerator, denominator).
-    """
-    ends: dict[int, tuple[int, int]] = {}
-    measures, key_segments = [], []
-    for keyed in (a, b):
-        merged = _canonical(keyed)
-        measures.append(_keyed_measure(merged))
-        key_segments.append([(first[0], last[1]) for first, last in merged])
-        for first, last in merged:
-            ends[first[0]], ends[last[1]] = _LO(first), _HI(last)
-    sa, sb = key_segments
-    ka, kb = (list(chain.from_iterable(segs)) for segs in key_segments)
-    ratio = ends.__getitem__
-    return (*measures, _measure(_sweep(sa, sb, _XOR, ka, kb), ratio, ratio),
-            next(_sweep(sa, sb, _SUB, ka, kb), None) is None, next(_sweep(sb, sa, _SUB, kb, ka), None) is None)
-
-
-class _PastEnd:
-    """Above every endpoint and key of any ordered type: the next key of a swept-through operand."""
-
-    __slots__ = ()
-
-    def __gt__(self, other) -> bool:
-        return True
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    __ge__, __le__ = __gt__, __lt__
-
-
-_PAST_END = _PastEnd()
+# above every key: the next key of a swept-through operand
+_PAST_END = 1 << (_KEY_BITS + 1)
 # endpoints in a row from one operand after which a sweep gallops
 _GALLOP_AFTER = 8
 
@@ -257,7 +230,6 @@ _GALLOP_AFTER = 8
 _OR = (False, True, True, True)
 _AND = (False, False, False, True)
 _SUB = (False, False, True, False)
-_XOR = (False, True, True, False)
 
 
 def _bisect(segs: Sequence[Segment], keys: Sequence, x, x_key, lo: int, hi: int, side=bisect_left) -> int:
@@ -315,24 +287,23 @@ def _take(start: Fraction | None, segs: Sequence[Segment], i: int, k: int,
 
 
 def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...],
-           a_keys: Sequence | None = None, b_keys: Sequence | None = None) -> Iterator[Segment]:
+           a_keys: Sequence[int], b_keys: Sequence[int]) -> Iterator[Segment]:
     """Yield, in order, the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
 
     a and b are canonical, so each one's flattened endpoints (index i is
     ``segs[i >> 1][i & 1]``) strictly increase and a point lies inside
     after an odd number of them.  a_keys and b_keys are the flattened
-    endpoints' keys, which order as the endpoints do wherever they differ;
-    endpoints whose keys are equal are compared themselves.  Omitted, the
-    endpoints are their own keys.  The sweep steps through both lists in
-    order; once _GALLOP_AFTER endpoints in a row come from one operand,
-    the rest of that run (its endpoints below the other's next one) is
-    found by galloping and taken at once, since all of them bound the
-    result or none do.  So a ball against a large set costs O(log n)
-    comparisons plus its output.  Segments of a or b that are whole in
-    the result are yielded as they are, not rebuilt.
+    endpoints' 63-bit keys, which order as the endpoints do wherever they
+    differ; endpoints whose keys are equal are compared themselves.  The
+    sweep steps through both lists in order; once _GALLOP_AFTER endpoints
+    in a row come from one operand, the rest of that run (its endpoints
+    below the other's next one) is found by galloping and taken at once,
+    since all of them bound the result or none do.  So a ball against a
+    large set costs O(log n) comparisons plus its output.  Segments of a
+    or b that are whole in the result are yielded as they are, not
+    rebuilt.  Measures of symmetric differences and inclusions need no
+    sweep of their own: see the module docstring.
     """
-    a_keys = list(chain.from_iterable(a)) if a_keys is None else a_keys
-    b_keys = list(chain.from_iterable(b)) if b_keys is None else b_keys
     na, nb = len(a_keys), len(b_keys)
     start = None  # where the result's open segment began
     i = j = 0
@@ -447,8 +418,9 @@ class ArcSet:
     def is_full(self) -> bool:
         return self.segments == ((ZERO, ONE),)
 
-    @property
+    @cached_property
     def measure(self) -> Fraction:
+        """The total length, computed once; like _keys, a cache that no comparison or copy sees."""
         return _measure(self.segments)
 
     def __contains__(self, point: CirclePoint) -> bool:
@@ -492,7 +464,7 @@ class ArcSet:
 
     def symm_diff_measure(self, other: "ArcSet") -> Fraction:
         """measure(self \\ other) + measure(other \\ self); zero iff equal."""
-        return _measure(self._boolean(other, _XOR))
+        return self.measure + other.measure - 2 * _measure(self._boolean(other, _AND))
 
     def issubset(self, other: "ArcSet") -> bool:
         return next(self._boolean(other, _SUB), None) is None

@@ -243,6 +243,21 @@ def sweep_by_fraction(a, b, keep: tuple[bool, ...], gallop_after: int = 8):
                 start = None
 
 
+# keep tables for sweep_by_fraction: keep[2 * (x in a) + (x in b)]
+SUB = (False, False, True, False)
+XOR = (False, True, True, False)
+
+
+def symm_diff_by_fraction(a, b) -> Fraction:
+    """The measure of the symmetric difference of canonical segments a and b, from the Fraction sweep."""
+    return sum((hi - lo for lo, hi in sweep_by_fraction(a, b, XOR)), Fraction(0))
+
+
+def subset_by_fraction(a, b) -> bool:
+    """Whether canonical segments a lie inside b: the Fraction sweep of a - b yields nothing."""
+    return next(sweep_by_fraction(a, b, SUB), None) is None
+
+
 def thicken_by_arcs(points, delta: Fraction) -> tuple:
     """Canonical segments of the thickening, one Arc per point, merged by Fraction sort."""
     if delta <= 0:

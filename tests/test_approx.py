@@ -457,17 +457,20 @@ COMPARISON_CASES = [
     (Power(F(1, 2), 1), F(1, 3), All(), 1, 15),
     (Table((F(1, 9), F(1, 100), F(1, 4), F(1, 16), F(1, 30))), F(3), All(), 1, 5),
     (Constant(F(-1, 5)), F(2), All(), 1, 10),
+    # the scaled union is the full circle, so the merged union collapses to one segment
+    (Power(F(1), 2), F(2), All(), 2, 300),
 ]
 
 
 @pytest.mark.parametrize("delta, m, pred, n_min, n_max", COMPARISON_CASES)
 def test_scaled_comparison_matches_arcset_path(delta, m, pred, n_min, n_max):
-    w1 = tail_union(TailUnionSpec(n_min, n_max, pred, delta))
-    wm = tail_union(TailUnionSpec(n_min, n_max, pred, delta.scale(m)))
+    """The measure identities agree with the Fraction sweep of the two tail unions."""
+    w1 = tail_union(TailUnionSpec(n_min, n_max, pred, delta)).segments
+    wm = tail_union(TailUnionSpec(n_min, n_max, pred, delta.scale(m))).segments
     assert approx_module.scaled_tail_union_comparison(pred, delta, m, n_min, n_max) == (
-        w1.measure,
-        wm.measure,
-        w1.symm_diff_measure(wm),
-        w1 <= wm,
-        wm <= w1,
+        helpers.measure_per_denominator(w1),
+        helpers.measure_per_denominator(wm),
+        helpers.symm_diff_by_fraction(w1, wm),
+        helpers.subset_by_fraction(w1, wm),
+        helpers.subset_by_fraction(wm, w1),
     )

@@ -10,13 +10,16 @@ from hypothesis import given, settings, strategies as st
 from circlelab import Arc, ArcSet, arc, circle_point, thicken, union_all
 from circlelab import arcs as arcs_module
 from helpers import (
+    XOR,
     canonical_by_fraction_sort,
     grid_measure,
     grid_segments,
     in_arc,
     measure_per_denominator,
     rand_grid_arcs,
+    subset_by_fraction,
     sweep_by_fraction,
+    symm_diff_by_fraction,
     thicken_by_arcs,
 )
 
@@ -459,36 +462,6 @@ def test_sweep_cost_follows_runs_not_size(monkeypatch):
         assert compared < 200, (op.__name__, compared)
 
 
-def test_sweep_on_integer_endpoints():
-    """The sweep needs only ordered endpoints: here integers far above 1."""
-    xor = arcs_module._sweep([(0, 5), (10, 20)], [(3, 12)], arcs_module._XOR)
-    assert list(xor) == [(0, 3), (5, 10), (12, 20)]
-    assert list(arcs_module._sweep([(0, 5), (10, 20)], [], arcs_module._OR)) == [(0, 5), (10, 20)]
-    assert list(arcs_module._sweep([], [(3, 12)], arcs_module._SUB)) == []
-
-
-@pytest.mark.parametrize("gallop_after", [1, 8])
-def test_sweep_on_integers_matches_fraction_sweep(monkeypatch, gallop_after):
-    """Segments on a 1/d grid, swept as Fractions in [0, 1] and as integers scaled far above 2."""
-    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
-    rng = random.Random(7 + gallop_after)
-    d, scale, shift = 64, 10**15 + 37, 3 * 2**70
-
-    def to_int(x: Fraction) -> int:
-        return x.numerator * (d // x.denominator) * scale + shift
-
-    for _ in range(150):
-        pair = []
-        for size in rng.choice([(20, 1), (1, 20), (12, 12), (0, 6), (6, 0), (30, 4)]):
-            ends = sorted(rng.sample(range(d + 1), 2 * min(size, (d + 1) // 2)))
-            pair.append(tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in zip(ends[::2], ends[1::2])))
-        a, b = pair
-        a_int, b_int = ([(to_int(lo), to_int(hi)) for lo, hi in segs] for segs in (a, b))
-        for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, arcs_module._XOR):
-            expected = [(to_int(lo), to_int(hi)) for lo, hi in arcs_module._sweep(a, b, keep)]
-            assert list(arcs_module._sweep(a_int, b_int, keep)) == expected
-
-
 def _crowded_pair(rng: random.Random) -> tuple[ArcSet, ArcSet]:
     """Two sets whose endpoints crowd into clusters 2**-70 apart around points over 2**40 + 15.
 
@@ -527,10 +500,9 @@ def test_key_ties_are_settled_exactly(monkeypatch, gallop_after):
         for s, t in ((a, b), (b, a)):
             for keep, op in ops:
                 assert op(s, t).segments == tuple(sweep_by_fraction(s.segments, t.segments, keep))
-            xor = sweep_by_fraction(s.segments, t.segments, arcs_module._XOR)
-            assert s.symm_diff_measure(t) == sum((hi - lo for lo, hi in xor), Fraction(0))
-            assert (s <= t) == (next(sweep_by_fraction(s.segments, t.segments, arcs_module._SUB), None) is None)
-            assert (s >= t) == (next(sweep_by_fraction(t.segments, s.segments, arcs_module._SUB), None) is None)
+            assert s.symm_diff_measure(t) == symm_diff_by_fraction(s.segments, t.segments)
+            assert (s <= t) == subset_by_fraction(s.segments, t.segments)
+            assert (s >= t) == subset_by_fraction(t.segments, s.segments)
         ends = [x for seg in a.segments + b.segments for x in seg]
         probes = {y for x in ends for y in (x, x - Fraction(1, 2**80), x + Fraction(1, 2**80)) if 0 <= y < 1}
         for x in probes:
@@ -557,7 +529,7 @@ def test_sweep_reads_log_n_keys_for_a_ball():
     big = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
     ball = ArcSet(((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)),))
     bound = 8 * len(big.segments).bit_length()
-    for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, arcs_module._XOR):
+    for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, XOR):
         for big_first in (True, False):
             big_keys, ball_keys = _CountingKeys(big._keys), _CountingKeys(ball._keys)
             operands = [(big.segments, big_keys), (ball.segments, ball_keys)][::1 if big_first else -1]
@@ -590,7 +562,7 @@ def test_large_booleans_compare_fractions_only_on_key_ties(monkeypatch):
 
 
 def test_key_cache_is_invisible():
-    """Computing a set's keys changes none of ==, hash, repr, copies or pickles."""
+    """Computing a set's keys or measure changes none of ==, hash, repr, copies or pickles."""
     s = thicken([circle_point(Fraction(m, 17)) for m in range(0, 17, 3)], Fraction(1, 40))
     t = ArcSet(((Fraction(1, 5), Fraction(3, 4)),))
 
@@ -598,17 +570,21 @@ def test_key_cache_is_invisible():
         return x, hash(x), repr(x), pickle.dumps(x), copy.copy(x), copy.deepcopy(x)
 
     before = views(s)
-    assert "_keys" not in vars(s)
+    assert "_keys" not in vars(s) and "measure" not in vars(s)
     assert circle_point(Fraction(3, 17)) in s
     results = [s | t, s & t, s - t, t - s]
     assert "_keys" in vars(s)
     assert views(s) == before
+    assert s.measure == measure_per_denominator(s.segments) and "measure" in vars(s)
+    assert s.symm_diff_measure(t) == symm_diff_by_fraction(s.segments, t.segments)
+    assert views(s) == before
     thawed = pickle.loads(pickle.dumps(s))
-    assert thawed == s and "_keys" not in vars(thawed) and thawed & t == s & t
+    assert thawed == s and "_keys" not in vars(thawed) and "measure" not in vars(thawed)
+    assert thawed & t == s & t and thawed.measure == s.measure
     for r in results:
         rebuilt = ArcSet(r.segments)
         assert (r, hash(r), repr(r)) == (rebuilt, hash(rebuilt), repr(rebuilt))
-        assert "_keys" not in vars(r)
+        assert "_keys" not in vars(r) and "measure" not in vars(r)
 
 
 def test_integer_endpoints_become_fractions():
