@@ -31,7 +31,8 @@ The sweep and membership compare cached keys first.  Each ArcSet keeps
 ``floor(x * 2**63)`` of its endpoints x in a flat ``array("Q")``, computed
 on the first sweep or lookup that needs it.  Floor is monotone, so
 unequal keys order as the endpoints do; only endpoints with equal keys
-are compared as Fractions, which settles ties exactly.
+are compared as Fractions, which settles ties exactly.  Most ties are
+shared endpoints, which one exact == settles without ordering them.
 
 Measures and inclusions
 -----------------------
@@ -43,6 +44,19 @@ only for the intersection.  The tail-union experiments that report only
 measures and inclusions never build an ArcSet or sweep: they merge
 keyed integer arcs for A, for B, and for A | B from those two merges,
 and make Fractions only in the final per-denominator sums.
+
+Integer writer
+--------------
+Thickenings (:func:`thicken`, and so every tail union) and the affine
+maps (:meth:`ArcSet.translate`, :meth:`ArcSet.mul_image` and
+``AffineCircleMap.preimage``) write their output as integer arcs
+``[lo/den, (lo + width)/den)``, whose starts run through an arithmetic
+progression mod den: the points m/n of a thickening, the n pieces of a
+preimage, one start per segment for a translate or an image.  The maps
+put each input segment over one denominator with the map's offset, so
+the image is integer arithmetic on numerators.  One writer cuts the arcs
+at the seam, keys and merges them, and builds a Fraction only for each
+merged endpoint.
 
 All values are immutable and all operations pure.
 """
@@ -56,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Generator, Iterable, Iterator, Sequence
 
@@ -163,6 +177,27 @@ def _canonical_segments(raw: Iterable[Segment]) -> tuple[Segment, ...]:
     )
 
 
+def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
+    """Keyed items ``(lo_key, hi_key, lo, hi, den, tag)`` of groups of integer arcs, keyed with shift k.
+
+    A group ``(ms, step, offset, width, den, tag)`` holds the arcs
+    [lo/den, (lo + width)/den) with lo = (m*step + offset) mod den for m in
+    ms, and 0 < width <= den.  An arc that crosses 1 is cut at the seam into
+    two items.
+    """
+    keyed = []
+    for ms, step, offset, width, den, tag in groups:
+        for m in ms:
+            lo = (m * step + offset) % den
+            hi = lo + width
+            if hi <= den:
+                keyed.append(((lo << k) // den, (hi << k) // den, lo, hi, den, tag))
+            else:
+                keyed.append(((lo << k) // den, 1 << k, lo, den, den, tag))
+                keyed.append((0, ((hi - den) << k) // den, 0, hi - den, den, tag))
+    return keyed
+
+
 def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]]) -> list:
     """Keyed arcs [m/n - d, m/n + d) for the terms (n, ms, d), m in ms: one list per term list.
 
@@ -179,23 +214,11 @@ def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]
         for n, ms, d in terms:
             g = gcd(n, d.denominator)
             step = d.denominator // g
-            grid.append((n * step, step, d.numerator * (n // g), ms, n))
+            pn = d.numerator * (n // g)
+            grid.append((ms, step, -pn, 2 * pn, n * step, n))
         grids.append(grid)
-    k = _key_bits(max((t[0] for grid in grids for t in grid), default=1))
-    out = []
-    for grid in grids:
-        keyed = []
-        for den, step, pn, ms, n in grid:
-            for m in ms:
-                lo = (m * step - pn) % den
-                hi = lo + 2 * pn
-                if hi <= den:
-                    keyed.append(((lo << k) // den, (hi << k) // den, lo, hi, den, n))
-                else:
-                    keyed.append(((lo << k) // den, 1 << k, lo, den, den, n))
-                    keyed.append((0, ((hi - den) << k) // den, 0, hi - den, den, n))
-        out.append(keyed)
-    return out
+    k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
+    return [_keyed_pieces(grid, k) for grid in grids]
 
 
 # the start and the end of a merged keyed segment, as (numerator, denominator)
@@ -203,17 +226,35 @@ _LO = itemgetter(2, 4)
 _HI = itemgetter(3, 4)
 
 
-def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "ArcSet":
-    """Union of the keyed arcs of the terms, with Fractions built only for merged endpoints."""
-    keyed, = _keyed_thickenings(terms)
+def _keyed_union(keyed: list) -> "ArcSet":
+    """The union of keyed pieces, with Fractions built only for merged endpoints; empties keyed."""
     merged = _canonical(keyed)
-    del keyed
+    keyed.clear()  # frees the pieces that no merged segment starts or ends with
     merged.reverse()
     segments = []
     while merged:  # popping frees each keyed item once its Fractions are built
         first, last = merged.pop()
         segments.append((Fraction(*_LO(first)), Fraction(*_HI(last))))
     return ArcSet._trusted(tuple(segments))
+
+
+def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
+    """The union of the groups of integer arcs ``(ms, step, offset, width, den, tag)`` of _keyed_pieces."""
+    return _keyed_union(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
+
+
+def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple[int, int, int]]:
+    """Each segment [a/b, c/d) as integers ``(lo, hi, den)`` over den = lcm(b, d, f)."""
+    for x, y in segments:
+        a, b = x.as_integer_ratio()
+        c, d = y.as_integer_ratio()
+        den = lcm(b, d, f)
+        yield a * (den // b), c * (den // d), den
+
+
+def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "ArcSet":
+    """Union of the keyed arcs of the terms, with Fractions built only for merged endpoints."""
+    return _keyed_union(*_keyed_thickenings(terms))
 
 
 def _keyed_measure(merged: list[tuple[tuple, tuple]]) -> Fraction:
@@ -236,10 +277,13 @@ def _bisect(segs: Sequence[Segment], keys: Sequence, x, x_key, lo: int, hi: int,
     """Where endpoint x goes among the flattened endpoints of segs, as bisect_left or bisect_right.
 
     keys[lo:hi] holds the place by key; endpoints whose keys tie with x's
-    are compared with x exactly.
+    are compared with x exactly, first by one == with the first of them,
+    which settles the usual tie, an endpoint equal to x.
     """
     k = bisect_left(keys, x_key, lo, hi)
     if k < len(keys) and keys[k] == x_key:
+        if segs[k >> 1][k & 1] == x:
+            return k + 1 if side is bisect_right else k
         k += side(range(k, bisect_right(keys, x_key, k)), x, key=lambda t: segs[t >> 1][t & 1])
     return k
 
@@ -311,8 +355,10 @@ def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...],
     while i < na or j < nb:
         x = a_keys[i] if i < na else _PAST_END
         y = b_keys[j] if j < nb else _PAST_END
-        if x == y:  # equal keys: the endpoints decide
+        if x == y:  # equal keys: one exact == settles equal endpoints, and only unequal ones are ordered
             x, y = a[i >> 1][i & 1], b[j >> 1][j & 1]
+            if x == y:
+                x = y = 0  # neither is below the other: both are taken at once below
         if x < y:
             streak = streak + 1 if streak > 0 else 1
             if streak == _GALLOP_AFTER:
@@ -478,24 +524,21 @@ class ArcSet:
 
     def translate(self, a: CirclePoint) -> "ArcSet":
         """Exact image {a + y : y in self}; preserves measure."""
-        raw = []
-        for lo, hi in self.segments:
-            start = (lo + a.value) % 1
-            raw.extend(_split_at_seam(start, start + (hi - lo)))
-        return ArcSet(tuple(raw))
+        e, f = a.value.as_integer_ratio()
+        return _integer_union([((lo,), 1, e * (den // f), hi - lo, den, 0)
+                               for lo, hi, den in _over_one_denominator(self.segments, f)])
 
     def mul_image(self, m: int) -> "ArcSet":
         """Exact image under y -> m*y; an arc of length L maps to one of length min(1, m*L)."""
         if m < 1:
             raise ValueError(f"multiplier must be >= 1, got {m}")
-        raw = []
-        for lo, hi in self.segments:
+        groups = []
+        for lo, hi, den in _over_one_denominator(self.segments, 1):
             length = m * (hi - lo)
-            if length >= ONE:
+            if length >= den:
                 return ArcSet.full()
-            start = (m * lo) % 1
-            raw.extend(_split_at_seam(start, start + length))
-        return ArcSet(tuple(raw))
+            groups.append(((lo,), m, 0, length, den, 0))
+        return _integer_union(groups)
 
     # -- presentation ---------------------------------------------------------
 

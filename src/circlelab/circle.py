@@ -83,7 +83,15 @@ class CirclePoint:
     value: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_fraction(self.value) % 1)
+        v = as_fraction(self.value)
+        object.__setattr__(self, "value", v if 0 <= v.numerator < v.denominator else v % 1)
+
+    @classmethod
+    def _of(cls, num: int, den: int) -> "CirclePoint":
+        """The point num/den for 0 <= num < den, built as one Fraction and not normalised again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "value", Fraction(num, den))
+        return point
 
     def norm(self) -> Fraction:
         """Distance to the nearest integer; lies in [0, 1/2]."""
@@ -111,23 +119,28 @@ class CirclePoint:
             above += 1
         return min(v - Fraction(below, n), Fraction(above, n) - v)
 
+    # the group operations work on integers over b*d and build one Fraction
     def __add__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        return CirclePoint(self.value + other.value)
+        (a, b), (c, d) = self.value.as_integer_ratio(), other.value.as_integer_ratio()
+        return CirclePoint._of((a * d + c * b) % (b * d), b * d)
 
     def __neg__(self) -> "CirclePoint":
-        return CirclePoint(-self.value)
+        a, b = self.value.as_integer_ratio()
+        return CirclePoint._of(-a % b, b)
 
     def __sub__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        return CirclePoint(self.value - other.value)
+        (a, b), (c, d) = self.value.as_integer_ratio(), other.value.as_integer_ratio()
+        return CirclePoint._of((a * d - c * b) % (b * d), b * d)
 
     def __rmul__(self, k: int) -> "CirclePoint":
         if not isinstance(k, int):
             return NotImplemented
-        return CirclePoint(k * self.value)
+        a, b = self.value.as_integer_ratio()
+        return CirclePoint._of(k * a % b, b)
 
     def __str__(self) -> str:
         return f"[{format_fraction(self.value)}]"

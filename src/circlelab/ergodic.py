@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Iterable, Sequence
 
-from .arcs import ArcSet, _split_at_seam, union_all
+from .arcs import ArcSet, _integer_union, _over_one_denominator, union_all
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -42,15 +41,10 @@ class AffineCircleMap:
         n = self.multiplier
         if n < 1:
             raise ValueError("preimage requires multiplier >= 1")
-        x = self.offset.value
-        raw = []
-        for lo, hi in s.segments:
-            base = (lo - x) % 1
-            sub = (hi - lo) / n
-            for k in range(n):
-                start = (base + k) / n
-                raw.extend(_split_at_seam(start, start + sub))
-        return ArcSet(tuple(raw))
+        e, f = self.offset.value.as_integer_ratio()
+        # over n*den, a segment [lo, hi) pulls back to the pieces that start at lo - x*den + j*den, j < n
+        return _integer_union([(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
+                               for lo, hi, den in _over_one_denominator(s.segments, f)])
 
     def preserves_measure_on(self, sample: Iterable[ArcSet]) -> bool:
         """Exact self-check: preimages of every sampled set keep its measure."""
@@ -85,11 +79,14 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
     cells = grid_cells(k)
+    n, (e, f) = t.multiplier, t.offset.value.as_integer_ratio()
     reach = [1 << j for j in range(k)]
-    for j, c in enumerate(cells):
-        for lo, hi in t.preimage(c).segments:
-            for i in range(floor(lo * k), ceil(hi * k)):
-                reach[j] |= 1 << i
+    for j in range(k):
+        # over n*k*f, the preimage of cell j is n pieces of length f, k*f apart, and
+        # the piece [p, p + f) touches the cells p // (n*f) to ceil((p + f) / (n*f)) - 1
+        for p in range((j * f - e * k) % (k * f), n * k * f, k * f):
+            for i in range(p // (n * f), -(-(p + f) // (n * f))):
+                reach[j] |= 1 << (i % k)
     for m in range(k):  # Warshall: reach[j] becomes its transitive closure
         for j in range(k):
             if reach[j] >> m & 1:

@@ -8,7 +8,8 @@ The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
 algorithms: a Fraction sort for canonicalisation, a sweep that compares
 Fraction endpoints for boolean operations, one set per term for tail
-unions, and one Fraction addition per term for exact sums.
+unions, one Fraction addition per term for exact sums, and Fraction
+arithmetic for the affine maps and the circle's group operations.
 """
 
 from __future__ import annotations
@@ -256,6 +257,64 @@ def symm_diff_by_fraction(a, b) -> Fraction:
 def subset_by_fraction(a, b) -> bool:
     """Whether canonical segments a lie inside b: the Fraction sweep of a - b yields nothing."""
     return next(sweep_by_fraction(a, b, SUB), None) is None
+
+
+def _split_at_one(start: Fraction, end: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """Segments of [start, end) for 0 <= start < 1 and end <= start + 1, cut at 1."""
+    if end <= 1:
+        return [(start, end)]
+    return [(start, Fraction(1)), (Fraction(0), end - 1)]
+
+
+def translate_by_fraction(s: ArcSet, a: CirclePoint) -> ArcSet:
+    """{a + y : y in s}, one Fraction mod, add and seam cut per segment."""
+    raw = []
+    for lo, hi in s.segments:
+        start = (lo + a.value) % 1
+        raw.extend(_split_at_one(start, start + (hi - lo)))
+    return ArcSet(tuple(raw))
+
+
+def mul_image_by_fraction(s: ArcSet, m: int) -> ArcSet:
+    """{m * y : y in s} for m >= 1, from Fraction lengths and starts."""
+    raw = []
+    for lo, hi in s.segments:
+        length = m * (hi - lo)
+        if length >= 1:
+            return ArcSet.full()
+        start = (m * lo) % 1
+        raw.extend(_split_at_one(start, start + length))
+    return ArcSet(tuple(raw))
+
+
+def preimage_by_fraction(t: AffineCircleMap, s: ArcSet) -> ArcSet:
+    """The preimage of s under y -> n*y + x, n >= 1: n Fraction sub-arcs per segment."""
+    n, x = t.multiplier, t.offset.value
+    raw = []
+    for lo, hi in s.segments:
+        base = (lo - x) % 1
+        sub = (hi - lo) / n
+        for k in range(n):
+            start = (base + k) / n
+            raw.extend(_split_at_one(start, start + sub))
+    return ArcSet(tuple(raw))
+
+
+# CirclePoint's group operations, normalised by Fraction % 1 in the public constructor
+def add_by_fraction(p: CirclePoint, q: CirclePoint) -> CirclePoint:
+    return CirclePoint(p.value + q.value)
+
+
+def sub_by_fraction(p: CirclePoint, q: CirclePoint) -> CirclePoint:
+    return CirclePoint(p.value - q.value)
+
+
+def neg_by_fraction(p: CirclePoint) -> CirclePoint:
+    return CirclePoint(-p.value)
+
+
+def rmul_by_fraction(k: int, p: CirclePoint) -> CirclePoint:
+    return CirclePoint(k * p.value)
 
 
 def thicken_by_arcs(points, delta: Fraction) -> tuple:

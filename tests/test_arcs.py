@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlelab import Arc, ArcSet, arc, circle_point, thicken, union_all
+from circlelab import Arc, ArcSet, approx_order_set, arc, circle_point, thicken, union_all
 from circlelab import arcs as arcs_module
 from helpers import (
     XOR,
@@ -508,6 +508,29 @@ def test_key_ties_are_settled_exactly(monkeypatch, gallop_after):
         for x in probes:
             assert (circle_point(x) in a) == any(lo <= x < hi for lo, hi in a.segments)
     assert tied_within > 50 and tied_across > 50
+
+
+@pytest.mark.parametrize("m, n, d", [(3, 10, Fraction(1, 100)), (5, 29, Fraction(1, 300)), (2, 7, Fraction(1, 50))])
+def test_shared_endpoints_cost_one_fraction_comparison_per_key_tie(monkeypatch, m, n, d):
+    """In an inclusion-(i) check the two sets share every endpoint: each key tie costs one exact ==."""
+    a, b = approx_order_set(n, d).mul_image(m), approx_order_set(n, m * d)
+    ties = len(set(a._keys) & set(b._keys))
+    assert ties == 2 * len(a.segments) > 0
+    compared = 0
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        plain = getattr(Fraction, name)
+
+        def counting(x, y, plain=plain):
+            nonlocal compared
+            compared += 1
+            return plain(x, y)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert a <= b and b <= a
+    assert compared == 2 * ties
+    compared = 0
+    assert [circle_point(x) in b for seg in a.segments for x in seg] == [True, False] * len(a.segments)
+    assert compared == ties
 
 
 class _CountingKeys:
