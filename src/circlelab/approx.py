@@ -11,7 +11,6 @@ the subadditive upper bound.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +21,13 @@ from typing import Iterable, Sequence, Union
 from .arcs import (
     ArcSet,
     _canonical,
+    _integer_union,
     _keyed_measure,
     _keyed_thickenings,
-    _thickening_union,
+    _thickening_groups,
     thicken,
 )
-from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction
+from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
 from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize, is_prime
 
 
@@ -152,12 +152,17 @@ def parse_delta(text: str) -> DeltaSequence:
     """Parse either the JSON form or the inline form power:c:a | const:c | table:v1,v2,..."""
     text = text.strip()
     if text.startswith("{"):
-        return delta_from_json_dict(json.loads(text))
+        return delta_from_json_dict(parse_json(text))
     kind, sep, rest = text.partition(":")
     if sep:
         if kind == "power":
             c, _, a = rest.partition(":")
-            return Power(parse_fraction(c), int(a))
+            c = parse_fraction(c)
+            try:
+                a = int(a)
+            except ValueError:
+                raise ValueError(f"cannot parse delta sequence: {text!r}") from None
+            return Power(c, a)
         if kind in ("const", "constant"):
             return Constant(parse_fraction(rest))
         if kind == "table":
@@ -250,7 +255,7 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
     delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
     """
     full, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return ArcSet.full() if full else _thickening_union(_with_residues(terms))
+    return ArcSet.full() if full else _integer_union(_thickening_groups(_with_residues(terms)))
 
 
 def tail_union_measures(

@@ -16,16 +16,16 @@ canonicalisations are exact for the sets of interest.
 
 Exact keys
 ----------
-Canonicalisation sorts on integers, not on Fractions and never on floats.
-The key of a rational a/b is ``(a << k) // b`` with ``k = 2 * maxbits + 2``,
-where every denominator in play is below ``2 ** maxbits``.  Two distinct
-such rationals differ by more than ``2 ** -(2 * maxbits)``, so their keys
-differ and are ordered as the rationals are; equal rationals, reduced or
-not, get equal keys.  Boolean operations on canonical sets need no sort:
-one sweep over the endpoints of both operands serves them all, galloping
-over long runs of one operand's endpoints, so its cost follows the
-interleaving of the operands and the size of the result, not the size
-of the larger operand.
+The one writer that builds ArcSets (below) sorts on integers, never on
+Fractions or floats.  The key of an endpoint a/b is ``(a << k) // b``
+with ``k = 2 * maxbits + 2``, where every b in play is below
+``2 ** maxbits``.  Two distinct such rationals differ by more than
+``2 ** -(2 * maxbits)``, so their keys differ and order as the rationals
+do; equal rationals, reduced or not, get equal keys.  Boolean operations
+on canonical sets need no sort: one sweep over the endpoints of both
+operands serves them all, galloping over long runs of one operand's
+endpoints, so its cost follows the interleaving of the operands and the
+size of the result, not the size of the larger operand.
 
 The sweep and membership compare cached keys first.  Each ArcSet keeps
 ``floor(x * 2**63)`` of its endpoints x in a flat ``array("Q")``, computed
@@ -47,16 +47,17 @@ and make Fractions only in the final per-denominator sums.
 
 Integer writer
 --------------
-Thickenings (:func:`thicken`, and so every tail union) and the affine
-maps (:meth:`ArcSet.translate`, :meth:`ArcSet.mul_image` and
-``AffineCircleMap.preimage``) write their output as integer arcs
-``[lo/den, (lo + width)/den)``, whose starts run through an arithmetic
-progression mod den: the points m/n of a thickening, the n pieces of a
-preimage, one start per segment for a translate or an image.  The maps
-put each input segment over one denominator with the map's offset, so
-the image is integer arithmetic on numerators.  One writer cuts the arcs
-at the seam, keys and merges them, and builds a Fraction only for each
-merged endpoint.
+One writer builds every ArcSet that is not already canonical, from
+integer arcs ``[lo/den, (lo + width)/den)`` in groups whose starts run
+through an arithmetic progression mod den: one start per raw segment of
+``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and per segment of
+:meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; the points m/n of
+a thickening (:func:`thicken`, so every tail union); the n pieces of a
+preimage; the cells j/k of a union in ``invariant_set_search``.  Callers
+put a segment, an arc's start and length, or a segment and a map's
+offset over one denominator, so images are integer arithmetic on
+numerators.  The writer cuts the arcs at the seam, keys and merges them,
+and builds a Fraction only for each merged endpoint.
 
 All values are immutable and all operations pure.
 """
@@ -81,6 +82,7 @@ from .circle import (
     as_fraction,
     format_fraction,
     parse_fraction,
+    parse_json,
 )
 
 Segment = tuple[Fraction, Fraction]
@@ -106,18 +108,15 @@ class Arc:
 
     def segments(self) -> list[Segment]:
         """Split at the 0/1 seam into line segments inside [0, 1]."""
-        return _split_at_seam(self.start.value, self.start.value + self.length)
+        start = self.start.value
+        end = start + self.length
+        if end <= ONE:
+            return [(start, end)]
+        return [(start, ONE), (ZERO, end - 1)]
 
     def __str__(self) -> str:
         end = self.start.value + self.length
         return f"[{format_fraction(self.start.value)}, {format_fraction(end)})"
-
-
-def _split_at_seam(start: Fraction, end: Fraction) -> list[Segment]:
-    """Segments of [start, end) for 0 <= start < 1 and end <= start + 1, cut at 1."""
-    if end <= ONE:
-        return [(start, end)]
-    return [(start, ONE), (ZERO, end - 1)]
 
 
 def arc(start: RationalLike | CirclePoint, length: RationalLike) -> Arc:
@@ -156,27 +155,6 @@ def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
     return merged
 
 
-def _canonical_segments(raw: Iterable[Segment]) -> tuple[Segment, ...]:
-    """Canonical form of in-range (lo, hi) pairs; empty pairs are dropped, others checked."""
-    raw = tuple(raw)
-    k = _key_bits(max((x.denominator for seg in raw for x in seg), default=1))
-    one = 1 << k
-    keyed = []
-    for lo, hi in raw:
-        lo_key = (lo.numerator << k) // lo.denominator
-        hi_key = (hi.numerator << k) // hi.denominator
-        if lo_key == hi_key:
-            continue
-        if not 0 <= lo_key < hi_key <= one:
-            raise ValueError(f"segment out of range: ({lo}, {hi})")
-        keyed.append((lo_key, hi_key, lo, hi))
-    # integer endpoints become Fractions, whose ratios _measure reads
-    return tuple(
-        (lo if type(lo) is Fraction else Fraction(lo), hi if type(hi) is Fraction else Fraction(hi))
-        for (_, _, lo, _), (_, _, _, hi) in _canonical(keyed)
-    )
-
-
 def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
     """Keyed items ``(lo_key, hi_key, lo, hi, den, tag)`` of groups of integer arcs, keyed with shift k.
 
@@ -198,25 +176,28 @@ def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
     return keyed
 
 
-def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]]) -> list:
-    """Keyed arcs [m/n - d, m/n + d) for the terms (n, ms, d), m in ms: one list per term list.
+def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> list[tuple]:
+    """The arcs [m/n - d, m/n + d) for the terms (n, ms, d), m in ms, as groups of _keyed_pieces tagged n.
 
     Needs 0 < d <= 1/2.  With d = p/q and g = gcd(n, q), the endpoints of a
     term are integers over den = lcm(n, q) = n * (q/g): the arc around m/n
-    starts at (m*(q/g) - p*(n/g)) mod den and has length 2*p*(n/g).  Each
-    item is ``(lo_key, hi_key, lo, hi, den, n)``, one per arc or two for an
-    arc across the seam.  All lists share one key shift, so their keys
-    compare as the rationals do.
+    starts at (m*(q/g) - p*(n/g)) mod den and has length 2*p*(n/g).
     """
-    grids = []
-    for terms in term_lists:
-        grid = []
-        for n, ms, d in terms:
-            g = gcd(n, d.denominator)
-            step = d.denominator // g
-            pn = d.numerator * (n // g)
-            grid.append((ms, step, -pn, 2 * pn, n * step, n))
-        grids.append(grid)
+    groups = []
+    for n, ms, d in terms:
+        g = gcd(n, d.denominator)
+        step = d.denominator // g
+        pn = d.numerator * (n // g)
+        groups.append((ms, step, -pn, 2 * pn, n * step, n))
+    return groups
+
+
+def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]]) -> list:
+    """Keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of the thickenings of each term list.
+
+    All lists share one key shift, so their keys compare as the rationals do.
+    """
+    grids = [_thickening_groups(terms) for terms in term_lists]
     k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
     return [_keyed_pieces(grid, k) for grid in grids]
 
@@ -226,8 +207,12 @@ _LO = itemgetter(2, 4)
 _HI = itemgetter(3, 4)
 
 
-def _keyed_union(keyed: list) -> "ArcSet":
-    """The union of keyed pieces, with Fractions built only for merged endpoints; empties keyed."""
+def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
+    """The one canonicaliser: the union of groups of integer arcs (see _keyed_pieces) as an ArcSet.
+
+    Fractions are built only for merged endpoints.
+    """
+    keyed = _keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1)))
     merged = _canonical(keyed)
     keyed.clear()  # frees the pieces that no merged segment starts or ends with
     merged.reverse()
@@ -238,23 +223,13 @@ def _keyed_union(keyed: list) -> "ArcSet":
     return ArcSet._trusted(tuple(segments))
 
 
-def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
-    """The union of the groups of integer arcs ``(ms, step, offset, width, den, tag)`` of _keyed_pieces."""
-    return _keyed_union(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
-
-
 def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple[int, int, int]]:
-    """Each segment [a/b, c/d) as integers ``(lo, hi, den)`` over den = lcm(b, d, f)."""
+    """Each pair (a/b, c/d), such as a segment [a/b, c/d), as integers ``(lo, hi, den)`` over lcm(b, d, f)."""
     for x, y in segments:
         a, b = x.as_integer_ratio()
         c, d = y.as_integer_ratio()
         den = lcm(b, d, f)
         yield a * (den // b), c * (den // d), den
-
-
-def _thickening_union(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> "ArcSet":
-    """Union of the keyed arcs of the terms, with Fractions built only for merged endpoints."""
-    return _keyed_union(*_keyed_thickenings(terms))
 
 
 def _keyed_measure(merged: list[tuple[tuple, tuple]]) -> Fraction:
@@ -422,7 +397,14 @@ class ArcSet:
     segments: tuple[Segment, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _canonical_segments(self.segments))
+        raw = tuple(self.segments)
+        groups = []
+        for (x, y), (lo, hi, den) in zip(raw, _over_one_denominator(raw, 1)):
+            if lo != hi:  # empty pairs are dropped, others checked
+                if not 0 <= lo < hi <= den:
+                    raise ValueError(f"segment out of range: ({x}, {y})")
+                groups.append(((lo,), 1, 0, hi - lo, den, 0))
+        object.__setattr__(self, "segments", _integer_union(groups).segments)
 
     @cached_property
     def _keys(self) -> array:
@@ -454,7 +436,8 @@ class ArcSet:
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc]) -> "ArcSet":
-        return cls(tuple(seg for a in arcs for seg in a.segments()))
+        return _integer_union([((lo,), 1, 0, width, den, 0) for lo, width, den
+                               in _over_one_denominator(((a.start.value, a.length) for a in arcs), 1)])
 
     # -- predicates and measure --------------------------------------------
 
@@ -586,7 +569,7 @@ class ArcSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ArcSet":
-        return cls.from_json_dict(json.loads(text))
+        return cls.from_json_dict(parse_json(text))
 
     def __str__(self) -> str:
         if self.is_empty():
@@ -598,10 +581,7 @@ class ArcSet:
 
 def union_all(sets: Iterable[ArcSet]) -> ArcSet:
     """Union of arbitrarily many ArcSets in one canonicalisation pass."""
-    raw: list[Segment] = []
-    for s in sets:
-        raw.extend(s.segments)
-    return ArcSet(tuple(raw))
+    return ArcSet(chain.from_iterable(s.segments for s in sets))
 
 
 def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:
@@ -616,4 +596,4 @@ def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:
         return ArcSet.empty()
     if 2 * d >= ONE:
         return ArcSet.full()
-    return _thickening_union((v.denominator, (v.numerator,), d) for v in values)
+    return _integer_union(_thickening_groups((v.denominator, (v.numerator,), d) for v in values))

@@ -7,6 +7,7 @@ pure and exact, so set-level equality downstream stays decidable.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from decimal import Decimal
@@ -69,6 +70,14 @@ def parse_fraction(text: str, name: str = "value") -> Fraction:
             raise
         num, den = match.groups()
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def parse_json(text: str) -> object:
+    """json.loads, with input nested too deeply for the decoder raised as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 @dataclass(frozen=True, order=True)

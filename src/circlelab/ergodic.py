@@ -10,10 +10,9 @@ search for invariant sets among unions of grid cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arcs import ArcSet, _integer_union, _over_one_denominator, union_all
+from .arcs import ArcSet, _integer_union, _over_one_denominator
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -59,10 +58,7 @@ def grid_cells(denominator: int) -> list[ArcSet]:
     """The cells [j/k, (j+1)/k) of the uniform grid of the given denominator."""
     if denominator < 1:
         raise ValueError(f"grid denominator must be >= 1, got {denominator}")
-    return [
-        ArcSet(((Fraction(j, denominator), Fraction(j + 1, denominator)),))
-        for j in range(denominator)
-    ]
+    return [_integer_union([((j,), 1, 0, 1, denominator, 0)]) for j in range(denominator)]
 
 
 def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcSet]:
@@ -78,7 +74,6 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     k = grid_denominator
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
-    cells = grid_cells(k)
     n, (e, f) = t.multiplier, t.offset.value.as_integer_ratio()
     reach = [1 << j for j in range(k)]
     for j in range(k):
@@ -94,7 +89,9 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     closed = {0}
     for r in reach:
         closed |= {c | r for c in closed}
-    unions = (union_all(cells[j] for j in range(k) if bits >> j & 1) for bits in sorted(closed))
+    # as in grid_cells, the cells j in bits are integer arcs [j/k, (j+1)/k), here in one group
+    unions = (_integer_union([([j for j in range(k) if bits >> j & 1], 1, 0, 1, k, 0)])
+              for bits in sorted(closed))
     return [s for s in unions if t.preimage(s) == s]
 
 

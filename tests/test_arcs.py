@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -68,8 +69,15 @@ def test_full_circle_is_single_arc():
 
 
 def test_raw_segments_rejected_out_of_range():
-    with pytest.raises(ValueError):
-        ArcSet(((Fraction(1, 2), Fraction(3, 2)),))
+    half = Fraction(1, 2)
+    bad = [(half, Fraction(3, 2)), (Fraction(3, 4), Fraction(1, 4)), (-half, half), (0, 2), (Fraction(5, 4), 2)]
+    for lo, hi in bad:
+        # the message names the caller's own values
+        with pytest.raises(ValueError, match=re.escape(f"segment out of range: ({lo}, {hi})")):
+            ArcSet(((0, Fraction(1, 4)), (lo, hi)))
+    # an empty pair is dropped before its range is checked
+    assert ArcSet(((2, 2),)) == ArcSet.empty()
+    assert ArcSet(((-half, -half), (0, half), (Fraction(3, 2), Fraction(3, 2)))).segments == ((0, half),)
 
 
 def test_canonicalisation_idempotent():
@@ -348,6 +356,40 @@ def test_keys_keep_gap_of_one_over_q1_q2():
     assert ArcSet(((x, y), (lo, x))).segments == ((lo, y),)
     assert (circle_point(x) in ArcSet(expected), circle_point(y) in ArcSet(expected)) == (False, True)
     assert ArcSet(expected).measure == hi - lo - (y - x)
+
+
+def _seam_split_by_fraction(arcs) -> list:
+    """The line segments of the arcs (start, length), each cut at 1 by Fraction arithmetic."""
+    raw = []
+    for start, length in arcs:
+        end = start + length
+        raw.extend([(start, end)] if end <= 1 else [(start, Fraction(1)), (Fraction(0), end - 1)])
+    return raw
+
+
+def test_from_arcs_matches_fraction_sort_oracle():
+    p = 2**61 - 1
+    cases = [
+        [],
+        [(Fraction(3, 4), Fraction(1, 2))],  # across the seam
+        [(Fraction(p - 1, p), Fraction(2, p)), (Fraction(1, 3), Fraction(1, 3))],
+        [(Fraction(1, 3), Fraction(1))],  # a full circle that starts off 0
+        [(Fraction(5, 7), Fraction(1)), (Fraction(1, 2), Fraction(1, 4))],
+    ]
+    rng = random.Random(31)
+    dens = (2, 3, 5, 7, 11, 13, p, 10**40 + 3)
+    for _ in range(300):
+        arcs = []
+        for _ in range(rng.randint(0, 8)):
+            d1, d2 = rng.choice(dens), rng.choice(dens)
+            arcs.append((Fraction(rng.randrange(d1), d1), Fraction(rng.randint(1, d2), d2)))
+        cases.append(arcs)
+    for arcs in cases:
+        s = ArcSet.from_arcs(arc(start, length) for start, length in arcs)
+        assert s.segments == canonical_by_fraction_sort(_seam_split_by_fraction(arcs))
+        assert all(type(x) is Fraction for seg in s.segments for x in seg)
+    assert ArcSet.from_arcs([]) == ArcSet.empty()
+    assert ArcSet.from_arcs([arc(Fraction(1, 3), 1)]) == ArcSet.full()
 
 
 def test_canonical_matches_fraction_sort_oracle():

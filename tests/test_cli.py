@@ -159,8 +159,15 @@ def test_inputs_beyond_int_str_digit_limit(capsys):
              "--pred", "or(" * 1500 + "all" + ",all)" * 1500],
             "more than 64 levels",
         ),
+        (["measure", "--set", '{"arcs":' + "[" * 100_000 + "]" * 100_000 + "}"], "nested too deeply"),
+        (["ao", "--n", "5", "--delta", '{"kind":' + "[" * 100_000 + "]" * 100_000 + "}"], "nested too deeply"),
+        (["ao", "--n", "5", "--delta", "power:1"], "cannot parse delta sequence: 'power:1'"),
+        (["ao", "--n", "5", "--delta", "power:1:x"], "cannot parse delta sequence: 'power:1:x'"),
     ],
-    ids=["int-start", "list-set", "table-without-values", "deep-predicate"],
+    ids=[
+        "int-start", "list-set", "table-without-values", "deep-predicate",
+        "deep-set-json", "deep-delta-json", "power-without-exponent", "power-bad-exponent",
+    ],
 )
 def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
     code, out, err = run_cli(capsys, *argv)
