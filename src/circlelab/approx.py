@@ -14,16 +14,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence, Union
 
 from .arcs import (
     ArcSet,
-    _canonical,
     _integer_union,
-    _keyed_measure,
     _keyed_thickenings,
+    _run_measure,
     _thickening_groups,
     thicken,
 )
@@ -138,9 +137,15 @@ def delta_from_json_dict(data: dict) -> DeltaSequence:
     if not all(name in data for name in fields):
         raise ValueError(f"a {kind} delta needs {' and '.join(map(repr, fields))}")
     if kind == "power":
-        if type(data["a"]) not in (int, str):
+        a = data["a"]
+        if type(a) is str:
+            try:
+                a = int(a)
+            except ValueError:
+                pass  # still a str: refused below
+        if type(a) is not int:
             raise ValueError(f"'a' must be an integer, got {data['a']!r}")
-        return Power(parse_fraction(data["c"], "'c'"), int(data["a"]))
+        return Power(parse_fraction(data["c"], "'c'"), a)
     if kind == "constant":
         return Constant(parse_fraction(data["c"], "'c'"))
     if not isinstance(data["values"], list):
@@ -180,12 +185,12 @@ def finite_order_points(n: int) -> list[CirclePoint]:
     return [CirclePoint(Fraction(m, n)) for m in _coprime_residues(n)]
 
 
-def _coprime_residues(n: int) -> Iterable[int]:
-    """The m in [0, n) coprime to n, sieved by the prime factors of n."""
+def _coprime_residues(n: int) -> list[int]:
+    """The m in [0, n) coprime to n, sieved by the prime factors of n; a list, so arcs._run_measure can count them."""
     mask = bytearray(b"\x01") * n
     for p in factorize(n):
         mask[::p] = bytes(n // p)
-    return compress(range(n), mask)
+    return list(compress(range(n), mask))
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -264,15 +269,16 @@ def tail_union_measures(
     """The measure of the tail union over [N, n_max] for each start N in n_mins.
 
     Every arc needed is written once, tagged with its index, and sorted
-    once.  Each start merges the arcs with index >= N, which are already in
-    order, and sums their integer endpoints per denominator.
+    once.  For each start, the arcs with index >= N are walked in that
+    order: their total width, in closed form per term, less the parts
+    where they overlap (see arcs._run_measure).  No merged list is built.
     """
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    keyed, = _keyed_thickenings(_with_residues(t for t in terms if t[0] >= first))
-    keyed.sort()
-    measures = {s: _keyed_measure(_canonical([a for a in keyed if a[5] >= s])) for s in starts}
+    (keyed, groups), = _keyed_thickenings(_with_residues(t for t in terms if t[0] >= first))
+    measures = {s: _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
+                                [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
 
 
@@ -282,8 +288,9 @@ def scaled_tail_union_comparison(
     """The tail unions W1 at radii delta_n and Wm at radii scale*delta_n over [n_min, n_max]:
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
 
-    Each union is merged once, and W1 | Wm once more from those merged
-    segments; the rest follows from the three measures.
+    The arcs of each union are sorted once and measured without merging
+    (see arcs._run_measure), and W1 | Wm is measured from the two sorted
+    lists together; the rest follows from the three measures.
     """
 
     def union_terms(d: DeltaSequence) -> list:
@@ -292,11 +299,9 @@ def scaled_tail_union_comparison(
         return [(full, (0,), Fraction(1, 2))] if full else _with_residues(terms)
 
     terms = union_terms(delta), union_terms(delta.scale(scale))
-    merged = [_canonical(keyed) for keyed in _keyed_thickenings(*terms)]
-    # a merged segment (first, last) is the keyed item (lo_key, hi_key, first, last)
-    both = _canonical([(first[0], last[1], first, last) for first, last in chain(*merged)])
-    mu_1, mu_m = map(_keyed_measure, merged)
-    mu_both = _keyed_measure((first[2], last[3]) for first, last in both)
+    (k1, g1), (km, gm) = _keyed_thickenings(*terms)
+    mu_1, mu_m = _run_measure(k1, g1), _run_measure(km, gm)
+    mu_both = _run_measure(sorted(k1 + km), g1 + gm)  # Timsort merges the two sorted runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 

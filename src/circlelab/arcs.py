@@ -41,9 +41,12 @@ On canonical half-open sets, mu(A ^ B) = mu(A) + mu(B) - 2 mu(A & B)
 since a nonempty difference of half-open sets has positive measure.  An
 ArcSet caches its measure, so :meth:`ArcSet.symm_diff_measure` sweeps
 only for the intersection.  The tail-union experiments that report only
-measures and inclusions never build an ArcSet or sweep: they merge
-keyed integer arcs for A, for B, and for A | B from those two merges,
-and make Fractions only in the final per-denominator sums.
+measures and inclusions never build an ArcSet, sweep or merge.  The
+measure of a union of integer arcs is their total width, in closed form
+per term, less their overlaps, which one walk over the arcs in key order
+finds (:func:`_run_measure`).  A and B are each measured from their own
+sorted arcs, and A | B from the two lists sorted together; Fractions are
+made only in the final per-denominator sums.
 
 Integer writer
 --------------
@@ -155,6 +158,34 @@ def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
     return merged
 
 
+def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
+    """Measure of the union of the arcs of groups (see _keyed_pieces), given their keyed items in key order.
+
+    The measure is the arcs' total width, len(ms) * width over den per
+    group (so ms must be sized), less their overlaps, which one walk over
+    the items finds without merging them.  A run is the union of the items
+    so far that overlap in a chain, and ``end`` is its end's key.  An item
+    that starts before the end overlaps the run up to the end, or wholly
+    if it ends inside it; one that starts at or past the end starts a new
+    run.  The overlaps are taken off the numerators per denominator, which
+    are added in one tree.
+    """
+    by_den: dict[int, int] = {}
+    for ms, _, _, width, den, _ in groups:
+        by_den[den] = by_den.get(den, 0) + len(ms) * width
+    last, end = None, -1
+    for item in keyed:
+        if item[0] >= end:
+            last, end = item, item[1]
+        elif item[1] <= end:
+            by_den[item[4]] -= item[3] - item[2]
+        else:
+            by_den[last[4]] -= last[3]
+            by_den[item[4]] += item[2]
+            last, end = item, item[1]
+    return _sum_ratios((num, den) for den, num in by_den.items() if num)
+
+
 def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
     """Keyed items ``(lo_key, hi_key, lo, hi, den, tag)`` of groups of integer arcs, keyed with shift k.
 
@@ -192,14 +223,15 @@ def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> 
     return groups
 
 
-def _keyed_thickenings(*term_lists: Iterable[tuple[int, Iterable[int], Fraction]]) -> list:
-    """Keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of the thickenings of each term list.
+def _keyed_thickenings(*term_lists: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple[list, list]]:
+    """For each term list, the keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of its thickenings
+    in key order, and its groups (see _thickening_groups).
 
     All lists share one key shift, so their keys compare as the rationals do.
     """
     grids = [_thickening_groups(terms) for terms in term_lists]
     k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
-    return [_keyed_pieces(grid, k) for grid in grids]
+    return [(sorted(_keyed_pieces(grid, k)), grid) for grid in grids]
 
 
 # the start and the end of a merged keyed segment, as (numerator, denominator)
@@ -230,11 +262,6 @@ def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple
         c, d = y.as_integer_ratio()
         den = lcm(b, d, f)
         yield a * (den // b), c * (den // d), den
-
-
-def _keyed_measure(merged: list[tuple[tuple, tuple]]) -> Fraction:
-    """Measure of the segments that _canonical merged from keyed arcs."""
-    return _measure(merged, _LO, _HI)
 
 
 # above every key: the next key of a swept-through operand
@@ -369,17 +396,16 @@ def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...],
                 start = None
 
 
-def _measure(segments: Iterable[tuple], lo_ratio=Fraction.as_integer_ratio,
-             hi_ratio=Fraction.as_integer_ratio) -> Fraction:
-    """Sum of hi - lo over endpoints that lo_ratio and hi_ratio give as (numerator, denominator).
+def _measure(segments: Iterable[Segment]) -> Fraction:
+    """Sum of hi - lo over segments.
 
     The numerators are added per denominator first, and the sums per denominator in one tree.
     """
     by_den: dict[int, int] = {}
     for lo, hi in segments:
-        num, d = hi_ratio(hi)
+        num, d = hi.as_integer_ratio()
         by_den[d] = by_den.get(d, 0) + num
-        num, d = lo_ratio(lo)
+        num, d = lo.as_integer_ratio()
         by_den[d] = by_den.get(d, 0) - num
     return _sum_ratios((num, den) for den, num in by_den.items() if num)
 

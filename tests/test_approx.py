@@ -445,6 +445,21 @@ def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
     assert written == [0, 21]
 
 
+def test_tail_union_measures_and_comparisons_at_workload_shapes():
+    """Seeded unions of benchmark size: exponents 3 and 2, n_max 100-200, predicates, three starts."""
+    rng = random.Random(4102)
+    preds = [All(), NotDiv(2), ExactlyOnce(3), Or(DivBySquare(2), NotDiv(5)), Or(NotDiv(3), ExactlyOnce(2))]
+    for a, cs in [(3, (F(1), F(3, 4), F(2))), (2, (F(1, 4), F(1, 6), F(1, 10)))] * 2:
+        delta, pred, n_max = Power(rng.choice(cs), a), rng.choice(preds), rng.randint(100, 200)
+        starts = sorted(rng.sample(range(2, n_max // 2), 3))
+        unions = [tail_union(TailUnionSpec(s, n_max, pred, delta)) for s in starts]
+        assert approx_module.tail_union_measures(pred, delta, starts, n_max) == [u.measure for u in unions]
+        m = rng.choice([F(3, 2), F(2)])
+        w1, wm = unions[0], tail_union(TailUnionSpec(starts[0], n_max, pred, delta.scale(m)))
+        assert approx_module.scaled_tail_union_comparison(pred, delta, m, starts[0], n_max) == (
+            w1.measure, wm.measure, w1.symm_diff_measure(wm), w1 <= wm, wm <= w1)
+
+
 COMPARISON_CASES = [
     (Power(F(1), 2), F(1, 2), All(), 2, 30),
     (Power(F(1), 2), F(1), NotDiv(2), 2, 30),

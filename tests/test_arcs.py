@@ -405,6 +405,57 @@ def test_canonical_matches_fraction_sort_oracle():
         assert ArcSet(tuple(raw)).segments == canonical_by_fraction_sort(raw)
 
 
+# -- measures of sorted keyed arcs without merging ------------------------------------------
+
+
+def _run_measure_and_oracle(groups):
+    """_run_measure of the groups' sorted keyed items, and the Fraction sort-and-merge measure of their pieces."""
+    keyed = sorted(arcs_module._keyed_pieces(groups, arcs_module._key_bits(max((g[4] for g in groups), default=1))))
+    oracle = measure_per_denominator(canonical_by_fraction_sort(
+        (Fraction(lo, den), Fraction(hi, den)) for _, _, lo, hi, den, _ in keyed))
+    return arcs_module._run_measure(keyed, groups), oracle
+
+
+def _pieces(*pieces):
+    """Groups of one integer arc each, from (lo, hi, den) with 0 <= lo < hi <= den."""
+    return [((lo,), 1, 0, hi - lo, den, 0) for lo, hi, den in pieces]
+
+
+RUN_MEASURE_CASES = {
+    "empty": [],
+    # touching at 1/5 = 2/10, over different denominators, and again at 1/2 = 5/10
+    "touching": _pieces((0, 1, 5), (2, 5, 10), (1, 2, 2)),
+    "nested": _pieces((1, 6, 10), (2, 4, 10), (3, 5, 10)),
+    "equal": _pieces((1, 6, 10), (1, 6, 10), (2, 12, 20)),
+    # three overlapping items whose middle one is the widest, and a chain where it ends the run
+    "widest-middle": _pieces((0, 3, 10), (1, 9, 10), (2, 5, 10)),
+    "widest-middle-chain": _pieces((0, 3, 10), (2, 8, 10), (7, 9, 10), (9, 10, 10)),
+    # arcs across the seam, cut into two pieces each
+    "seam": [((9, 2), 1, 0, 3, 10, 1), ((0,), 1, 6, 3, 7, 2)],
+    # a full-circle arc that starts off 0, with the other arcs inside it
+    "full": [((5,), 1, 0, 10, 10, 3), ((1, 3), 1, 0, 2, 7, 4)],
+}
+
+
+@pytest.mark.parametrize("groups", RUN_MEASURE_CASES.values(), ids=RUN_MEASURE_CASES.keys())
+def test_run_measure_matches_merged_measure(groups):
+    measure, oracle = _run_measure_and_oracle(groups)
+    assert measure == oracle == arcs_module._integer_union(groups).measure
+
+
+def test_run_measure_matches_merged_measure_on_random_groups():
+    rng = random.Random(37)
+    dens = (2, 3, 5, 10, 12, 30, 2**31 - 1, 10**20 + 39)
+    for _ in range(300):
+        groups = []
+        for tag in range(rng.randint(0, 6)):
+            den = rng.choice(dens)
+            ms = [rng.randrange(den) for _ in range(rng.randint(1, 5))]
+            groups.append((ms, rng.randint(1, 3), rng.randrange(den), rng.randint(1, den), den, tag))
+        measure, oracle = _run_measure_and_oracle(groups)
+        assert measure == oracle, groups
+
+
 # -- boolean operations against the grid oracle -------------------------------------------
 
 

@@ -163,10 +163,13 @@ def test_inputs_beyond_int_str_digit_limit(capsys):
         (["ao", "--n", "5", "--delta", '{"kind":' + "[" * 100_000 + "]" * 100_000 + "}"], "nested too deeply"),
         (["ao", "--n", "5", "--delta", "power:1"], "cannot parse delta sequence: 'power:1'"),
         (["ao", "--n", "5", "--delta", "power:1:x"], "cannot parse delta sequence: 'power:1:x'"),
+        (["ao", "--n", "5", "--delta", '{"kind":"power","c":"1","a":"x"}'], "'a' must be an integer, got 'x'"),
+        (["ao", "--n", "5", "--delta", '{"kind":"power","c":"1","a":"1.5"}'], "'a' must be an integer, got '1.5'"),
     ],
     ids=[
         "int-start", "list-set", "table-without-values", "deep-predicate",
         "deep-set-json", "deep-delta-json", "power-without-exponent", "power-bad-exponent",
+        "json-power-text-exponent", "json-power-fraction-exponent",
     ],
 )
 def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
