@@ -14,9 +14,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import gcd
-from typing import Iterable, Sequence, Union
+from operator import mul
+from typing import Iterable, Iterator, Sequence, Union
 
 from .arcs import (
     ArcSet,
@@ -51,10 +52,11 @@ class Power:
         _check_index(n)
         return self.coeff / n**self.exponent
 
-    def ratio_at(self, n: int) -> tuple[int, int]:
-        """delta_n as an unreduced pair (p, q), q > 0."""
-        _check_index(n)
-        return self.coeff.numerator, self.coeff.denominator * n**self.exponent
+    def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """delta_n for lo <= n < hi as unreduced pairs (p, q), q > 0, made as they are read."""
+        _check_index(lo)
+        p, d = self.coeff.as_integer_ratio()
+        return zip(repeat(p), map(mul, repeat(d), map(pow, range(lo, hi), repeat(self.exponent))))
 
     def scale(self, m: RationalLike) -> "Power":
         return Power(self.coeff * as_fraction(m), self.exponent)
@@ -79,8 +81,10 @@ class Constant:
         _check_index(n)
         return self.value
 
-    def ratio_at(self, n: int) -> tuple[int, int]:
-        return self.eval_at(n).as_integer_ratio()
+    def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """delta_n for lo <= n < hi as pairs (p, q), q > 0."""
+        _check_index(lo)
+        return repeat(self.value.as_integer_ratio(), hi - lo)
 
     def scale(self, m: RationalLike) -> "Constant":
         return Constant(self.value * as_fraction(m))
@@ -107,8 +111,11 @@ class Table:
             return self.values[n - 1]
         return Fraction(0)
 
-    def ratio_at(self, n: int) -> tuple[int, int]:
-        return self.eval_at(n).as_integer_ratio()
+    def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+        """delta_n for lo <= n < hi as pairs (p, q), q > 0; (0, 1) past the table."""
+        _check_index(lo)
+        listed = map(Fraction.as_integer_ratio, self.values[lo - 1:hi - 1])
+        return chain(listed, repeat((0, 1), hi - max(lo, len(self.values) + 1)))
 
     def scale(self, m: RationalLike) -> "Table":
         f = as_fraction(m)

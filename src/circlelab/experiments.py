@@ -123,8 +123,7 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
 
 def _totient_sum(delta: DeltaSequence, phi: Sequence[int], lo: int, hi: int) -> Fraction:
     """Exact sum of phi[n] * max(delta_n, 0) over lo <= n < hi, as one summation tree."""
-    ratios = ((phi[n], delta.ratio_at(n)) for n in range(lo, hi))
-    return _sum_ratios((f * p, q) for f, (p, q) in ratios if p > 0)
+    return _sum_ratios((f * p, q) for f, (p, q) in zip(phi[lo:hi], delta.ratios(lo, hi)) if p > 0)
 
 
 def gallagher_experiment(
@@ -275,4 +274,6 @@ def membership_witnesses(x: CirclePoint, delta: DeltaSequence, n_max: int) -> li
     """Indices n <= n_max whose order-n points come within open distance delta_n of x."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return [n for n in range(1, n_max + 1) if x.dist_to_order(n) < delta.eval_at(n)]
+    # dist_to_order(n) < p/q, both sides times q*v*n for x = u/v
+    v = x.value.denominator
+    return [n for n, (p, q) in enumerate(delta.ratios(1, n_max + 1), 1) if x._dist_num(n) * q < p * v * n]

@@ -57,8 +57,7 @@ def totient_range(limit: int) -> list[int]:
     phi = list(range(limit + 1))
     for p in range(2, limit + 1):
         if phi[p] == p:  # p prime
-            for k in range(p, limit + 1, p):
-                phi[k] = (phi[k] // p) * (p - 1)
+            phi[p::p] = [x // p * (p - 1) for x in phi[p::p]]
     phi[0] = 0
     return phi
 

@@ -67,6 +67,27 @@ def test_constant_and_table():
     assert t.scale(2).eval_at(2) == Fraction(2, 9)
 
 
+_RATIO_DELTAS = [
+    *(Power(c, a) for a in (0, 1, 2, 3) for c in (Fraction(1), Fraction(7, 3), Fraction(1, 10))),
+    Constant(Fraction(1, 10)),
+    Constant(Fraction(0)),
+    Constant(Fraction(-1, 3)),
+    Table((Fraction(1, 4), Fraction(0), Fraction(-1, 9), Fraction(2, 7), Fraction(-5))),
+    Table(()),
+]
+
+
+@pytest.mark.parametrize("delta", _RATIO_DELTAS, ids=str)
+def test_ratios_match_eval_at(delta):
+    # ranges inside, across and past the end of the table, and empty ones
+    for lo, hi in [(1, 2), (1, 30), (3, 6), (4, 9), (6, 12), (7, 7), (9, 4)]:
+        pairs = list(delta.ratios(lo, hi))
+        assert all(q > 0 for _, q in pairs)
+        assert [Fraction(p, q) for p, q in pairs] == [delta.eval_at(n) for n in range(lo, hi)]
+    with pytest.raises(ValueError):
+        delta.ratios(0, 3)
+
+
 # -- order-n points and their thickenings ----------------------------------------------
 
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from circlelab import CirclePoint, circle_point, format_fraction, parse_fraction
-from helpers import dist_to_order_scan, rand_fraction
+from circlelab import CirclePoint, Power, circle_point, format_fraction, parse_fraction, totient_range
+from circlelab import circle as circle_module
+from helpers import dist_to_order_scan, partial_sums_sequential, rand_fraction
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=60)
 small_orders = st.integers(min_value=1, max_value=40)
@@ -114,3 +115,58 @@ def test_points_are_hashable_and_ordered():
 
 def test_point_str():
     assert str(CirclePoint(Fraction(6, 8))) == "[3/4]"
+
+
+# -- the exact summation tree -----------------------------------------------------------
+
+
+def _sum_by_fraction(pairs) -> Fraction:
+    return sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+
+
+# denominator sizes below and above the level size at which pairs are added over their lcm
+_SMALL_BITS, _LARGE_BITS = 40, circle_module._LCM_BITS + 100
+
+
+def _coprime_denominators(k: int, bits: int) -> list[int]:
+    """k pairwise-coprime denominators above 2**bits: powers of distinct primes."""
+    primes = [p for p in range(2, 1000) if all(p % f for f in range(2, p))][:k]
+    return [p ** (bits // (p.bit_length() - 1) + 1) for p in primes]
+
+
+@pytest.mark.parametrize("bits", [_SMALL_BITS, _LARGE_BITS])
+def test_sum_ratios_matches_fraction_sum(bits):
+    rng = random.Random(1300 + bits)
+    sum_ratios = circle_module._sum_ratios
+    assert sum_ratios([]) == 0
+    q = rng.getrandbits(bits) | 1 << bits
+    assert sum_ratios([(-3, q)]) == Fraction(-3, q)
+    shared = [(rng.randint(-10**6, 10**6), q) for _ in range(37)]
+    coprime = [(rng.randint(-9, 9), d) for d in _coprime_denominators(25, bits)]
+    common = rng.getrandbits(bits) | 1  # every denominator shares a large factor
+    mixed = [(rng.randint(-10**9, 10**9), common * rng.randint(1, 2**bits)) for _ in range(61)]
+    # the totals per denominator that the measures add: signed, cancelling, some sharing factors
+    per_den = [(rng.randint(-2**bits, 2**bits), rng.choice((q, common, 1)) * rng.randint(1, 500))
+               for _ in range(45)]
+    cases = [shared, coprime, mixed, per_den, [(5, 7)] + mixed, mixed + coprime + shared]
+    for pairs in cases:
+        assert sum_ratios(pairs) == _sum_by_fraction(pairs)
+        assert sum_ratios(iter(pairs)) == _sum_by_fraction(pairs)
+    assert sum_ratios([(1, q), (-1, q)]) == 0
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_sum_ratios_of_totient_blocks_matches_series_oracle(a):
+    """The doubling blocks of the totient series to 2^12 sum, block by block, to the running oracle."""
+    phi = totient_range(2**12)
+    cutoffs = [2**k for k in range(1, 13)]
+    totals, total, lo = [], Fraction(0), 1
+    widest = 0
+    for cutoff in cutoffs:
+        block = [(phi[n], n**a) for n in range(lo, cutoff + 1)]
+        total += circle_module._sum_ratios(block)
+        totals.append(total)
+        widest = max(widest, sum(q.bit_length() for _, q in block))
+        lo = cutoff + 1
+    assert widest > 4 * circle_module._LCM_BITS  # the top levels of the widest block add over the lcm
+    assert totals == partial_sums_sequential(Power(Fraction(1), a), cutoffs)

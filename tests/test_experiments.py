@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from circlelab import (
     tail_union,
     totient,
 )
-from helpers import partial_sums_sequential
+from helpers import dist_to_order_scan, partial_sums_sequential, rand_fraction
 
 
 def test_decimal_rendering():
@@ -203,6 +204,23 @@ def test_witnesses_strict_inequality():
     assert x.dist_to_order(2) == Fraction(1, 4)
     assert 2 not in membership_witnesses(x, Constant(Fraction(1, 4)), 4)
     assert 2 in membership_witnesses(x, Constant(Fraction(26, 100)), 4)
+    assert 2 not in membership_witnesses(x, Power(Fraction(1), 2), 4)
+    assert 2 in membership_witnesses(x, Power(Fraction(101, 100), 2), 4)
+
+
+def _witnesses_by_scan(x: Fraction, delta, n_max: int) -> list[int]:
+    return [n for n in range(1, n_max + 1) if dist_to_order_scan(x, n) < delta.eval_at(n)]
+
+
+@pytest.mark.parametrize("delta", _DS_DELTAS, ids=str)
+def test_witnesses_match_scan_oracle(delta):
+    rng = random.Random(1302)
+    # 1/4 lies at distance exactly delta_2 of power:1:2 and delta_1 of the table
+    points = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(89, 144)]
+    points += [rand_fraction(rng, 400) for _ in range(6)]
+    for x in points:
+        assert membership_witnesses(circle_point(x), delta, 40) == _witnesses_by_scan(x, delta, 40), x
+        assert membership_witnesses(circle_point(x), delta, 1) == _witnesses_by_scan(x, delta, 1), x
 
 
 def test_witnesses_validation():

@@ -31,10 +31,12 @@ def test_totient_against_sympy():
 
 
 def test_totient_range_matches_pointwise():
-    phi = totient_range(300)
+    phi = totient_range(2000)
     assert phi[0] == 0
-    for n in range(1, 301):
+    for n in range(1, 2001):
         assert phi[n] == totient(n)
+    assert totient_range(1) == [0, 1]
+    assert totient_range(2) == [0, 1, 1]
 
 
 def test_totient_multiplicative():
