@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .arcs import (
     ArcSet,
@@ -25,10 +25,9 @@ from .arcs import (
     _keyed_thickenings,
     _run_measure,
     _thickening_groups,
-    thicken,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
-from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize, is_prime
+from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize
 
 
 # -- radius sequences ---------------------------------------------------------
@@ -201,12 +200,14 @@ def _coprime_residues(n: int) -> list[int]:
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
-    """Thickening of the order-n points by delta.
+    """Thickening of the order-n points by delta: the tail union over the one index n at radius delta.
 
     For 0 < delta < 1/(2n) this is totient(n) disjoint arcs of length
     2*delta, total measure 2*totient(n)*delta.
     """
-    return thicken(finite_order_points(n), delta)
+    if n < 1:
+        raise ValueError(f"order must be a positive integer, got {n}")
+    return tail_union(TailUnionSpec(n, n, All(), Constant(delta)))
 
 
 @dataclass(frozen=True)
@@ -231,9 +232,10 @@ def _tail_terms(
     """The last index in [min(n_mins), n_max] whose term is the full circle (or 0), and the
     terms above it, from the lowest start that lies above it for Power and Constant.
 
-    The terms are (n, delta_n) for the n with pred(n).  A term with
-    delta_n <= 0 is empty and left out.  One with 2*delta_n >= 1 is the full
-    circle, so every tail union from a start up to its index is full.
+    The terms are (n, residues coprime to n, delta_n) for the n with
+    pred(n), as the arc writer takes them.  A term with delta_n <= 0 is
+    empty and left out.  One with 2*delta_n >= 1 is the full circle, so
+    every tail union from a start up to its index is full.
     """
     full = 0
     if not isinstance(delta, Table):
@@ -251,23 +253,19 @@ def _tail_terms(
             continue
         if 2 * d >= 1:  # only a Table's term can be full here
             return n, terms
-        terms.append((n, d))
+        terms.append((n, _coprime_residues(n), d))
     return full, terms
 
 
-def _with_residues(terms: Iterable[tuple[int, Fraction]]) -> list[tuple]:
-    """The terms (n, delta_n) as the arc writer takes them: (n, residues coprime to n, delta_n)."""
-    return [(n, _coprime_residues(n), d) for n, d in terms]
-
-
 def tail_union(spec: TailUnionSpec) -> ArcSet:
-    """Union of approx_order_set(i, delta_i) over n_min <= i <= n_max with pred(i).
+    """Union of the order-i points thickened by delta_i over n_min <= i <= n_max with pred(i).
 
     Every arc of every term goes into one sort and one merge.  A term with
     delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
+    approx_order_set is the case of one index at a constant radius.
     """
     full, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return ArcSet.full() if full else _integer_union(_thickening_groups(_with_residues(terms)))
+    return ArcSet.full() if full else _integer_union(_thickening_groups(terms))
 
 
 def tail_union_measures(
@@ -283,7 +281,7 @@ def tail_union_measures(
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    (keyed, groups), = _keyed_thickenings(_with_residues(t for t in terms if t[0] >= first))
+    (keyed, groups), = _keyed_thickenings([t for t in terms if t[0] >= first])
     measures = {s: _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
                                 [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
@@ -303,7 +301,7 @@ def scaled_tail_union_comparison(
     def union_terms(d: DeltaSequence) -> list:
         full, terms = _tail_terms(pred, d, [n_min], n_max)
         # the full circle as one arc: [-1/2, 1/2) around 0
-        return [(full, (0,), Fraction(1, 2))] if full else _with_residues(terms)
+        return [(full, (0,), Fraction(1, 2))] if full else terms
 
     terms = union_terms(delta), union_terms(delta.scale(scale))
     (k1, g1), (km, gm) = _keyed_thickenings(*terms)
@@ -344,8 +342,7 @@ def check_inclusion_iii(a: CirclePoint, n: int, delta: RationalLike) -> bool:
     q = a.order()
     if gcd(q, n) != 1:
         raise ValueError(f"order(a)={q} and n={n} must be coprime")
-    d = as_fraction(delta)
-    return approx_order_set(n, d).translate(a) <= approx_order_set(q * n, d)
+    return approx_order_set(n, delta).translate(a) <= approx_order_set(q * n, delta)
 
 
 def check_inclusion_iv(a: CirclePoint, n: int, delta: RationalLike) -> bool:
@@ -355,7 +352,7 @@ def check_inclusion_iv(a: CirclePoint, n: int, delta: RationalLike) -> bool:
     q = a.order()
     if n % (q * q) != 0:
         raise ValueError(f"order(a)**2 = {q * q} must divide n = {n}")
-    s = approx_order_set(n, as_fraction(delta))
+    s = approx_order_set(n, delta)
     return s.translate(a) == s
 
 
@@ -369,8 +366,6 @@ def gallagher_decomposition(
     the unfiltered tail union over the same range, since the three
     predicates partition the positive integers.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     a = tail_union(TailUnionSpec(n_min, n_max, NotDiv(p), delta))
     b = tail_union(TailUnionSpec(n_min, n_max, ExactlyOnce(p), delta))
     c = tail_union(TailUnionSpec(n_min, n_max, DivBySquare(p), delta))

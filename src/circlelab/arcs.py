@@ -54,11 +54,13 @@ One writer builds every ArcSet that is not already canonical, from
 integer arcs ``[lo/den, (lo + width)/den)`` in groups whose starts run
 through an arithmetic progression mod den: one start per raw segment of
 ``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and per segment of
-:meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; the points m/n of
-a thickening (:func:`thicken`, so every tail union); the n pieces of a
-preimage; the cells j/k of a union in ``invariant_set_search``.  Callers
-put a segment, an arc's start and length, or a segment and a map's
-offset over one denominator, so images are integer arithmetic on
+:meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
+of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
+the terms (n, residues, delta_n) that ``approx.tail_union`` and so
+``approx_order_set`` hand to :func:`_thickening_groups`; the n pieces of
+a preimage; the cells j/k of a union in ``invariant_set_search``.
+Callers put a segment, an arc's start and length, or a segment and a
+map's offset over one denominator, so images are integer arithmetic on
 numerators.  The writer cuts the arcs at the seam, keys and merges them,
 and builds a Fraction only for each merged endpoint.
 
@@ -108,14 +110,6 @@ class Arc:
         object.__setattr__(self, "length", as_fraction(self.length))
         if not ZERO < self.length <= ONE:
             raise ValueError(f"arc length must satisfy 0 < length <= 1, got {self.length}")
-
-    def segments(self) -> list[Segment]:
-        """Split at the 0/1 seam into line segments inside [0, 1]."""
-        start = self.start.value
-        end = start + self.length
-        if end <= ONE:
-            return [(start, end)]
-        return [(start, ONE), (ZERO, end - 1)]
 
     def __str__(self) -> str:
         end = self.start.value + self.length

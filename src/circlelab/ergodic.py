@@ -92,7 +92,7 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     # as in grid_cells, the cells j in bits are integer arcs [j/k, (j+1)/k), here in one group
     unions = (_integer_union([([j for j in range(k) if bits >> j & 1], 1, 0, 1, k, 0)])
               for bits in sorted(closed))
-    return [s for s in unions if t.preimage(s) == s]
+    return [s for s in unions if t.is_invariant(s)]
 
 
 def conjugation_check(n: int, x: CirclePoint, sample: Sequence[CirclePoint]) -> bool:

@@ -31,11 +31,12 @@ from circlelab import (
     ArcSet,
     CirclePoint,
     TailUnionSpec,
-    approx_order_set,
     arc,
+    finite_order_points,
     format_fraction,
     grid_cells,
     parse_fraction,
+    thicken,
     totient,
     union_all,
 )
@@ -318,17 +319,18 @@ def rmul_by_fraction(k: int, p: CirclePoint) -> CirclePoint:
 
 
 def thicken_by_arcs(points, delta: Fraction) -> tuple:
-    """Canonical segments of the thickening, one Arc per point, merged by Fraction sort."""
+    """Canonical segments of the thickening: Fraction arcs cut at the seam, merged by Fraction sort."""
     if delta <= 0:
         return ()
-    arcs = [Arc(p + CirclePoint(-delta), min(Fraction(1), 2 * delta)) for p in points]
-    return canonical_by_fraction_sort(seg for a in arcs for seg in a.segments())
+    length = min(Fraction(1), 2 * delta)
+    starts = [(p.value - delta) % 1 for p in points]
+    return canonical_by_fraction_sort(seg for start in starts for seg in _split_at_one(start, start + length))
 
 
 def tail_union_per_term(spec: TailUnionSpec) -> ArcSet:
-    """The tail union as the union of one approx_order_set per admitted index."""
+    """The tail union as the union of one per-point thickening of the order-n points per admitted index."""
     return union_all(
-        approx_order_set(n, spec.delta.eval_at(n))
+        thicken(finite_order_points(n), spec.delta.eval_at(n))
         for n in range(spec.n_min, spec.n_max + 1)
         if spec.pred(n)
     )

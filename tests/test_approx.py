@@ -25,6 +25,7 @@ from circlelab import (
     finite_order_points,
     gallagher_decomposition,
     tail_union,
+    thicken,
     totient,
 )
 from circlelab import approx as approx_module
@@ -113,6 +114,20 @@ def test_approx_order_set_examples():
     assert s.measure == Fraction(8, 100)
     assert approx_order_set(3, 0) == ArcSet.empty()
     assert approx_order_set(2, Fraction(1, 3)) == S(("1/6", "2/3"))
+
+
+def test_approx_order_set_matches_per_point_thickening():
+    # empty, disjoint, touching (1/(2n)), overlapping and full cases
+    for n in range(1, 61):
+        for delta in (Fraction(-1, 3), Fraction(0), Fraction(1, 7 * n), Fraction(1, 2 * n), Fraction(1, n),
+                      Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)):
+            assert approx_order_set(n, delta) == thicken(finite_order_points(n), delta), (n, delta)
+
+
+def test_approx_order_set_rejects_nonpositive_order():
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="order must be a positive integer"):
+            approx_order_set(n, Fraction(1, 10))
 
 
 def test_approx_order_set_small_delta_measure():
@@ -364,8 +379,9 @@ def test_decomposition_reassembles_whole():
 
 
 def test_decomposition_rejects_composite():
-    with pytest.raises(ValueError):
-        gallagher_decomposition(4, 2, 10, Constant(Fraction(1, 100)))
+    for delta in (Constant(Fraction(1, 100)), Power(1, 2)):
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            gallagher_decomposition(4, 2, 10, delta)
 
 
 # -- coprime residues -----------------------------------------------------------------

@@ -77,8 +77,8 @@ def test_totient_rejects_nonpositive():
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
-    for n in range(2, 500):
-        assert is_prime(n) == sympy.isprime(n)
+    for n in range(-3, 2000):
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 # -- predicates -------------------------------------------------------------------
