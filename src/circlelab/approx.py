@@ -230,13 +230,16 @@ def _tail_terms(
     pred: IndexPredicate, delta: DeltaSequence, n_mins: Sequence[int], n_max: int
 ) -> tuple[int, list]:
     """The last index in [min(n_mins), n_max] whose term is the full circle (or 0), and the
-    terms above it, from the lowest start that lies above it for Power and Constant.
+    terms from n_max down to it, from the lowest start that lies above it for Power and Constant.
 
-    The terms are (n, residues coprime to n, delta_n) for the n with
-    pred(n), as the arc writer takes them.  A term with delta_n <= 0 is
-    empty and left out.  One with 2*delta_n >= 1 is the full circle, so
-    every tail union from a start up to its index is full.
+    Checks the range first, as TailUnionSpec does.  The terms are (n,
+    residues coprime to n, delta_n) for the n with pred(n), as the arc
+    writer takes them.  A term with delta_n <= 0 is empty and left out.
+    One with 2*delta_n >= 1 is the full circle, so every tail union from a
+    start up to its index is full; the highest such term comes last, as
+    the one arc (full, (0,), 1/2), [-1/2, 1/2) around 0.
     """
+    TailUnionSpec(min(n_mins), n_max, pred, delta)
     full = 0
     if not isinstance(delta, Table):
         # Power and Constant never increase in n, so their full terms are a prefix of the range
@@ -252,8 +255,11 @@ def _tail_terms(
         if d <= 0:
             continue
         if 2 * d >= 1:  # only a Table's term can be full here
-            return n, terms
+            full = n
+            break
         terms.append((n, _coprime_residues(n), d))
+    if full:
+        terms.append((full, (0,), Fraction(1, 2)))
     return full, terms
 
 
@@ -261,11 +267,12 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
     """Union of the order-i points thickened by delta_i over n_min <= i <= n_max with pred(i).
 
     Every arc of every term goes into one sort and one merge.  A term with
-    delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle.
-    approx_order_set is the case of one index at a constant radius.
+    delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle,
+    written as one arc like any other term.  approx_order_set is the case
+    of one index at a constant radius.
     """
-    full, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return ArcSet.full() if full else _integer_union(_thickening_groups(terms))
+    _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
+    return _integer_union(_thickening_groups(terms))
 
 
 def tail_union_measures(
@@ -293,18 +300,14 @@ def scaled_tail_union_comparison(
     """The tail unions W1 at radii delta_n and Wm at radii scale*delta_n over [n_min, n_max]:
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
 
-    The arcs of each union are sorted once and measured without merging
-    (see arcs._run_measure), and W1 | Wm is measured from the two sorted
-    lists together; the rest follows from the three measures.
+    The arcs of each union, a full term's one arc among them, are sorted
+    once and measured without merging (see arcs._run_measure), and W1 | Wm
+    is measured from the two sorted lists together; the rest follows from
+    the three measures.
     """
-
-    def union_terms(d: DeltaSequence) -> list:
-        full, terms = _tail_terms(pred, d, [n_min], n_max)
-        # the full circle as one arc: [-1/2, 1/2) around 0
-        return [(full, (0,), Fraction(1, 2))] if full else terms
-
-    terms = union_terms(delta), union_terms(delta.scale(scale))
-    (k1, g1), (km, gm) = _keyed_thickenings(*terms)
+    _, t1 = _tail_terms(pred, delta, [n_min], n_max)
+    _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
+    (k1, g1), (km, gm) = _keyed_thickenings(t1, tm)
     mu_1, mu_m = _run_measure(k1, g1), _run_measure(km, gm)
     mu_both = _run_measure(sorted(k1 + km), g1 + gm)  # Timsort merges the two sorted runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1

@@ -23,7 +23,8 @@ with ``k = 2 * maxbits + 2``, where every b in play is below
 ``2 ** -(2 * maxbits)``, so their keys differ and order as the rationals
 do; equal rationals, reduced or not, get equal keys.  Boolean operations
 on canonical sets need no sort: one sweep over the endpoints of both
-operands serves them all, galloping over long runs of one operand's
+operands serves them all, the complement too, which is the full circle
+less the set.  The sweep gallops over long runs of one operand's
 endpoints, so its cost follows the interleaving of the operands and the
 size of the result, not the size of the larger operand.
 
@@ -481,15 +482,8 @@ class ArcSet:
     # -- boolean algebra ----------------------------------------------------
 
     def complement(self) -> "ArcSet":
-        gaps = []
-        cursor = ZERO
-        for lo, hi in self.segments:
-            if cursor < lo:
-                gaps.append((cursor, lo))
-            cursor = hi
-        if cursor < ONE:
-            gaps.append((cursor, ONE))
-        return ArcSet._trusted(tuple(gaps))
+        """The full circle less self, by the same sweep as every other boolean operation."""
+        return ArcSet.full().difference(self)
 
     __invert__ = complement
 
@@ -549,12 +543,8 @@ class ArcSet:
     def arcs(self) -> tuple[Arc, ...]:
         """The set as wrap-joined arcs, sorted by start point."""
         segs = self.segments
-        if not segs:
-            return ()
-        if self.is_full():
-            return (Arc(CirclePoint(ZERO), ONE),)
         out = []
-        if segs[0][0] == ZERO and segs[-1][1] == ONE:
+        if len(segs) > 1 and segs[0][0] == ZERO and segs[-1][1] == ONE:
             # the two seam pieces are one arc of the circle
             wrap_lo = segs[-1][0]
             out.append(Arc(CirclePoint(wrap_lo), (ONE - wrap_lo) + segs[0][1]))

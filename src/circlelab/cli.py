@@ -13,7 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .approx import DeltaSequence, TailUnionSpec, approx_order_set, parse_delta, tail_union_measures
+from .approx import DeltaSequence, approx_order_set, parse_delta, tail_union_measures
 from .arcs import ArcSet
 from .circle import CirclePoint, format_fraction, parse_fraction
 from .density import density_profile
@@ -115,7 +115,7 @@ def _cmd_witnesses(args) -> int:
 def _cmd_ao(args) -> int:
     if (args.radius is None) == (args.delta is None):
         raise ValueError("provide exactly one of --radius or --delta")
-    radius = parse_fraction(args.radius) if args.radius else _load_delta(args.delta).eval_at(args.n)
+    radius = parse_fraction(args.radius) if args.radius is not None else _load_delta(args.delta).eval_at(args.n)
     data = approx_order_set(args.n, radius).to_json_dict()
     rows = ((a["start"], a["length"]) for a in data["arcs"])
     return _emit(args, data, ("start", "length"), rows)
@@ -131,7 +131,6 @@ def _cmd_measure(args) -> int:
         if args.delta is None or args.n_min is None or args.n_max is None:
             raise ValueError("need --set, or --delta with --n-min and --n-max")
         pred, delta = parse_predicate(args.pred), _load_delta(args.delta)
-        TailUnionSpec(args.n_min, args.n_max, pred, delta)  # checks the range
         measure, = tail_union_measures(pred, delta, [args.n_min], args.n_max)
         params = {
             "delta": str(delta),

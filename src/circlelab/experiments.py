@@ -20,7 +20,6 @@ from .approx import (
     Constant,
     DeltaSequence,
     Power,
-    TailUnionSpec,
     scaled_tail_union_comparison,
     tail_union_measures,
 )
@@ -186,7 +185,6 @@ def cassels_experiment(
     scale = as_fraction(m)
     if scale <= 0:
         raise ValueError(f"scaling factor must be positive, got {scale}")
-    TailUnionSpec(n_min, n_max, pred, delta)  # checks the range
     comparison = scaled_tail_union_comparison(pred, delta, scale, n_min, n_max)
     w1_measure, wm_measure, symm_diff, base_in_scaled, scaled_in_base = comparison
     report = ExperimentReport(

@@ -67,6 +67,9 @@ class IndexPredicate:
 
 
 def _check_prime(p: int) -> None:
+    # trial division runs to sqrt(p): about 0.1 s at 10**12, over a minute at 10**18
+    if p > 10**12:
+        raise ValueError(f"a predicate prime must be at most 10**12, got {p}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 

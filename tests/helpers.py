@@ -8,8 +8,9 @@ The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
 algorithms: a Fraction sort for canonicalisation, a sweep that compares
 Fraction endpoints for boolean operations, one set per term for tail
-unions, one Fraction addition per term for exact sums, and Fraction
-arithmetic for the affine maps and the circle's group operations.
+unions, one Fraction addition per term for exact sums, Fraction
+arithmetic for the affine maps and the circle's group operations, and a
+walk over the gaps for the complement.
 """
 
 from __future__ import annotations
@@ -258,6 +259,19 @@ def symm_diff_by_fraction(a, b) -> Fraction:
 def subset_by_fraction(a, b) -> bool:
     """Whether canonical segments a lie inside b: the Fraction sweep of a - b yields nothing."""
     return next(sweep_by_fraction(a, b, SUB), None) is None
+
+
+def complement_by_gap_walk(s: ArcSet) -> tuple:
+    """The gaps between s's canonical segments, and those before the first and after the last, by one walk."""
+    gaps = []
+    cursor = Fraction(0)
+    for lo, hi in s.segments:
+        if cursor < lo:
+            gaps.append((cursor, lo))
+        cursor = hi
+    if cursor < 1:
+        gaps.append((cursor, Fraction(1)))
+    return tuple(gaps)
 
 
 def _split_at_one(start: Fraction, end: Fraction) -> list[tuple[Fraction, Fraction]]:

@@ -196,6 +196,20 @@ def test_tail_union_spec_validation():
         TailUnionSpec(6, 5, All(), Constant(Fraction(1, 10)))
 
 
+@pytest.mark.parametrize(
+    "n_mins, n_max, message",
+    [([0], 3, "n_min must be >= 1, got 0"), ([5], 3, r"need n_min <= n_max, got \[5, 3\]"),
+     ([2, 0], 3, "n_min must be >= 1, got 0")],
+)
+@pytest.mark.parametrize("delta", [Table((Fraction(1, 4),)), Power(Fraction(1), 2), Constant(Fraction(1, 2))], ids=str)
+def test_measure_queries_check_the_range(delta, n_mins, n_max, message):
+    """Direct calls refuse a start below 1 or above n_max, as TailUnionSpec does, rather than answer."""
+    with pytest.raises(ValueError, match=message):
+        approx_module.tail_union_measures(All(), delta, n_mins, n_max)
+    with pytest.raises(ValueError, match=message):
+        approx_module.scaled_tail_union_comparison(All(), delta, Fraction(2), min(n_mins), n_max)
+
+
 def test_tail_union_monotone_in_range():
     delta = Power(Fraction(1), 2)
     rng = random.Random(41)

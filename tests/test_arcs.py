@@ -13,10 +13,12 @@ from circlelab import arcs as arcs_module
 from helpers import (
     XOR,
     canonical_by_fraction_sort,
+    complement_by_gap_walk,
     grid_measure,
     grid_segments,
     in_arc,
     measure_per_denominator,
+    rand_arcset,
     rand_grid_arcs,
     subset_by_fraction,
     sweep_by_fraction,
@@ -110,6 +112,22 @@ def test_symm_diff_measure_examples():
 @given(arcsets)
 def test_complement_involution(s):
     assert s.complement().complement() == s
+
+
+def test_complement_matches_gap_walk_oracle():
+    """~s is the full circle less s by the sweep; the oracle walks the gaps between s's segments."""
+    rng = random.Random(4115)
+    sets = [ArcSet.empty(), ArcSet.full(), S((0, "1/3")), S(("2/3", "1/3")), S(("3/4", "1/2")), S(("1/7", "1/7"))]
+    sets += [rand_arcset(rng) for _ in range(200)]
+    # up to 60 short arcs: enough segments for the sweep to gallop
+    sets += [S(*((Fraction(rng.randrange(500), 500), Fraction(1, rng.randint(200, 2000))) for _ in range(60)))
+             for _ in range(200)]
+    # sets that touch 0 only, 1 only, both (a wrapping arc) and neither are all among them
+    ends = {(s.segments[0][0] == 0, s.segments[-1][1] == 1) for s in sets if s.segments}
+    assert ends == {(False, False), (False, True), (True, False), (True, True)}
+    assert max(len(s.segments) for s in sets) > 2 * arcs_module._GALLOP_AFTER
+    for s in sets:
+        assert (~s).segments == complement_by_gap_walk(s), s
 
 
 @given(arcsets, arcsets)

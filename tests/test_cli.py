@@ -165,11 +165,16 @@ def test_inputs_beyond_int_str_digit_limit(capsys):
         (["ao", "--n", "5", "--delta", "power:1:x"], "cannot parse delta sequence: 'power:1:x'"),
         (["ao", "--n", "5", "--delta", '{"kind":"power","c":"1","a":"x"}'], "'a' must be an integer, got 'x'"),
         (["ao", "--n", "5", "--delta", '{"kind":"power","c":"1","a":"1.5"}'], "'a' must be an integer, got '1.5'"),
+        (["ao", "--n", "3", "--radius", ""], "Invalid literal for Fraction: ''"),
+        (
+            ["measure", "--pred", "ndvd:1000000000000000003", "--delta", "power:1:2", "--n-min", "1", "--n-max", "5"],
+            "at most 10**12",
+        ),
     ],
     ids=[
         "int-start", "list-set", "table-without-values", "deep-predicate",
         "deep-set-json", "deep-delta-json", "power-without-exponent", "power-bad-exponent",
-        "json-power-text-exponent", "json-power-fraction-exponent",
+        "json-power-text-exponent", "json-power-fraction-exponent", "empty-radius", "huge-prime",
     ],
 )
 def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
@@ -178,6 +183,37 @@ def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
     assert err.startswith("circlelab: error: ") and err.count("\n") == 1
     assert names in err
     assert "Traceback" not in err
+
+
+# one small valid call per subcommand; each flag value is swapped in turn for each token of BAD_VALUES
+VALID_ARGV = [
+    ["gallagher", "--delta", "power:1:2", "--n-min-schedule", "2,3", "--n-max", "5"],
+    ["cassels", "--delta", "power:1:2", "--m", "2", "--pred", "ndvd:2", "--n-min", "2", "--n-max", "5"],
+    ["duffin-schaeffer", "--delta", "power:1:2", "--cap", "8"],
+    ["witnesses", "--x", "1/3", "--delta", "power:1:2", "--n-max", "5"],
+    ["ao", "--n", "3", "--radius", "1/10"],
+    ["ao", "--n", "3", "--delta", "power:1:2"],
+    ["measure", "--delta", "power:1:2", "--pred", "all", "--n-min", "2", "--n-max", "5"],
+    ["measure", "--set", '{"arcs":[{"start":"3/4","length":"1/2"}]}'],
+    ["ergodic-search", "--n", "2", "--x", "0", "--grid", "4"],
+    ["density", "--set", '{"arcs":[{"start":"0","length":"1/2"}]}', "--x", "1/4", "--eps", "1/4,1/8"],
+]
+BAD_VALUES = [
+    "", " ", "0", "-1", "1/0", "x", "{}", "[]", "null", "1e999", "power:1", "power::2", "const:",
+    "table:,", "or(", "sq:", "1/2,", ",", "nan", "inf", "3/2",
+]
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=lambda argv: "-".join(argv[:3]))
+def test_every_flag_value_swapped_for_a_bad_one_exits_without_a_traceback(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)  # so no token names a file that --delta or --set would read
+    assert main(argv) == 0
+    capsys.readouterr()
+    for i in range(2, len(argv), 2):
+        for value in BAD_VALUES:
+            bad = argv[:i] + [value] + argv[i + 1:]
+            assert main(bad) in (0, 1, 2), bad
+            assert "Traceback" not in capsys.readouterr().err, bad
 
 
 def test_ergodic_search(capsys):

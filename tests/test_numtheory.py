@@ -110,6 +110,16 @@ def test_predicates_require_prime():
             cls(1)
 
 
+def test_predicate_primes_above_10_to_the_12_are_refused_before_factorising():
+    # trial division would run to sqrt(p), about 10**9 steps for this prime near 10**18
+    with pytest.raises(ValueError, match=r"^a predicate prime must be at most 10\*\*12, got 1000000000000000003$"):
+        parse_predicate("ndvd:1000000000000000003")
+    for cls in (NotDiv, ExactlyOnce, DivBySquare):
+        with pytest.raises(ValueError, match=r"at most 10\*\*12"):
+            cls(10**12 + 39)  # prime, but above the bound
+    assert parse_predicate("sq:999999999989") == DivBySquare(999999999989)  # the largest prime below it
+
+
 def test_predicate_text_round_trip():
     for pred in (
         All(),
