@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import mul
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .arcs import (
     ArcSet,
@@ -33,8 +33,22 @@ from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, fa
 # -- radius sequences ---------------------------------------------------------
 
 
+class DeltaSequence:
+    """A radius sequence delta_1, delta_2, ...: a kind gives delta_n only through ratios(lo, hi).
+
+    nonincreasing (its full terms are a prefix of any range) and divergent (of the series of
+    totient(n)*delta_n, None if unknown) answer what callers would otherwise ask of its type.
+    """
+
+    nonincreasing = True
+
+    def eval_at(self, n: int) -> Fraction:
+        (p, q), = self.ratios(n, n + 1)
+        return Fraction(p, q)
+
+
 @dataclass(frozen=True)
-class Power:
+class Power(DeltaSequence):
     """delta_n = coeff / n**exponent, with coeff > 0 and exponent >= 0."""
 
     coeff: Fraction
@@ -47,9 +61,9 @@ class Power:
         if self.exponent < 0:
             raise ValueError(f"power-law exponent must be >= 0, got {self.exponent}")
 
-    def eval_at(self, n: int) -> Fraction:
-        _check_index(n)
-        return self.coeff / n**self.exponent
+    @property
+    def divergent(self) -> bool:
+        return self.exponent <= 2
 
     def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """delta_n for lo <= n < hi as unreduced pairs (p, q), q > 0, made as they are read."""
@@ -68,7 +82,7 @@ class Power:
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(DeltaSequence):
     """delta_n = value for every n; the value may be <= 0 (empty thickenings)."""
 
     value: Fraction
@@ -76,9 +90,9 @@ class Constant:
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", as_fraction(self.value))
 
-    def eval_at(self, n: int) -> Fraction:
-        _check_index(n)
-        return self.value
+    @property
+    def divergent(self) -> bool:
+        return self.value > 0  # a non-positive constant gives the zero series
 
     def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """delta_n for lo <= n < hi as pairs (p, q), q > 0."""
@@ -96,19 +110,15 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Table:
+class Table(DeltaSequence):
     """Explicitly tabulated radii delta_1, delta_2, ...; out of range is 0."""
 
     values: tuple[Fraction, ...]
+    nonincreasing = False
+    divergent = None  # no almost-everywhere claim is made from finite data
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
-
-    def eval_at(self, n: int) -> Fraction:
-        _check_index(n)
-        if n <= len(self.values):
-            return self.values[n - 1]
-        return Fraction(0)
 
     def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """delta_n for lo <= n < hi as pairs (p, q), q > 0; (0, 1) past the table."""
@@ -125,9 +135,6 @@ class Table:
 
     def __str__(self) -> str:
         return "table:" + ",".join(format_fraction(v) for v in self.values)
-
-
-DeltaSequence = Union[Power, Constant, Table]
 
 
 def _check_index(n: int) -> None:
@@ -230,34 +237,35 @@ def _tail_terms(
     pred: IndexPredicate, delta: DeltaSequence, n_mins: Sequence[int], n_max: int
 ) -> tuple[int, list]:
     """The last index in [min(n_mins), n_max] whose term is the full circle (or 0), and the
-    terms from n_max down to it, from the lowest start that lies above it for Power and Constant.
+    terms from n_max down to it, from the lowest start that lies above it for a nonincreasing delta.
 
-    Checks the range first, as TailUnionSpec does.  The terms are (n,
-    residues coprime to n, delta_n) for the n with pred(n), as the arc
-    writer takes them.  A term with delta_n <= 0 is empty and left out.
-    One with 2*delta_n >= 1 is the full circle, so every tail union from a
-    start up to its index is full; the highest such term comes last, as
-    the one arc (full, (0,), 1/2), [-1/2, 1/2) around 0.
+    Checks the lowest and the highest start first, as TailUnionSpec does.  The
+    terms are (n, residues coprime to n, delta_n) for the n with pred(n), as the
+    arc writer takes them.  Their radii come from one delta.ratios pass as pairs
+    (p, q): a term with p <= 0 is empty and left out, and one with 2*p >= q is
+    the full circle, so every tail union from a start up to its index is full;
+    the highest such term comes last, as the one arc (full, (0,), 1/2) around 0.
     """
-    TailUnionSpec(min(n_mins), n_max, pred, delta)
+    if not n_mins:
+        raise ValueError("no start n_min given")
+    for n_min in sorted({min(n_mins), max(n_mins)}):
+        TailUnionSpec(n_min, n_max, pred, delta)
     full = 0
-    if not isinstance(delta, Table):
-        # Power and Constant never increase in n, so their full terms are a prefix of the range
+    if delta.nonincreasing:
+        # the full terms of a nonincreasing delta are a prefix of the range
         indices = range(min(n_mins), n_max + 1)
         prefix = indices[:bisect_left(indices, True, key=lambda n: 2 * delta.eval_at(n) < 1)]
         full = next((n for n in reversed(prefix) if pred(n)), 0)
     first = min((s for s in n_mins if s > full), default=n_max + 1)
     terms = []
-    for n in range(n_max, first - 1, -1):
-        if not pred(n):
+    radii = reversed(list(delta.ratios(first, n_max + 1)))
+    for n, (p, q) in zip(range(n_max, first - 1, -1), radii):
+        if p <= 0 or not pred(n):
             continue
-        d = delta.eval_at(n)
-        if d <= 0:
-            continue
-        if 2 * d >= 1:  # only a Table's term can be full here
+        if 2 * p >= q:  # only a Table's term can be full here
             full = n
             break
-        terms.append((n, _coprime_residues(n), d))
+        terms.append((n, _coprime_residues(n), Fraction(p, q)))
     if full:
         terms.append((full, (0,), Fraction(1, 2)))
     return full, terms

@@ -16,13 +16,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .approx import (
-    Constant,
-    DeltaSequence,
-    Power,
-    scaled_tail_union_comparison,
-    tail_union_measures,
-)
+from .approx import DeltaSequence, scaled_tail_union_comparison, tail_union_measures
 from .circle import CirclePoint, RationalLike, _sum_ratios, as_fraction, format_fraction
 from .numtheory import All, IndexPredicate, totient_range
 
@@ -222,11 +216,11 @@ def duffin_schaeffer_classify(delta: DeltaSequence, partial_sum_cap: int) -> Exp
     """Partial sums of totient(n)*max(delta_n, 0) plus an analytic series verdict.
 
     Partial sums are reported at a doubling schedule of cutoffs up to the
-    cap.  For closed-form sequences the series is classified exactly:
-    a positive power law c/n**a diverges iff a <= 2 (predicted class
-    "full"), converges otherwise (predicted class "null"); a positive
-    constant diverges; a non-positive constant gives the zero series,
-    which converges.  Tabulated sequences are left "undetermined" — no
+    cap.  The series verdict is delta.divergent: exact for closed-form
+    sequences (a positive power law c/n**a diverges iff a <= 2, predicted
+    class "full", and converges otherwise, class "null"; a positive constant
+    diverges, a non-positive one gives the zero series, which converges).
+    Tabulated sequences give None and are left "undetermined" — no
     almost-everywhere claim is made from finite data.
     """
     if partial_sum_cap < 1:
@@ -251,14 +245,7 @@ def duffin_schaeffer_classify(delta: DeltaSequence, partial_sum_cap: int) -> Exp
         Verdict("partial_sums_nondecreasing", all(a <= b for a, b in zip(sums, sums[1:])))
     )
 
-    divergent: bool | None
-    if isinstance(delta, Power):
-        divergent = delta.exponent <= 2
-    elif isinstance(delta, Constant):
-        # a non-positive constant gives the identically-zero series
-        divergent = delta.value > 0
-    else:
-        divergent = None
+    divergent = delta.divergent
     if divergent is None:
         report.params["series"] = "undetermined"
         report.params["predicted_class"] = "undetermined"

@@ -8,6 +8,7 @@ from circlelab import (
     All,
     ArcSet,
     Constant,
+    DeltaSequence,
     DivBySquare,
     ExactlyOnce,
     NotDiv,
@@ -78,13 +79,27 @@ _RATIO_DELTAS = [
 ]
 
 
+def _reference(delta):
+    """delta_n, nonincreasing and divergent, worked out here from each kind's fields, not through ratios."""
+    if isinstance(delta, Power):
+        return (lambda n: delta.coeff / n**delta.exponent), True, delta.exponent in (0, 1, 2)
+    if isinstance(delta, Constant):
+        return (lambda n: delta.value), True, delta.value == Fraction(1, 10)
+    return (lambda n: delta.values[n - 1] if n <= len(delta.values) else Fraction(0)), False, None
+
+
 @pytest.mark.parametrize("delta", _RATIO_DELTAS, ids=str)
 def test_ratios_match_eval_at(delta):
+    radius, nonincreasing, divergent = _reference(delta)
+    assert isinstance(delta, DeltaSequence)
+    assert (delta.nonincreasing, delta.divergent) == (nonincreasing, divergent)
     # ranges inside, across and past the end of the table, and empty ones
     for lo, hi in [(1, 2), (1, 30), (3, 6), (4, 9), (6, 12), (7, 7), (9, 4)]:
         pairs = list(delta.ratios(lo, hi))
         assert all(q > 0 for _, q in pairs)
-        assert [Fraction(p, q) for p, q in pairs] == [delta.eval_at(n) for n in range(lo, hi)]
+        expected = [radius(n) for n in range(lo, hi)]
+        assert [Fraction(p, q) for p, q in pairs] == expected
+        assert [delta.eval_at(n) for n in range(lo, hi)] == expected
     with pytest.raises(ValueError):
         delta.ratios(0, 3)
 
@@ -208,6 +223,15 @@ def test_measure_queries_check_the_range(delta, n_mins, n_max, message):
         approx_module.tail_union_measures(All(), delta, n_mins, n_max)
     with pytest.raises(ValueError, match=message):
         approx_module.scaled_tail_union_comparison(All(), delta, Fraction(2), min(n_mins), n_max)
+
+
+@pytest.mark.parametrize("delta", [Table((Fraction(1, 4),)), Power(Fraction(1), 2), Constant(Fraction(1, 2))], ids=str)
+def test_measure_queries_check_every_start(delta):
+    """A start above n_max is refused even when a lower start is in range, and no start at all is refused."""
+    with pytest.raises(ValueError, match=r"need n_min <= n_max, got \[50, 30\]"):
+        approx_module.tail_union_measures(All(), delta, [2, 50], 30)
+    with pytest.raises(ValueError, match="no start n_min given"):
+        approx_module.tail_union_measures(All(), delta, [], 30)
 
 
 def test_tail_union_monotone_in_range():
