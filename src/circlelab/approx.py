@@ -25,6 +25,7 @@ from .arcs import (
     _keyed_thickenings,
     _run_measure,
     _thickening_groups,
+    _union_equals,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
 from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize
@@ -254,7 +255,7 @@ def _tail_terms(
     if delta.nonincreasing:
         # the full terms of a nonincreasing delta are a prefix of the range
         indices = range(min(n_mins), n_max + 1)
-        prefix = indices[:bisect_left(indices, True, key=lambda n: 2 * delta.eval_at(n) < 1)]
+        prefix = indices[:bisect_left(indices, True, key=lambda n: _is_partial(delta, n))]
         full = next((n for n in reversed(prefix) if pred(n)), 0)
     first = min((s for s in n_mins if s > full), default=n_max + 1)
     terms = []
@@ -269,6 +270,12 @@ def _tail_terms(
     if full:
         terms.append((full, (0,), Fraction(1, 2)))
     return full, terms
+
+
+def _is_partial(delta: DeltaSequence, n: int) -> bool:
+    """Whether 2 * delta_n < 1, read from the integer pair of delta.ratios with no Fraction."""
+    (p, q), = delta.ratios(n, n + 1)
+    return 2 * p < q
 
 
 def tail_union(spec: TailUnionSpec) -> ArcSet:
@@ -357,14 +364,17 @@ def check_inclusion_iii(a: CirclePoint, n: int, delta: RationalLike) -> bool:
 
 
 def check_inclusion_iv(a: CirclePoint, n: int, delta: RationalLike) -> bool:
-    """a + AO(n, delta) equals AO(n, delta) exactly, when order(a)**2 divides n."""
+    """a + AO(n, delta) equals AO(n, delta) exactly, when order(a)**2 divides n.
+
+    Decided on the translate's merged integer arcs, with no translate built (see arcs._union_equals).
+    """
     if n < 1:
         raise ValueError("n must be positive")
     q = a.order()
     if n % (q * q) != 0:
         raise ValueError(f"order(a)**2 = {q * q} must divide n = {n}")
     s = approx_order_set(n, delta)
-    return s.translate(a) == s
+    return _union_equals(s._translate_groups(a), s)
 
 
 def gallagher_decomposition(

@@ -65,6 +65,12 @@ map's offset over one denominator, so images are integer arithmetic on
 numerators.  The writer cuts the arcs at the seam, keys and merges them,
 and builds a Fraction only for each merged endpoint.
 
+Equality is decided on integer arcs: whether a union of groups equals an
+ArcSet, as ``AffineCircleMap.is_invariant`` and ``check_inclusion_iv``
+ask, is the writer's merge with each merged endpoint lo/den
+cross-multiplied with the set's, up to the first that differs
+(:func:`_union_equals`).  No set or Fraction is built.
+
 All values are immutable and all operations pure.
 """
 
@@ -234,20 +240,40 @@ _LO = itemgetter(2, 4)
 _HI = itemgetter(3, 4)
 
 
+def _merged(groups: Sequence[tuple]) -> list[tuple[tuple, tuple]]:
+    """_canonical of the pieces of groups of integer arcs; the pieces it does not return are freed."""
+    return _canonical(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
+
+
 def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
     """The one canonicaliser: the union of groups of integer arcs (see _keyed_pieces) as an ArcSet.
 
     Fractions are built only for merged endpoints.
     """
-    keyed = _keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1)))
-    merged = _canonical(keyed)
-    keyed.clear()  # frees the pieces that no merged segment starts or ends with
+    merged = _merged(groups)
     merged.reverse()
     segments = []
     while merged:  # popping frees each keyed item once its Fractions are built
         first, last = merged.pop()
         segments.append((Fraction(*_LO(first)), Fraction(*_HI(last))))
     return ArcSet._trusted(tuple(segments))
+
+
+def _union_equals(groups: Sequence[tuple], s: "ArcSet") -> bool:
+    """Whether the union of groups of integer arcs (see _keyed_pieces) is exactly s.
+
+    Compares the number of merged segments, then each merged endpoint lo/den
+    with s's a/b as lo * b == a * den, up to the first that differs.
+    """
+    merged = _merged(groups)
+    if len(merged) != len(s.segments):
+        return False
+    for (first, last), (x, y) in zip(merged, s.segments):
+        a, b = x.as_integer_ratio()
+        c, d = y.as_integer_ratio()
+        if first[2] * b != a * first[4] or last[3] * d != c * last[4]:
+            return False
+    return True
 
 
 def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple[int, int, int]]:
@@ -521,9 +547,13 @@ class ArcSet:
 
     def translate(self, a: CirclePoint) -> "ArcSet":
         """Exact image {a + y : y in self}; preserves measure."""
+        return _integer_union(self._translate_groups(a))
+
+    def _translate_groups(self, a: CirclePoint) -> list[tuple]:
+        """The arcs of the image under y -> y + a as groups of the writer (see _keyed_pieces)."""
         e, f = a.value.as_integer_ratio()
-        return _integer_union([((lo,), 1, e * (den // f), hi - lo, den, 0)
-                               for lo, hi, den in _over_one_denominator(self.segments, f)])
+        return [((lo,), 1, e * (den // f), hi - lo, den, 0)
+                for lo, hi, den in _over_one_denominator(self.segments, f)]
 
     def mul_image(self, m: int) -> "ArcSet":
         """Exact image under y -> m*y; an arc of length L maps to one of length min(1, m*L)."""

@@ -10,9 +10,10 @@ search for invariant sets among unions of grid cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Sequence
 
-from .arcs import ArcSet, _integer_union, _over_one_denominator
+from .arcs import ArcSet, _integer_union, _over_one_denominator, _union_equals
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -37,21 +38,32 @@ class AffineCircleMap:
         is rejected: the constant map's preimages are degenerate and not
         measure-preserving.
         """
+        return _integer_union(self._preimage_groups(s))
+
+    def _preimage_groups(self, s: ArcSet) -> list[tuple]:
+        """The arcs of the preimage of s as groups of the writer (see arcs._keyed_pieces)."""
         n = self.multiplier
         if n < 1:
             raise ValueError("preimage requires multiplier >= 1")
         e, f = self.offset.value.as_integer_ratio()
         # over n*den, a segment [lo, hi) pulls back to the pieces that start at lo - x*den + j*den, j < n
-        return _integer_union([(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
-                               for lo, hi, den in _over_one_denominator(s.segments, f)])
+        return [(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
+                for lo, hi, den in _over_one_denominator(s.segments, f)]
 
     def preserves_measure_on(self, sample: Iterable[ArcSet]) -> bool:
         """Exact self-check: preimages of every sampled set keep its measure."""
         return all(self.preimage(s).measure == s.measure for s in sample)
 
     def is_invariant(self, s: ArcSet) -> bool:
-        """True iff the preimage of s equals s as canonical ArcSets."""
-        return self.preimage(s) == s
+        """True iff the preimage of s equals s, decided on the preimage's merged integer arcs.
+
+        No preimage ArcSet is built, and the comparison stops at the first
+        merged endpoint that differs (see arcs._union_equals).  The empty set
+        and the circle are invariant without a preimage; a multiplier of 0
+        is rejected, as by preimage.
+        """
+        groups = self._preimage_groups(s)
+        return s.is_empty() or s.is_full() or _union_equals(groups, s)
 
 
 def grid_cells(denominator: int) -> list[ArcSet]:
@@ -68,20 +80,25 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     preimage of one of its cells touches: preimages preserve measure, and
     canonical half-open sets equal up to measure zero are identical.  So the
     invariant unions are the unions of the closures reach[j], each still
-    verified by exact preimage equality.  k is capped at 20, since for
-    n = 1 all 2**k unions can be invariant.
+    verified exactly by is_invariant.  For n >= k every cell reaches
+    every cell, so only the empty set and the circle are left, and those
+    are invariant with no preimage written: the work does not grow with n.
+    k is capped at 20, since for n = 1 all 2**k unions can be invariant.
     """
     k = grid_denominator
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
     n, (e, f) = t.multiplier, t.offset.value.as_integer_ratio()
-    reach = [1 << j for j in range(k)]
-    for j in range(k):
-        # over n*k*f, the preimage of cell j is n pieces of length f, k*f apart, and
-        # the piece [p, p + f) touches the cells p // (n*f) to ceil((p + f) / (n*f)) - 1
-        for p in range((j * f - e * k) % (k * f), n * k * f, k * f):
-            for i in range(p // (n * f), -(-(p + f) // (n * f))):
-                reach[j] |= 1 << (i % k)
+    if n >= k:  # the pieces of a cell's preimage start 1/n <= 1/k apart, so one starts in every cell
+        reach = [(1 << k) - 1] * k
+    else:
+        reach = [1 << j for j in range(k)]
+        for j in range(k):
+            # over n*k*f, the preimage of cell j is n pieces of length f, k*f apart, and
+            # the piece [p, p + f) touches the cells p // (n*f) to ceil((p + f) / (n*f)) - 1
+            for p in range((j * f - e * k) % (k * f), n * k * f, k * f):
+                for i in range(p // (n * f), -(-(p + f) // (n * f))):
+                    reach[j] |= 1 << (i % k)
     for m in range(k):  # Warshall: reach[j] becomes its transitive closure
         for j in range(k):
             if reach[j] >> m & 1:
@@ -100,11 +117,28 @@ def conjugation_check(n: int, x: CirclePoint, sample: Sequence[CirclePoint]) -> 
 
     The shift is computed from the canonical representative of x; any other
     representative differs by a point of order dividing n - 1, which
-    conjugates the same pair of maps.  Must return True for every sample.
+    conjugates the same pair of maps.  Both sides are integer numerators
+    over one denominator per sample (see _conjugated_images), with no
+    CirclePoint built.  Must return True for every sample.
     """
     if n < 2:
         raise ValueError(f"conjugation needs multiplier >= 2, got {n}")
-    shift = CirclePoint(x.value / (n - 1))
-    g = AffineCircleMap(n, x)
-    f = AffineCircleMap(n)
-    return all(shift + g(y - shift) == f(y) for y in sample)
+    e, f = x.value.as_integer_ratio()
+    return all(left == right for left, right, _ in _conjugated_images(n, x, (e, f * (n - 1)), sample))
+
+
+def _conjugated_images(n: int, x: CirclePoint, shift: tuple[int, int],
+                       sample: Iterable[CirclePoint]) -> Iterator[tuple[int, int, int]]:
+    """For each y in sample, shift + g(y - shift) and f(y), for g: y -> n*y + x, f: y -> n*y and shift = r/d.
+
+    Each pair comes as numerators in [0, den) over den = lcm(v, d, den(x))
+    for y = u/v, followed by den.
+    """
+    r, d = shift
+    e, f = x.value.as_integer_ratio()
+    m = lcm(d, f)
+    for y in sample:
+        u, v = y.value.as_integer_ratio()
+        den = lcm(v, m)
+        yu, sr = u * (den // v), r * (den // d)
+        yield (sr + n * (yu - sr) + e * (den // f)) % den, n * yu % den, den

@@ -9,8 +9,9 @@ plain enumeration, and the slow-path oracles keep the library's earlier
 algorithms: a Fraction sort for canonicalisation, a sweep that compares
 Fraction endpoints for boolean operations, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
-arithmetic for the affine maps and the circle's group operations, and a
-walk over the gaps for the complement.
+arithmetic for the affine maps and the circle's group operations, a
+walk over the gaps for the complement, and whole ArcSets or CirclePoints
+compared for invariance, inclusion (iv) and conjugation.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from circlelab import (
     ArcSet,
     CirclePoint,
     TailUnionSpec,
+    approx_order_set,
     arc,
     finite_order_points,
     format_fraction,
@@ -313,6 +315,23 @@ def preimage_by_fraction(t: AffineCircleMap, s: ArcSet) -> ArcSet:
             start = (base + k) / n
             raw.extend(_split_at_one(start, start + sub))
     return ArcSet(tuple(raw))
+
+
+def is_invariant_by_preimage(t: AffineCircleMap, s: ArcSet) -> bool:
+    """Invariance as the library once decided it: the whole preimage ArcSet, then ==."""
+    return t.preimage(s) == s
+
+
+def inclusion_iv_by_translate(a: CirclePoint, n: int, delta: Fraction) -> bool:
+    """a + AO(n, delta) == AO(n, delta), with the translate built as an ArcSet; no order condition."""
+    s = approx_order_set(n, delta)
+    return s.translate(a) == s
+
+
+def conjugated_images_by_points(n: int, x: CirclePoint, shift: CirclePoint, sample) -> list:
+    """For each y, the points shift + g(y - shift) and f(y) for g: y -> n*y + x and f: y -> n*y."""
+    g, f = AffineCircleMap(n, x), AffineCircleMap(n)
+    return [(shift + g(y - shift), f(y)) for y in sample]
 
 
 # CirclePoint's group operations, normalised by Fraction % 1 in the public constructor

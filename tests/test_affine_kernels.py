@@ -3,21 +3,47 @@
 translate, mul_image and preimage write integer pieces over one
 denominator per segment, and CirclePoint's group operations work on
 integer numerators over b*d; each must give exactly the set or point that
-Fraction arithmetic gives (the oracles in helpers.py).
+Fraction arithmetic gives (the oracles in helpers.py).  is_invariant and
+check_inclusion_iv compare merged integer arcs with a set, and
+conjugation_check compares integer numerators; each must agree with the
+whole sets or points that it no longer builds.
 """
 
+import json
 import random
+import signal
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from circlelab import AffineCircleMap, ArcSet, CirclePoint, arc, circle_point, invariant_set_search
+import pytest
+
+import circlelab.arcs as arcs_module
+import circlelab.ergodic as ergodic_module
+from circlelab import (
+    AffineCircleMap,
+    ArcSet,
+    CirclePoint,
+    approx_order_set,
+    arc,
+    check_inclusion_iv,
+    circle_point,
+    conjugation_check,
+    invariant_set_search,
+)
+from circlelab.arcs import _integer_union, _union_equals
+from circlelab.cli import main
+from circlelab.ergodic import _conjugated_images
 from helpers import (
     add_by_fraction,
+    conjugated_images_by_points,
+    inclusion_iv_by_translate,
     invariant_sets_brute_force,
+    is_invariant_by_preimage,
     mul_image_by_fraction,
     neg_by_fraction,
     preimage_by_fraction,
+    rand_point,
     rmul_by_fraction,
     sub_by_fraction,
     translate_by_fraction,
@@ -183,16 +209,207 @@ def test_search_checks_only_the_trivial_candidates_when_every_cell_reaches_all(m
     filters, but would leave more candidates to check.
     """
     calls = 0
-    plain = AffineCircleMap.preimage
+    plain = AffineCircleMap.is_invariant
 
     def counting(t, s):
         nonlocal calls
         calls += 1
         return plain(t, s)
 
-    monkeypatch.setattr(AffineCircleMap, "preimage", counting)
+    monkeypatch.setattr(AffineCircleMap, "is_invariant", counting)
     for n, x, k in ((2, "0", 16), (3, "1/2", 18), (2, "1/3", 12), (5, "3/4", 20), (4, "5/6", 7),
                      (1, "11/12", 6)):
         calls = 0
         found = invariant_set_search(AffineCircleMap(n, circle_point(x)), k)
         assert found == [ArcSet.empty(), ArcSet.full()] and calls == 2, (n, x, k, calls)
+
+
+# -- equality on merged integer arcs ------------------------------------------------------
+
+
+def _arcs(*arcs) -> list[tuple]:
+    """Writer groups of one integer arc [lo/den, (lo + width)/den) each, given as (lo, width, den)."""
+    return [((lo,), 1, 0, width, den, 0) for lo, width, den in arcs]
+
+
+def test_union_equals_on_each_early_exit():
+    s = ArcSet.from_arcs([arc("1/8", "1/8"), arc("1/2", "1/4")])
+    # the same set from two touching pieces and another denominator
+    assert _union_equals(_arcs((2, 1, 16), (3, 1, 16), (4, 2, 8)), s)
+    # different segment counts: one too few, one too many, none
+    assert not _union_equals(_arcs((2, 2, 16)), s)
+    assert not _union_equals(_arcs((2, 2, 16), (4, 2, 8), (7, 1, 9)), s)
+    assert not _union_equals([], s) and _union_equals([], ArcSet.empty())
+    # equal counts, and only the last endpoint differs, by 1/1000 and by 2**-70
+    assert not _union_equals(_arcs((2, 2, 16), (500, 251, 1000)), s)
+    assert not _union_equals(_arcs((2, 2, 16), (2**69, 2**68 + 1, 2**70)), s)
+    # equal counts, and only the first endpoint differs
+    assert not _union_equals(_arcs((4, 2, 24), (4, 2, 8)), s)
+    # seam-crossing arcs are cut at 0 and must merge again with s's two seam pieces
+    wrap = ArcSet.from_arcs([arc("7/8", "1/4")])
+    assert wrap.segments == ((0, Fraction(1, 8)), (Fraction(7, 8), 1))
+    assert _union_equals(_arcs((7, 2, 8)), wrap)
+    assert _union_equals(_arcs((21, 3, 24), (0, 3, 24)), wrap)
+    assert not _union_equals(_arcs((15, 3, 16)), wrap)  # starts at 15/16
+    assert not _union_equals(_arcs((7, 3, 8)), wrap)  # ends at 1/4
+    assert _union_equals(_arcs((3, 8, 8)), ArcSet.full()) and _union_equals(_arcs((0, 5, 5)), ArcSet.full())
+    # denominators above 2**64 and a seam-crossing arc; then one numerator is off by one
+    d1, d2 = 2**64 + 13, 3 * 2**70
+    big = ArcSet.from_arcs([arc(Fraction(5, d1), Fraction(7, d2)), arc(Fraction(d1 - 1, d1), Fraction(2, d1))])
+    den = d1 * d2
+    pieces = [(5 * d2, 7 * d1, den), ((d1 - 1) * d2, 2 * d2, den)]
+    assert len(big.segments) == 3 and _union_equals(_arcs(*pieces), big)
+    for changed in ([(5 * d2, 7 * d1 + 1, den), pieces[1]], [pieces[0], ((d1 - 1) * d2 + 1, 2 * d2 - 1, den)]):
+        assert not _union_equals(_arcs(*changed), big)
+
+
+def test_union_equals_matches_the_built_union_on_seeded_sets():
+    """Every endpoint of a seeded union moved in turn by 1/den: the kernel says what == on the ArcSet says."""
+    rng = random.Random(89)
+    dens = SMALL + BIG
+    for _ in range(150):
+        groups = []
+        for _ in range(rng.randint(0, 6)):
+            d = rng.choice(dens)
+            groups += _arcs((rng.randrange(d), rng.randint(1, d), d))
+        union = _integer_union(groups)
+        assert _union_equals(groups, union)
+        ends = [x for seg in union.segments for x in seg]
+        for i in range(len(ends)):
+            for step in (Fraction(-1, 7 * ends[i].denominator), Fraction(1, 7 * ends[i].denominator)):
+                moved = ends[:i] + [ends[i] + step] + ends[i + 1:]
+                if 0 <= moved[0] and moved[-1] <= 1 and all(x < y for x, y in zip(moved, moved[1:])):
+                    other = ArcSet._trusted(tuple(zip(moved[0::2], moved[1::2])))
+                    assert union != other and not _union_equals(groups, other)
+
+
+def test_is_invariant_on_the_invariant_unions_of_rotations():
+    """n = 1: a rotation by j/k leaves invariant the unions of its cell orbits, and no others."""
+    for x, k in (("1/4", 8), ("1/3", 9), ("5/6", 12), ("0", 6), ("1/2", 10)):
+        t = AffineCircleMap(1, circle_point(x))
+        found = invariant_set_search(t, k)
+        assert found == invariant_sets_brute_force(t, k) and len(found) > 2
+        cells = [_integer_union(_arcs(*((j, 1, k) for j in range(k) if bits >> j & 1))) for bits in range(1 << k)]
+        assert [s for s in cells if t.is_invariant(s)] == found
+        assert all(t.is_invariant(s) == is_invariant_by_preimage(t, s) for s in cells)
+
+
+def test_is_invariant_rejects_multiplier_zero():
+    t = AffineCircleMap(0, circle_point("1/3"))
+    for s in (ArcSet.empty(), ArcSet.full(), ArcSet.from_arcs([arc("1/4", "1/2")])):
+        with pytest.raises(ValueError, match="multiplier >= 1"):
+            t.is_invariant(s)
+
+
+@given(arc_sets(), st.integers(min_value=1, max_value=6), points)
+@settings(max_examples=200)
+def test_is_invariant_matches_preimage_oracle(s, n, x):
+    t = AffineCircleMap(n, x)
+    assert t.is_invariant(s) == is_invariant_by_preimage(t, s)
+    assert t.is_invariant(t.preimage(s)) == is_invariant_by_preimage(t, t.preimage(s))
+
+
+def test_inclusion_iv_matches_translate_oracle():
+    """check_inclusion_iv's kernel, also on translates whose order is not admitted, where it can be False."""
+    rng = random.Random(97)
+    for _ in range(200):
+        q = rng.randint(2, 6)
+        a = circle_point(Fraction(rng.randrange(1, q), q))
+        d = Fraction(1, rng.randint(2, 400))
+        n = q * q * rng.randint(1, 5)
+        assert check_inclusion_iv(a, n, d) and inclusion_iv_by_translate(a, n, d)
+        n = rng.randint(1, 40)
+        s = approx_order_set(n, d)
+        assert _union_equals(s._translate_groups(a), s) == inclusion_iv_by_translate(a, n, d)
+    s = approx_order_set(9, Fraction(1, 100))
+    assert not _union_equals(s._translate_groups(circle_point("1/9")), s)
+
+
+# -- searches where n >= k -------------------------------------------------------------------
+
+
+@pytest.fixture
+def writer_capped(monkeypatch):
+    """A writer that refuses more than 10**5 pieces, so a search that writes n pieces fails at once."""
+    keyed_pieces = arcs_module._keyed_pieces
+
+    def capped(groups, k):
+        pieces = sum(len(g[0]) for g in groups)
+        if pieces > 10**5:
+            raise AssertionError(f"the writer was asked for {pieces} pieces")
+        return keyed_pieces(groups, k)
+
+    monkeypatch.setattr(arcs_module, "_keyed_pieces", capped)
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("the search took work that grows with n")
+
+
+def test_search_for_large_multipliers_writes_no_preimage(writer_capped, capsys):
+    """For n >= k the search answers at once; a scan of the n pieces of each cell fails on the alarm."""
+    trivial = [ArcSet.empty(), ArcSet.full()]
+    handler = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(30)
+    try:
+        for n, x, k in ((10**8, "1/3", 20), (10**6, "0", 1), (10**12 + 39, "5/7", 13), (200001, "1/2", 20)):
+            assert invariant_set_search(AffineCircleMap(n, circle_point(x)), k) == trivial
+        assert main(["ergodic-search", "--n", "100000000", "--x", "1/3", "--grid", "20"]) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [ArcSet.from_json_dict(d) for d in json.loads(capsys.readouterr().out)] == trivial
+    with pytest.raises(AssertionError):
+        AffineCircleMap(10**8).preimage(ArcSet.full())
+
+
+def test_search_around_n_equal_to_k_matches_brute_force_oracle():
+    """Every n <= 3k for k <= 6, and n in {k - 1, k, 3k} for 7 <= k <= 12."""
+    rng = random.Random(101)
+    for k in range(1, 13):
+        ns = range(1, 3 * k + 1) if k <= 6 else (k - 1, k, 3 * k)
+        for n in ns:
+            t = AffineCircleMap(n, rand_point(rng, 6))
+            assert invariant_set_search(t, k) == invariant_sets_brute_force(t, k), (n, t.offset, k)
+
+
+# -- conjugation ----------------------------------------------------------------------------
+
+
+def test_conjugated_images_match_point_oracle():
+    """Each sample's two values, for the shift x/(n-1) and for shifts that do not conjugate."""
+    rng = random.Random(103)
+    dens = SMALL + BIG
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        f = rng.choice(dens)
+        x = circle_point(Fraction(rng.randrange(f), f))
+        sample = [circle_point(Fraction(rng.randrange(d), d)) for d in rng.choices(dens, k=8)]
+        d = rng.choice(dens)
+        for shift in (CirclePoint(x.value / (n - 1)), circle_point(Fraction(rng.randrange(d), d))):
+            got = list(_conjugated_images(n, x, shift.value.as_integer_ratio(), sample))
+            want = conjugated_images_by_points(n, x, shift, sample)
+            for (left, right, den), (p, q) in zip(got, want, strict=True):
+                assert 0 <= left < den and 0 <= right < den
+                assert Fraction(left, den) == p.value and Fraction(right, den) == q.value
+            assert all(left == right for left, right, _ in got) == all(p == q for p, q in want)
+        assert conjugation_check(n, x, sample)
+
+
+def test_conjugation_fails_for_a_shift_other_than_x_over_n_minus_1():
+    sample = [circle_point(Fraction(j, 13)) for j in range(13)]
+    x = circle_point("1/2")
+    for n, shift in ((3, (1, 5)), (3, (1, 2)), (2, (1, 3)), (5, (0, 1)), (4, (1, 7))):
+        got = list(_conjugated_images(n, x, shift, sample))
+        assert not any(left == right for left, right, _ in got), (n, shift)
+    # a shift that differs from x/(n-1) by a point of order dividing n - 1 conjugates as well
+    assert all(left == right for left, right, _ in _conjugated_images(3, x, (3, 4), sample))
+
+
+def test_conjugation_check_fails_when_its_images_differ(monkeypatch):
+    """conjugation_check's verdict comes from the images: with its shift moved, it must say False."""
+    images = ergodic_module._conjugated_images
+    monkeypatch.setattr(ergodic_module, "_conjugated_images",
+                        lambda n, x, shift, sample: images(n, x, (shift[0] + 1, shift[1]), sample))
+    assert not conjugation_check(3, circle_point("1/2"), [circle_point("1/5"), circle_point("2/3")])
+    assert not conjugation_check(6, circle_point("2/7"), [circle_point(0)])

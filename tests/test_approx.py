@@ -486,20 +486,27 @@ def test_tail_union_measures_random_against_per_term_oracle():
 
 
 def test_tail_terms_of_a_nonincreasing_delta_skip_the_full_prefix(monkeypatch):
-    """power:1:1 is full for n <= 2: a union from 1 evaluates delta_n at O(log n_max) indices."""
+    """power:1:1 is full for n <= 2: a union from 1 reads delta_n at O(log n_max) indices, as integer pairs."""
     delta = Power(F(1), 1)
     top = helpers.tail_union_per_term(TailUnionSpec(1499, 1500, All(), delta)).measure
     calls = []
-    eval_at = Power.eval_at
-    monkeypatch.setattr(Power, "eval_at", lambda self, n: calls.append(n) or eval_at(self, n))
-    for n_max in (1500, 15000):
+    ratios = Power.ratios
+
+    def counting(self, lo, hi):
+        assert hi - lo <= 10**4, f"read {hi - lo} radii at once"  # fails before a long pass is made
+        calls.append(hi - lo)
+        return ratios(self, lo, hi)
+
+    monkeypatch.setattr(Power, "ratios", counting)
+    monkeypatch.setattr(Power, "eval_at", None)  # the bisection builds no Fraction
+    for n_max in (1500, 15000, 10**12):
         calls.clear()
         assert approx_module.tail_union_measures(All(), delta, [1], n_max) == [1]
-        assert len(calls) <= 2 * n_max.bit_length()
+        assert sum(calls) <= 2 * n_max.bit_length()
     calls.clear()
-    # a start above the full prefix evaluates only the indices from there on
+    # a start above the full prefix reads only the indices from there on
     assert approx_module.tail_union_measures(All(), delta, [1, 1499], 1500) == [1, top]
-    assert len(calls) <= 2 * (1500).bit_length() + 2
+    assert sum(calls) <= 2 * (1500).bit_length() + 2
 
 
 def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
