@@ -53,7 +53,6 @@ from .numtheory import (
     Or,
     is_prime,
     parse_predicate,
-    radical,
     totient,
     totient_range,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "parse_delta",
     "parse_fraction",
     "parse_predicate",
-    "radical",
     "tail_union",
     "thicken",
     "totient",

@@ -75,9 +75,6 @@ class Power(DeltaSequence):
     def scale(self, m: RationalLike) -> "Power":
         return Power(self.coeff * as_fraction(m), self.exponent)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "power", "c": format_fraction(self.coeff), "a": self.exponent}
-
     def __str__(self) -> str:
         return f"power:{format_fraction(self.coeff)}:{self.exponent}"
 
@@ -103,9 +100,6 @@ class Constant(DeltaSequence):
     def scale(self, m: RationalLike) -> "Constant":
         return Constant(self.value * as_fraction(m))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": "constant", "c": format_fraction(self.value)}
-
     def __str__(self) -> str:
         return f"const:{format_fraction(self.value)}"
 
@@ -130,9 +124,6 @@ class Table(DeltaSequence):
     def scale(self, m: RationalLike) -> "Table":
         f = as_fraction(m)
         return Table(tuple(v * f for v in self.values))
-
-    def to_json_dict(self) -> dict:
-        return {"kind": "table", "values": [format_fraction(v) for v in self.values]}
 
     def __str__(self) -> str:
         return "table:" + ",".join(format_fraction(v) for v in self.values)

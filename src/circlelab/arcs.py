@@ -573,15 +573,10 @@ class ArcSet:
     def arcs(self) -> tuple[Arc, ...]:
         """The set as wrap-joined arcs, sorted by start point."""
         segs = self.segments
-        out = []
         if len(segs) > 1 and segs[0][0] == ZERO and segs[-1][1] == ONE:
-            # the two seam pieces are one arc of the circle
-            wrap_lo = segs[-1][0]
-            out.append(Arc(CirclePoint(wrap_lo), (ONE - wrap_lo) + segs[0][1]))
-            segs = segs[1:-1]
-        out.extend(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
-        out.sort(key=lambda a: a.start.value)
-        return tuple(out)
+            # the two seam pieces are one arc of the circle, and it starts last
+            segs = segs[1:-1] + ((segs[-1][0], ONE + segs[0][1]),)
+        return tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
 
     def to_json_dict(self) -> dict:
         return {

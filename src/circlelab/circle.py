@@ -118,13 +118,6 @@ class CirclePoint:
         v = as_fraction(self.value)
         object.__setattr__(self, "value", v if 0 <= v.numerator < v.denominator else v % 1)
 
-    @classmethod
-    def _of(cls, num: int, den: int) -> "CirclePoint":
-        """The point num/den for 0 <= num < den, built as one Fraction and not normalised again."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "value", Fraction(num, den))
-        return point
-
     def norm(self) -> Fraction:
         """Distance to the nearest integer; lies in [0, 1/2]."""
         return min(self.value, 1 - self.value)
@@ -158,28 +151,23 @@ class CirclePoint:
             above += 1
         return min(un - below * v, above * v - un)
 
-    # the group operations work on integers over b*d and build one Fraction
     def __add__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        (a, b), (c, d) = self.value.as_integer_ratio(), other.value.as_integer_ratio()
-        return CirclePoint._of((a * d + c * b) % (b * d), b * d)
+        return CirclePoint(self.value + other.value)
 
     def __neg__(self) -> "CirclePoint":
-        a, b = self.value.as_integer_ratio()
-        return CirclePoint._of(-a % b, b)
+        return CirclePoint(-self.value)
 
     def __sub__(self, other: "CirclePoint") -> "CirclePoint":
         if not isinstance(other, CirclePoint):
             return NotImplemented
-        (a, b), (c, d) = self.value.as_integer_ratio(), other.value.as_integer_ratio()
-        return CirclePoint._of((a * d - c * b) % (b * d), b * d)
+        return CirclePoint(self.value - other.value)
 
     def __rmul__(self, k: int) -> "CirclePoint":
         if not isinstance(k, int):
             return NotImplemented
-        a, b = self.value.as_integer_ratio()
-        return CirclePoint._of(k * a % b, b)
+        return CirclePoint(k * self.value)
 
     def __str__(self) -> str:
         return f"[{format_fraction(self.value)}]"

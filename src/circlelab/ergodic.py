@@ -73,6 +73,11 @@ def grid_cells(denominator: int) -> list[ArcSet]:
     return [_integer_union([((j,), 1, 0, 1, denominator, 0)]) for j in range(denominator)]
 
 
+# ergodic-search at grid 16 under the identity (all 65,536 unions, 19 MB of JSON) took
+# 8-10 s and 305 MB on a shared 2-core host; each further cell doubles both
+_MAX_UNIONS = 1 << 16
+
+
 def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcSet]:
     """All unions of grid cells that the map leaves exactly invariant, sorted by cell bitmask.
 
@@ -83,7 +88,9 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     verified exactly by is_invariant.  For n >= k every cell reaches
     every cell, so only the empty set and the circle are left, and those
     are invariant with no preimage written: the work does not grow with n.
-    k is capped at 20, since for n = 1 all 2**k unions can be invariant.
+    k is capped at 20, and the unions of the closures at _MAX_UNIONS: for
+    n = 1 all 2**k unions can be invariant, so a search that would check
+    more is refused before any union is written.
     """
     k = grid_denominator
     if not 1 <= k <= 20:
@@ -106,6 +113,8 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     closed = {0}
     for r in reach:
         closed |= {c | r for c in closed}
+        if len(closed) > _MAX_UNIONS:
+            raise ValueError(f"more than {_MAX_UNIONS} unions of {k} grid cells to check, use a smaller grid")
     # as in grid_cells, the cells j in bits are integer arcs [j/k, (j+1)/k), here in one group
     unions = (_integer_union([([j for j in range(k) if bits >> j & 1], 1, 0, 1, k, 0)])
               for bits in sorted(closed))

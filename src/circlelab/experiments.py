@@ -23,14 +23,14 @@ from .numtheory import All, IndexPredicate, totient_range
 DECIMAL_DIGITS = 12
 
 
-def decimal_string(q: Fraction, digits: int = DECIMAL_DIGITS) -> str:
-    """Faithful rounding of an exact rational to `digits` significant digits.
+def decimal_string(q: Fraction) -> str:
+    """Faithful rounding of an exact rational to DECIMAL_DIGITS significant digits.
 
     Half-even rounding; the exact value is always carried alongside in
     reports, so this rendering is presentation only.
     """
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = DECIMAL_DIGITS
         ctx.rounding = ROUND_HALF_EVEN
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)

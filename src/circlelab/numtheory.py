@@ -1,4 +1,4 @@
-"""Integer helpers: totient, radical, primality, and divisibility predicates."""
+"""Integer helpers: totient, primality, and divisibility predicates."""
 
 from __future__ import annotations
 
@@ -49,14 +49,6 @@ def totient_range(limit: int) -> list[int]:
             phi[p::p] = [x // p * (p - 1) for x in phi[p::p]]
     phi[0] = 0
     return phi
-
-
-def radical(n: int) -> int:
-    """Product of the distinct prime divisors; radical(1) == 1."""
-    out = 1
-    for p in factorize(n):
-        out *= p
-    return out
 
 
 class IndexPredicate:

@@ -10,8 +10,9 @@ algorithms: a Fraction sort for canonicalisation, a sweep that compares
 Fraction endpoints for boolean operations, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
 arithmetic for the affine maps and the circle's group operations, a
-walk over the gaps for the complement, and whole ArcSets or CirclePoints
-compared for invariance, inclusion (iv) and conjugation.
+walk over the gaps for the complement, a sort for the wrap-joined arcs,
+and whole ArcSets or CirclePoints compared for invariance, inclusion
+(iv) and conjugation.
 """
 
 from __future__ import annotations
@@ -274,6 +275,19 @@ def complement_by_gap_walk(s: ArcSet) -> tuple:
     if cursor < 1:
         gaps.append((cursor, Fraction(1)))
     return tuple(gaps)
+
+
+def arcs_by_sort(s: ArcSet) -> tuple:
+    """s.arcs as the library once built them: the two seam pieces joined first, then all sorted by start."""
+    segs = s.segments
+    out = []
+    if len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == 1:
+        wrap_lo = segs[-1][0]
+        out.append(Arc(CirclePoint(wrap_lo), (1 - wrap_lo) + segs[0][1]))
+        segs = segs[1:-1]
+    out.extend(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
+    out.sort(key=lambda a: a.start.value)
+    return tuple(out)
 
 
 def _split_at_one(start: Fraction, end: Fraction) -> list[tuple[Fraction, Fraction]]:

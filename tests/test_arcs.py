@@ -8,10 +8,11 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlelab import Arc, ArcSet, approx_order_set, arc, circle_point, thicken, union_all
+from circlelab import Arc, ArcSet, approx_order_set, arc, circle_point, format_fraction, thicken, union_all
 from circlelab import arcs as arcs_module
 from helpers import (
     XOR,
+    arcs_by_sort,
     canonical_by_fraction_sort,
     complement_by_gap_walk,
     grid_measure,
@@ -128,6 +129,27 @@ def test_complement_matches_gap_walk_oracle():
     assert max(len(s.segments) for s in sets) > 2 * arcs_module._GALLOP_AFTER
     for s in sets:
         assert (~s).segments == complement_by_gap_walk(s), s
+
+
+def test_arcs_match_sort_oracle():
+    """arcs puts the seam arc last; the oracle sorts all arcs by start after joining it."""
+    rng = random.Random(5731)
+    sets = [ArcSet.empty(), ArcSet.full(), S(("3/4", "1/2")), S(("1/2", "1/2")), S((0, "1/2"))]
+    # several arcs, then one that crosses the seam
+    for _ in range(300):
+        pairs = [(Fraction(rng.randrange(1, 400), 500), Fraction(1, rng.randint(50, 500)))
+                 for _ in range(rng.randint(1, 12))]
+        pairs.append((1 - Fraction(1, rng.randint(20, 60)), Fraction(1, rng.randint(5, 15))))
+        sets.append(S(*pairs))
+    seam = [s for s in sets if len(s.segments) > 1 and s.segments[0][0] == 0 and s.segments[-1][1] == 1]
+    assert len(seam) == 301 and max(len(s.segments) for s in seam) > 8
+    for s in sets:
+        want = arcs_by_sort(s)
+        assert s.arcs == want, s
+        assert s.to_json_dict() == {
+            "arcs": [{"start": format_fraction(a.start.value), "length": format_fraction(a.length)} for a in want]
+        }
+        assert str(s) == ("∅" if s.is_empty() else "full circle" if s.is_full() else " ∪ ".join(map(str, want)))
 
 
 @given(arcsets, arcsets)

@@ -170,11 +170,13 @@ def test_inputs_beyond_int_str_digit_limit(capsys):
             ["measure", "--pred", "ndvd:1000000000000000003", "--delta", "power:1:2", "--n-min", "1", "--n-max", "5"],
             "at most 10**12",
         ),
+        (["ergodic-search", "--n", "1", "--x", "0", "--grid", "17"], "more than 65536 unions of 17 grid cells"),
     ],
     ids=[
         "int-start", "list-set", "table-without-values", "deep-predicate",
         "deep-set-json", "deep-delta-json", "power-without-exponent", "power-bad-exponent",
         "json-power-text-exponent", "json-power-fraction-exponent", "empty-radius", "huge-prime",
+        "too-many-invariant-unions",
     ],
 )
 def test_malformed_input_exits_1_with_one_line(capsys, argv, names):

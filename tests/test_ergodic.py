@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlelab import ergodic
 from circlelab import (
     AffineCircleMap,
     ArcSet,
@@ -155,6 +156,20 @@ def test_search_grid_range_validation():
         invariant_set_search(AffineCircleMap(2), 0)
     with pytest.raises(ValueError):
         invariant_set_search(AffineCircleMap(2), 21)
+
+
+def test_search_refuses_too_many_unions_before_writing_one(monkeypatch):
+    def no_union(groups):
+        raise AssertionError("a union was written")
+
+    monkeypatch.setattr(ergodic, "_integer_union", no_union)
+    # the identity leaves all 2**k unions of k cells invariant
+    for k in (17, 20):
+        with pytest.raises(ValueError, match=f"more than 65536 unions of {k} grid cells"):
+            invariant_set_search(AffineCircleMap(1), k)
+    # 2**16 unions are still searched: the first is written
+    with pytest.raises(AssertionError, match="a union was written"):
+        invariant_set_search(AffineCircleMap(1), 16)
 
 
 def test_search_matches_brute_force_oracle():

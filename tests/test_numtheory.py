@@ -12,7 +12,6 @@ from circlelab import (
     Or,
     is_prime,
     parse_predicate,
-    radical,
     totient,
     totient_range,
 )
@@ -50,21 +49,6 @@ def test_totient_multiplicative():
         if gcd(m, n) == 1:
             assert totient(m * n) == totient(m) * totient(n)
             checked += 1
-
-
-def test_radical_examples():
-    assert radical(12) == 6
-    assert radical(1) == 1
-    product = 1
-    for p in sympy.primefactors(360):
-        product *= p
-    assert radical(360) == product == 30
-
-
-def test_radical_divides_and_idempotent():
-    for n in range(1, 2000):
-        assert n % radical(n) == 0
-        assert radical(radical(n)) == radical(n)
 
 
 def test_totient_rejects_nonpositive():
