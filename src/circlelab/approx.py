@@ -17,12 +17,12 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
     ArcSet,
     _integer_union,
-    _keyed_thickenings,
+    _keyed_half_thickenings,
     _run_measure,
     _thickening_groups,
     _union_equals,
@@ -190,12 +190,19 @@ def finite_order_points(n: int) -> list[CirclePoint]:
     return [CirclePoint(Fraction(m, n)) for m in _coprime_residues(n)]
 
 
-def _coprime_residues(n: int) -> list[int]:
-    """The m in [0, n) coprime to n, sieved by the prime factors of n; a list, so arcs._run_measure can count them."""
-    mask = bytearray(b"\x01") * n
+def _coprime_residues(n: int, stop: int | None = None) -> list[int]:
+    """The m in [0, stop) coprime to n, stop = n unless given, sieved by the prime factors of n;
+    a list, so arcs._run_measure can count a term's arcs and arcs._half_circle_groups bisect them."""
+    stop = n if stop is None else stop
+    mask = bytearray(b"\x01") * stop
     for p in factorize(n):
-        mask[::p] = bytes(n // p)
-    return list(compress(range(n), mask))
+        mask[::p] = bytes(-(-stop // p))
+    return list(compress(range(stop), mask))
+
+
+def _half_circle_terms(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, list[int], Fraction]]:
+    """The terms (n, delta_n) with the residues m <= n/2 coprime to n: the centres m/n in [0, 1/2]."""
+    return [(n, _coprime_residues(n, n // 2 + 1), d) for n, d in terms]
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -232,11 +239,11 @@ def _tail_terms(
     terms from n_max down to it, from the lowest start that lies above it for a nonincreasing delta.
 
     Checks the lowest and the highest start first, as TailUnionSpec does.  The
-    terms are (n, residues coprime to n, delta_n) for the n with pred(n), as the
-    arc writer takes them.  Their radii come from one delta.ratios pass as pairs
-    (p, q): a term with p <= 0 is empty and left out, and one with 2*p >= q is
-    the full circle, so every tail union from a start up to its index is full;
-    the highest such term comes last, as the one arc (full, (0,), 1/2) around 0.
+    terms are (n, delta_n) for the n with pred(n); each caller picks the residues
+    m of its arcs.  Their radii come from one delta.ratios pass as pairs (p, q):
+    a term with p <= 0 is empty and left out, and one with 2*p >= q is the full
+    circle, so every tail union from a start up to its index is full; the highest
+    such term comes last, as (1, 1/2), whose one arc [-1/2, 1/2) is the full circle.
     """
     if not n_mins:
         raise ValueError("no start n_min given")
@@ -257,9 +264,9 @@ def _tail_terms(
         if 2 * p >= q:  # only a Table's term can be full here
             full = n
             break
-        terms.append((n, _coprime_residues(n), Fraction(p, q)))
+        terms.append((n, Fraction(p, q)))
     if full:
-        terms.append((full, (0,), Fraction(1, 2)))
+        terms.append((1, Fraction(1, 2)))
     return full, terms
 
 
@@ -278,7 +285,7 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
     of one index at a constant radius.
     """
     _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return _integer_union(_thickening_groups(terms))
+    return _integer_union(_thickening_groups((n, _coprime_residues(n), d) for n, d in terms))
 
 
 def tail_union_measures(
@@ -286,17 +293,19 @@ def tail_union_measures(
 ) -> list[Fraction]:
     """The measure of the tail union over [N, n_max] for each start N in n_mins.
 
-    Every arc needed is written once, tagged with its index, and sorted
-    once.  For each start, the arcs with index >= N are walked in that
-    order: their total width, in closed form per term, less the parts
-    where they overlap (see arcs._run_measure).  No merged list is built.
+    Each union W is its own mirror image, so mu(W) = 2 mu(W & [0, 1/2)): only
+    the arcs around m/n with m <= n/2 are written, clipped to [0, 1/2) (see
+    arcs._half_circle_groups), tagged with their index and sorted once.  For
+    each start, the arcs with index >= N are walked in that order: their
+    total width, in closed form per term, less the parts where they overlap
+    (see arcs._run_measure).  No merged list is built.
     """
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    (keyed, groups), = _keyed_thickenings([t for t in terms if t[0] >= first])
-    measures = {s: _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
-                                [g for g in groups if g[5] >= s]) for s in starts}
+    (keyed, groups), = _keyed_half_thickenings(_half_circle_terms(t for t in terms if t[0] >= first))
+    measures = {s: 2 * _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
+                                    [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
 
 
@@ -306,16 +315,17 @@ def scaled_tail_union_comparison(
     """The tail unions W1 at radii delta_n and Wm at radii scale*delta_n over [n_min, n_max]:
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
 
-    The arcs of each union, a full term's one arc among them, are sorted
-    once and measured without merging (see arcs._run_measure), and W1 | Wm
-    is measured from the two sorted lists together; the rest follows from
-    the three measures.
+    The arcs of each union, a full term's one arc among them, are clipped
+    to [0, 1/2) as in tail_union_measures, sorted once and measured without
+    merging (see arcs._run_measure), and W1 | Wm, a mirror image of itself
+    too, from the two sorted lists together; each measure is doubled, and
+    the rest follows from the three.
     """
     _, t1 = _tail_terms(pred, delta, [n_min], n_max)
     _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
-    (k1, g1), (km, gm) = _keyed_thickenings(t1, tm)
-    mu_1, mu_m = _run_measure(k1, g1), _run_measure(km, gm)
-    mu_both = _run_measure(sorted(k1 + km), g1 + gm)  # Timsort merges the two sorted runs
+    (k1, g1), (km, gm) = _keyed_half_thickenings(_half_circle_terms(t1), _half_circle_terms(tm))
+    mu_1, mu_m = 2 * _run_measure(k1, g1), 2 * _run_measure(km, gm)
+    mu_both = 2 * _run_measure(sorted(k1 + km), g1 + gm)  # Timsort merges the two sorted runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 

@@ -45,9 +45,15 @@ only for the intersection.  The tail-union experiments that report only
 measures and inclusions never build an ArcSet, sweep or merge.  The
 measure of a union of integer arcs is their total width, in closed form
 per term, less their overlaps, which one walk over the arcs in key order
-finds (:func:`_run_measure`).  A and B are each measured from their own
-sorted arcs, and A | B from the two lists sorted together; Fractions are
-made only in the final per-denominator sums.
+finds (:func:`_run_measure`).  A tail union is its own mirror image under
+y -> -y, as the arc around m/n pairs with the one around (n - m)/n, so its
+measure is twice that of its part in [0, 1/2).  So only the arcs around
+m/n with m <= n/2 are written, over 2*den so that 1/2 is an integer, and
+clipped to [0, 1/2) (:func:`_half_circle_groups`): the part of [0, 1/2)
+that the arc around 1 - m/n covers lies inside the clipped arc around m/n,
+and no arc crosses the seam.  A and B are each measured from their own
+sorted arcs, and A | B, symmetric too, from the two lists sorted together;
+Fractions are made only in the final per-denominator sums.
 
 Integer writer
 --------------
@@ -224,13 +230,38 @@ def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> 
     return groups
 
 
-def _keyed_thickenings(*term_lists: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple[list, list]]:
+def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple]:
+    """The arcs [m/n - d, m/n + d) for the terms (n, ms, d), clipped to [0, 1/2), as groups of
+    _keyed_pieces tagged n.
+
+    Needs 0 < d <= 1/2 and ms sorted in [0, n/2].  Each term is put over 2*den,
+    den as in _thickening_groups, so 1/2 is the integer den: the arc around
+    m/n is [2*(m*step - pn), 2*(m*step + pn)).  The arcs inside [0, den) are
+    one group; the few that cross 0 or den, found by bisection, are one-arc
+    groups of their clipped widths.
+    """
+    groups = []
+    for n, ms, d in terms:
+        g = gcd(n, d.denominator)
+        step = d.denominator // g
+        pn = d.numerator * (n // g)
+        half = n * step
+        i = bisect_left(ms, -(-pn // step))
+        j = bisect_right(ms, (half - 2 * pn) // (2 * step))
+        groups.append((ms[i:j], 2 * step, -2 * pn, 4 * pn, 2 * half, n))
+        for m in ms[:i] + ms[max(i, j):]:
+            lo = max(2 * (m * step - pn), 0)
+            groups.append(((lo,), 1, 0, min(2 * (m * step + pn), half) - lo, 2 * half, n))
+    return groups
+
+
+def _keyed_half_thickenings(*term_lists: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple[list, list]]:
     """For each term list, the keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of its thickenings
-    in key order, and its groups (see _thickening_groups).
+    clipped to [0, 1/2), in key order, and its groups (see _half_circle_groups).
 
     All lists share one key shift, so their keys compare as the rationals do.
     """
-    grids = [_thickening_groups(terms) for terms in term_lists]
+    grids = [_half_circle_groups(terms) for terms in term_lists]
     k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
     return [(sorted(_keyed_pieces(grid, k)), grid) for grid in grids]
 

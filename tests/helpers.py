@@ -9,7 +9,9 @@ plain enumeration, and the slow-path oracles keep the library's earlier
 algorithms: a Fraction sort for canonicalisation, a sweep that compares
 Fraction endpoints for boolean operations, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
-arithmetic for the affine maps and the circle's group operations, a
+arithmetic for the affine maps, integer pairs for the circle's group
+operations, every residue's arc on the whole circle for the measures
+of tail unions, which the library takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
 and whole ArcSets or CirclePoints compared for invariance, inclusion
 (iv) and conjugation.
@@ -44,6 +46,8 @@ from circlelab import (
     totient,
     union_all,
 )
+from circlelab.approx import _coprime_residues, _tail_terms
+from circlelab.arcs import _key_bits, _keyed_pieces, _run_measure, _thickening_groups
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "measures.json"
 
@@ -348,21 +352,32 @@ def conjugated_images_by_points(n: int, x: CirclePoint, shift: CirclePoint, samp
     return [(shift + g(y - shift), f(y)) for y in sample]
 
 
-# CirclePoint's group operations, normalised by Fraction % 1 in the public constructor
-def add_by_fraction(p: CirclePoint, q: CirclePoint) -> CirclePoint:
-    return CirclePoint(p.value + q.value)
+# CirclePoint's group operations on the rationals x and y themselves, as integer pairs (numerator, denominator)
+def _mod_one(num: int, den: int) -> tuple[int, int]:
+    """num/den mod 1 for den > 0, as the lowest-terms pair (a, b) with 0 <= a < b, by gcd and floor division."""
+    g = gcd(num, den)
+    a, b = num // g, den // g
+    return a - (a // b) * b, b
 
 
-def sub_by_fraction(p: CirclePoint, q: CirclePoint) -> CirclePoint:
-    return CirclePoint(p.value - q.value)
+def add_by_integers(x: Fraction, y: Fraction) -> tuple[int, int]:
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    return _mod_one(a * d + c * b, b * d)
 
 
-def neg_by_fraction(p: CirclePoint) -> CirclePoint:
-    return CirclePoint(-p.value)
+def sub_by_integers(x: Fraction, y: Fraction) -> tuple[int, int]:
+    (a, b), (c, d) = x.as_integer_ratio(), y.as_integer_ratio()
+    return _mod_one(a * d - c * b, b * d)
 
 
-def rmul_by_fraction(k: int, p: CirclePoint) -> CirclePoint:
-    return CirclePoint(k * p.value)
+def neg_by_integers(x: Fraction) -> tuple[int, int]:
+    a, b = x.as_integer_ratio()
+    return _mod_one(-a, b)
+
+
+def rmul_by_integers(k: int, x: Fraction) -> tuple[int, int]:
+    a, b = x.as_integer_ratio()
+    return _mod_one(k * a, b)
 
 
 def thicken_by_arcs(points, delta: Fraction) -> tuple:
@@ -381,6 +396,33 @@ def tail_union_per_term(spec: TailUnionSpec) -> ArcSet:
         for n in range(spec.n_min, spec.n_max + 1)
         if spec.pred(n)
     )
+
+
+def _keyed_full_circle(*term_lists) -> list[tuple[list, list]]:
+    """For each list of terms (n, delta_n) of _tail_terms, the keyed items of every residue's arc, cut at
+    the seam and sorted, and their groups, all with one key shift."""
+    grids = [_thickening_groups((n, _coprime_residues(n), d) for n, d in terms) for terms in term_lists]
+    k = _key_bits(max((g[4] for grid in grids for g in grid), default=1))
+    return [(sorted(_keyed_pieces(grid, k)), grid) for grid in grids]
+
+
+def tail_union_measures_full_circle(pred, delta, n_mins, n_max) -> list[Fraction]:
+    """tail_union_measures as the library once took them: the arcs of all residues on the whole circle,
+    cut at the seam, walked once per start and not doubled."""
+    full, terms = _tail_terms(pred, delta, n_mins, n_max)
+    starts = [n_min for n_min in n_mins if n_min > full]
+    (keyed, groups), = _keyed_full_circle([t for t in terms if t[0] >= min(starts, default=n_max + 1)])
+    measures = {s: _run_measure([a for a in keyed if a[5] >= s], [g for g in groups if g[5] >= s]) for s in starts}
+    return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
+
+
+def scaled_comparison_full_circle(pred, delta, scale, n_min, n_max) -> tuple:
+    """scaled_tail_union_comparison as the library once took it, from the arcs of all residues on the whole circle."""
+    _, t1 = _tail_terms(pred, delta, [n_min], n_max)
+    _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
+    (k1, g1), (km, gm) = _keyed_full_circle(t1, tm)
+    mu_1, mu_m, mu_both = _run_measure(k1, g1), _run_measure(km, gm), _run_measure(sorted(k1 + km), g1 + gm)
+    return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 
 def partial_sums_sequential(delta, cutoffs) -> list[Fraction]:

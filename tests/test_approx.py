@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -30,6 +31,7 @@ from circlelab import (
     totient,
 )
 from circlelab import approx as approx_module
+from circlelab import arcs as arcs_module
 import helpers
 from helpers import golden_check
 
@@ -458,9 +460,30 @@ MEASURE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("delta, pred, starts, n_max", MEASURE_CASES)
+# measured on the half circle: arcs that cross 0 or 1/2 are clipped
+HALF_CIRCLE_CASES = [
+    # the arc around 0 (n = 1) crosses 0 and the one around 1/2 (n = 2) crosses 1/2
+    (Power(F(1, 5), 1), All(), [1, 2, 3], 12),
+    (Constant(F(1, 7)), All(), [1, 2], 2),
+    # radii above 1/(2n): the arc around 1/3 at 9/20 is clipped at both ends, the one
+    # around 1/4 at 1/4 is exactly [0, 1/2), and those around 2/5 and 4/9 cross 1/2
+    (Table((F(1, 3), F(1, 5), F(9, 20), F(1, 4), F(1, 7), F(1, 9), F(1, 9), F(1, 15), F(1, 13))),
+     All(), [1, 2, 3, 4, 5, 8], 9),
+    (Table((F(0), F(0), F(9, 20))), All(), [3], 3),
+    (Table((F(0), F(0), F(0), F(1, 4))), All(), [4], 4),
+    (Table((F(0), F(1, 8), F(0), F(1, 8))), All(), [2], 4),  # [0, 1/8) meets [1/8, 3/8) and [3/8, 1/2)
+    (Constant(F(3, 10)), All(), [1, 2, 5, 17], 30),
+    (Constant(F(9, 20)), NotDiv(2), [1, 3, 6], 15),
+    # full terms at 2 and 6, with starts below, at and above each
+    (Table((F(1, 3), F(1, 2), F(1, 5), F(2, 9), F(1, 11), F(3, 5), F(1, 8), F(1, 17))),
+     All(), [1, 2, 3, 6, 7, 8], 8),
+]
+
+
+@pytest.mark.parametrize("delta, pred, starts, n_max", MEASURE_CASES + HALF_CIRCLE_CASES)
 def test_tail_union_measures_match_per_term_oracle(delta, pred, starts, n_max):
     measures = approx_module.tail_union_measures(pred, delta, starts, n_max)
+    assert measures == helpers.tail_union_measures_full_circle(pred, delta, starts, n_max)
     specs = [TailUnionSpec(n_min, n_max, pred, delta) for n_min in starts]
     assert measures == [helpers.tail_union_per_term(spec).measure for spec in specs]
     assert measures == [tail_union(spec).measure for spec in specs]
@@ -510,15 +533,18 @@ def test_tail_terms_of_a_nonincreasing_delta_skip_the_full_prefix(monkeypatch):
 
 
 def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
-    """Starts up to the last full-circle term measure 1; only the terms from the next start on are written."""
+    """Starts up to the last full-circle term measure 1; only the terms from the next start on are written,
+    each with at most n // 2 + 1 residues, those of the centres m/n in [0, 1/2]."""
     written = []
-    keyed_thickenings = approx_module._keyed_thickenings
+    keyed_half_thickenings = approx_module._keyed_half_thickenings
 
     def counting(*term_lists):
         written.extend(len(terms) for terms in term_lists)
-        return keyed_thickenings(*term_lists)
+        for n, ms, _ in chain.from_iterable(term_lists):
+            assert len(ms) <= n // 2 + 1 and all(2 * m <= n for m in ms), (n, ms)
+        return keyed_half_thickenings(*term_lists)
 
-    monkeypatch.setattr(approx_module, "_keyed_thickenings", counting)
+    monkeypatch.setattr(approx_module, "_keyed_half_thickenings", counting)
     delta = Power(F(1), 1)  # 2 * delta_n >= 1 for n <= 2
     assert approx_module.tail_union_measures(All(), delta, [1, 2], 2000) == [1, 1]
     assert written == [0]
@@ -559,15 +585,79 @@ COMPARISON_CASES = [
 ]
 
 
-@pytest.mark.parametrize("delta, m, pred, n_min, n_max", COMPARISON_CASES)
+HALF_CIRCLE_COMPARISONS = [
+    (Power(F(2, 3), 3), F(1, 2), Or(DivBySquare(2), NotDiv(3)), 3, 60),  # a scale below 1
+    (Power(F(1, 5), 1), F(2), All(), 1, 12),  # n = 1 and 2, and scaled full terms
+    (Table((F(1, 3), F(1, 5), F(9, 20), F(1, 4), F(1, 7))), F(2, 3), All(), 1, 5),
+    (Constant(F(3, 10)), F(3, 2), All(), 1, 20),  # scaled radii 9/20: every scaled arc is clipped
+    (Table((F(1, 9), F(1, 6), F(3, 5), F(1, 12), F(1, 20), F(1, 30))), F(2), NotDiv(5), 1, 6),  # full at 3
+]
+
+
+@pytest.mark.parametrize("delta, m, pred, n_min, n_max", COMPARISON_CASES + HALF_CIRCLE_COMPARISONS)
 def test_scaled_comparison_matches_arcset_path(delta, m, pred, n_min, n_max):
-    """The measure identities agree with the Fraction sweep of the two tail unions."""
+    """The measure identities agree with the Fraction sweep of the two tail unions and with the full-circle walk."""
     w1 = tail_union(TailUnionSpec(n_min, n_max, pred, delta)).segments
     wm = tail_union(TailUnionSpec(n_min, n_max, pred, delta.scale(m))).segments
-    assert approx_module.scaled_tail_union_comparison(pred, delta, m, n_min, n_max) == (
+    got = approx_module.scaled_tail_union_comparison(pred, delta, m, n_min, n_max)
+    assert got == helpers.scaled_comparison_full_circle(pred, delta, m, n_min, n_max)
+    assert got == (
         helpers.measure_per_denominator(w1),
         helpers.measure_per_denominator(wm),
         helpers.symm_diff_by_fraction(w1, wm),
         helpers.subset_by_fraction(w1, wm),
         helpers.subset_by_fraction(wm, w1),
     )
+
+
+# -- measures on the half circle -------------------------------------------------------
+
+def _rand_wide_delta(rng: random.Random) -> DeltaSequence:
+    """Radii up to and past 1/2, so that arcs cross 0 and 1/2 and some terms are full."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Power(F(rng.randint(1, 6), rng.randint(1, 5)), rng.randint(0, 2))
+    if kind == 1:
+        return Constant(F(rng.randint(-1, 10), rng.choice([12, 20, 21, 30])))
+    return Table(tuple(F(rng.randint(-1, 10), rng.choice([8, 20, 21])) for _ in range(rng.randint(1, 24))))
+
+
+def test_half_circle_measures_random_against_full_circle_oracle():
+    rng = random.Random(1907)
+    preds = [All(), NotDiv(2), ExactlyOnce(2), DivBySquare(3), Or(NotDiv(3), DivBySquare(2))]
+    for _ in range(80):
+        delta, pred, n_max = _rand_wide_delta(rng), rng.choice(preds), rng.randint(1, 36)
+        starts = sorted(rng.sample(range(1, n_max + 1), min(n_max, rng.randint(1, 4))))
+        measures = approx_module.tail_union_measures(pred, delta, starts, n_max)
+        assert measures == helpers.tail_union_measures_full_circle(pred, delta, starts, n_max), (delta, pred, starts)
+        assert measures == [tail_union(TailUnionSpec(s, n_max, pred, delta)).measure for s in starts]
+        m = rng.choice([F(1, 3), F(1, 2), F(3, 2), F(2), F(5, 2)])
+        assert approx_module.scaled_tail_union_comparison(pred, delta, m, starts[0], n_max) == (
+            helpers.scaled_comparison_full_circle(pred, delta, m, starts[0], n_max)), (delta, pred, m, starts[0])
+
+
+def test_tail_union_is_its_own_mirror_image():
+    """The premise of the half-circle measure: y -> 1 - y maps every tail union onto itself."""
+    rng = random.Random(1931)
+    preds = [All(), NotDiv(2), ExactlyOnce(3), DivBySquare(2)]
+    for _ in range(80):
+        delta, pred, n_max = _rand_wide_delta(rng), rng.choice(preds), rng.randint(1, 40)
+        segments = tail_union(TailUnionSpec(rng.randint(1, n_max), n_max, pred, delta)).segments
+        assert tuple((1 - hi, 1 - lo) for lo, hi in reversed(segments)) == segments, (delta, pred)
+
+
+def test_half_circle_groups_clip_at_0_and_at_one_half():
+    """Over 2*den the half circle is [0, den): arcs inside it stay in their term's group,
+    and each arc that crosses 0 or den is a group of its own, clipped."""
+    groups = arcs_module._half_circle_groups
+    # 1/3 +- 9/20 over 120: [-14, 94) clipped at both ends to [0, 60)
+    assert groups([(3, [1], F(9, 20))]) == [([], 40, -54, 108, 120, 3), ((0,), 1, 0, 60, 120, 3)]
+    # 1/4 +- 1/4 over 8: exactly [0, 4), clipped nowhere
+    assert groups([(4, [1], F(1, 4))]) == [([1], 2, -2, 4, 8, 4)]
+    # 0 +- 1/5 and 1/2 +- 1/10 over 10 and 20: [-2, 2) and [8, 12), clipped to [0, 2) and [8, 10)
+    assert groups([(1, [0], F(1, 5)), (2, [1], F(1, 10))]) == [
+        ([], 10, -2, 4, 10, 1), ((0,), 1, 0, 2, 10, 1),
+        ([], 10, -2, 4, 20, 2), ((8,), 1, 0, 2, 20, 2),
+    ]
+    # 1/7, 2/7 and 3/7 +- 1/10 over 140: only 3/7's arc [46, 74) crosses 70
+    assert groups([(7, [1, 2, 3], F(1, 10))]) == [([1, 2], 20, -14, 28, 140, 7), ((46,), 1, 0, 24, 140, 7)]

@@ -40,6 +40,18 @@ DIGEST_GROUPS = {
         ],
         "64c8fe6fa654884a12844037acf81df2aebbf869c2cc0e950ccb082717d6d5b1",
     ),
+    "half-circle-edge-cases": (
+        [
+            ["cassels", "--delta", "power:2/3:3", "--m", "1/2", "--pred", "or(sq:2,ndvd:3)", "--n-min", "3",
+             "--n-max", "400"],
+            ["measure", "--delta", "power:1/6:2", "--pred", "exact:2", "--n-min", "5", "--n-max", "600",
+             "--output", "csv"],
+            ["gallagher", "--delta", "table:1/3,1/5,1/5,1/4,1/7,1/9,1/9,1/15,1/13", "--n-min-schedule",
+             "1,2,3,4,5,8", "--n-max", "9", "--output", "csv"],
+            ["measure", "--delta", "const:3/10", "--n-min", "1", "--n-max", "30"],
+        ],
+        "2ba1eff97fad37da09b1b438d742f4b3588f483742563f2544bf07af6a16b499",
+    ),
     "invariant-grid-unions": (
         [
             ["ergodic-search", "--n", "1", "--x", "0", "--grid", "14"],
