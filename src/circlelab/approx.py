@@ -21,14 +21,15 @@ from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
     ArcSet,
+    _affine_groups,
     _integer_union,
     _keyed_half_thickenings,
     _run_measure,
     _thickening_groups,
-    _union_equals,
+    _union_within,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
-from .numtheory import All, DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize
+from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize
 
 
 # -- radius sequences ---------------------------------------------------------
@@ -211,9 +212,19 @@ def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
     For 0 < delta < 1/(2n) this is totient(n) disjoint arcs of length
     2*delta, total measure 2*totient(n)*delta.
     """
+    return _integer_union(_ao_groups(n, as_fraction(delta)))
+
+
+def _ao_groups(n: int, delta: Fraction) -> list[tuple]:
+    """The arcs of approx_order_set(n, delta) as groups of the writer (see arcs._keyed_pieces): none for
+    delta <= 0, and for 2*delta >= 1 the one arc [-1/2, 1/2) that _tail_terms writes for a full term."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
-    return tail_union(TailUnionSpec(n, n, All(), Constant(delta)))
+    if delta <= 0:
+        return []
+    if 2 * delta >= 1:
+        return _thickening_groups([(1, [0], Fraction(1, 2))])
+    return _thickening_groups([(n, _coprime_residues(n), delta)])
 
 
 @dataclass(frozen=True)
@@ -333,49 +344,51 @@ def scaled_tail_union_comparison(
 
 # Each check realises one exactly-verifiable containment between
 # approximate-order sets and must return True on every valid input; they
-# are exposed as self-checks over the arc algebra.
+# are exposed as self-checks over the arc algebra, on integer arcs (arcs._union_within).
 
 
 def check_inclusion_i(m: int, n: int, delta: RationalLike) -> bool:
-    """m * AO(n, delta) inside AO(n, m*delta), for coprime m, n."""
+    """m * AO(n, delta) inside AO(n, m*delta), for coprime m, n: AO(n, delta)'s arcs times m among AO(n, m*delta)'s."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     if gcd(m, n) != 1:
         raise ValueError(f"m={m} and n={n} must be coprime")
     d = as_fraction(delta)
-    return approx_order_set(n, d).mul_image(m) <= approx_order_set(n, m * d)
+    return _union_within(_affine_groups(_ao_groups(n, d), m, 0, 1), _ao_groups(n, m * d))
 
 
 def check_inclusion_ii(m: int, n: int, delta: RationalLike) -> bool:
-    """m * AO(n*m, delta) inside AO(n, m*delta)."""
+    """m * AO(n*m, delta) inside AO(n, m*delta): AO(n*m, delta)'s arcs times m among AO(n, m*delta)'s."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
     d = as_fraction(delta)
-    return approx_order_set(n * m, d).mul_image(m) <= approx_order_set(n, m * d)
+    return _union_within(_affine_groups(_ao_groups(n * m, d), m, 0, 1), _ao_groups(n, m * d))
 
 
 def check_inclusion_iii(a: CirclePoint, n: int, delta: RationalLike) -> bool:
-    """a + AO(n, delta) inside AO(order(a)*n, delta), for order(a) coprime to n."""
+    """a + AO(n, delta) inside AO(order(a)*n, delta), for order(a) coprime to n: AO(n, delta)'s arcs moved by a."""
     if n < 1:
         raise ValueError("n must be positive")
     q = a.order()
     if gcd(q, n) != 1:
         raise ValueError(f"order(a)={q} and n={n} must be coprime")
-    return approx_order_set(n, delta).translate(a) <= approx_order_set(q * n, delta)
+    d = as_fraction(delta)
+    return _union_within(_affine_groups(_ao_groups(n, d), 1, *a.value.as_integer_ratio()), _ao_groups(q * n, d))
 
 
 def check_inclusion_iv(a: CirclePoint, n: int, delta: RationalLike) -> bool:
     """a + AO(n, delta) equals AO(n, delta) exactly, when order(a)**2 divides n.
 
-    Decided on the translate's merged integer arcs, with no translate built (see arcs._union_equals).
+    Decided as the translate's inclusion in AO(n, delta): it has the same measure, and a nonempty
+    difference of canonical half-open sets has positive measure, so here inclusion means equality.
     """
     if n < 1:
         raise ValueError("n must be positive")
     q = a.order()
     if n % (q * q) != 0:
         raise ValueError(f"order(a)**2 = {q * q} must divide n = {n}")
-    s = approx_order_set(n, delta)
-    return _union_equals(s._translate_groups(a), s)
+    s = _ao_groups(n, as_fraction(delta))
+    return _union_within(_affine_groups(s, 1, *a.value.as_integer_ratio()), s)
 
 
 def gallagher_decomposition(

@@ -63,19 +63,21 @@ through an arithmetic progression mod den: one start per raw segment of
 ``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and per segment of
 :meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
 of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
-the terms (n, residues, delta_n) that ``approx.tail_union`` and so
-``approx_order_set`` hand to :func:`_thickening_groups`; the n pieces of
+the terms (n, residues, delta_n) that ``approx.tail_union`` and
+``approx._ao_groups`` hand to :func:`_thickening_groups`; the n pieces of
 a preimage; the cells j/k of a union in ``invariant_set_search``.
 Callers put a segment, an arc's start and length, or a segment and a
 map's offset over one denominator, so images are integer arithmetic on
-numerators.  The writer cuts the arcs at the seam, keys and merges them,
-and builds a Fraction only for each merged endpoint.
+numerators (:func:`_affine_groups`).  The writer cuts the arcs at the
+seam, keys and merges them, and builds a Fraction only for each merged
+endpoint.
 
-Equality is decided on integer arcs: whether a union of groups equals an
-ArcSet, as ``AffineCircleMap.is_invariant`` and ``check_inclusion_iv``
-ask, is the writer's merge with each merged endpoint lo/den
-cross-multiplied with the set's, up to the first that differs
-(:func:`_union_equals`).  No set or Fraction is built.
+Equality and inclusion are decided on integer arcs, with no set or
+Fraction built.  A union of groups equals an ArcSet, as
+``AffineCircleMap.is_invariant`` asks, when its merged endpoints lo/den
+cross-multiply to the set's (:func:`_union_equals`); one lies inside
+another, as the inclusion checks of ``approx`` ask, when merging both
+leaves the other's merged keys as they are (:func:`_union_within`).
 
 All values are immutable and all operations pure.
 """
@@ -288,6 +290,33 @@ def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
         first, last = merged.pop()
         segments.append((Fraction(*_LO(first)), Fraction(*_HI(last))))
     return ArcSet._trusted(tuple(segments))
+
+
+def _union_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
+    """Whether the union of the groups inner (see _keyed_pieces) lies inside that of outer.
+
+    It does exactly when outer alone and both together merge to the same key pairs.  All are keyed
+    with one shift, so equal keys are equal endpoints (see Exact keys).
+    """
+    k = _key_bits(max((g[4] for g in chain(inner, outer)), default=1))
+    keyed = _keyed_pieces(outer, k)
+    alone = [(first[0], last[1]) for first, last in _canonical(keyed)]
+    return alone == [(first[0], last[1]) for first, last in _canonical(keyed + _keyed_pieces(inner, k))]
+
+
+def _affine_groups(groups: Iterable[tuple], m: int, e: int, f: int) -> list[tuple]:
+    """The images of the arcs of groups (see _keyed_pieces) under y -> m*y + e/f, m >= 1, as groups.
+
+    Over d = lcm(den, f) = s*den, the arc [lo, lo + width) maps to one of width m*width*s that starts
+    at m*lo*s + e*(d/f).  If an arc has m*width >= den, the image is the full circle, as one arc.
+    """
+    images = []
+    for ms, step, offset, width, den, tag in groups:
+        if m * width >= den and ms:
+            return [((0,), 1, 0, 1, 1, tag)]
+        s = lcm(den, f) // den
+        images.append((ms, m * step * s, m * offset * s + e * (s * den // f), m * width * s, s * den, tag))
+    return images
 
 
 def _union_equals(groups: Sequence[tuple], s: "ArcSet") -> bool:
@@ -576,27 +605,19 @@ class ArcSet:
 
     # -- geometric actions ---------------------------------------------------
 
+    def _groups(self) -> list[tuple]:
+        """The segments as one-arc groups of the writer (see _keyed_pieces)."""
+        return [((lo,), 1, 0, hi - lo, den, 0) for lo, hi, den in _over_one_denominator(self.segments, 1)]
+
     def translate(self, a: CirclePoint) -> "ArcSet":
         """Exact image {a + y : y in self}; preserves measure."""
-        return _integer_union(self._translate_groups(a))
-
-    def _translate_groups(self, a: CirclePoint) -> list[tuple]:
-        """The arcs of the image under y -> y + a as groups of the writer (see _keyed_pieces)."""
-        e, f = a.value.as_integer_ratio()
-        return [((lo,), 1, e * (den // f), hi - lo, den, 0)
-                for lo, hi, den in _over_one_denominator(self.segments, f)]
+        return _integer_union(_affine_groups(self._groups(), 1, *a.value.as_integer_ratio()))
 
     def mul_image(self, m: int) -> "ArcSet":
         """Exact image under y -> m*y; an arc of length L maps to one of length min(1, m*L)."""
         if m < 1:
             raise ValueError(f"multiplier must be >= 1, got {m}")
-        groups = []
-        for lo, hi, den in _over_one_denominator(self.segments, 1):
-            length = m * (hi - lo)
-            if length >= den:
-                return ArcSet.full()
-            groups.append(((lo,), m, 0, length, den, 0))
-        return _integer_union(groups)
+        return _integer_union(_affine_groups(self._groups(), m, 0, 1))
 
     # -- presentation ---------------------------------------------------------
 

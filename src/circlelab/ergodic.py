@@ -128,7 +128,8 @@ def conjugation_check(n: int, x: CirclePoint, sample: Sequence[CirclePoint]) -> 
     representative differs by a point of order dividing n - 1, which
     conjugates the same pair of maps.  Both sides are integer numerators
     over one denominator per sample (see _conjugated_images), with no
-    CirclePoint built.  Must return True for every sample.
+    CirclePoint built.  Must return True for every sample, which checks one identity: for every y
+    the two sides differ by x - (n-1)*shift, so a single point decides the verdict.
     """
     if n < 2:
         raise ValueError(f"conjugation needs multiplier >= 2, got {n}")

@@ -13,8 +13,8 @@ arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for the measures
 of tail unions, which the library takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
-and whole ArcSets or CirclePoints compared for invariance, inclusion
-(iv) and conjugation.
+and whole ArcSets or CirclePoints compared for invariance, the
+inclusions (i)-(iv) and conjugation.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from circlelab import (
     ArcSet,
     CirclePoint,
     TailUnionSpec,
-    approx_order_set,
     arc,
     finite_order_points,
     format_fraction,
@@ -340,10 +339,46 @@ def is_invariant_by_preimage(t: AffineCircleMap, s: ArcSet) -> bool:
     return t.preimage(s) == s
 
 
+def union_of_groups_by_fraction(groups) -> ArcSet:
+    """The union of groups of integer arcs (see arcs._keyed_pieces): one Fraction arc per m, cut at 1, merged
+    by Fraction sort."""
+    raw = []
+    for ms, step, offset, width, den, _ in groups:
+        for m in ms:
+            start = Fraction((m * step + offset) % den, den)
+            raw.extend(_split_at_one(start, start + Fraction(width, den)))
+    return ArcSet._trusted(canonical_by_fraction_sort(raw))
+
+
+def ao_by_arcs(n: int, delta: Fraction) -> ArcSet:
+    """AO(n, delta), the order-n points thickened by delta, from Fraction arcs merged by Fraction sort."""
+    return ArcSet._trusted(thicken_by_arcs(finite_order_points(n), delta))
+
+
+# the inclusion checks (i)-(iv) as the library once decided them, on whole ArcSets, here built, mapped and
+# compared by the Fraction oracles above; none checks the condition on its arguments, so each can be False
+def inclusion_i_by_sets(m: int, n: int, delta: Fraction) -> bool:
+    """m * AO(n, delta) inside AO(n, m*delta)."""
+    return subset_by_fraction(mul_image_by_fraction(ao_by_arcs(n, delta), m).segments,
+                              ao_by_arcs(n, m * delta).segments)
+
+
+def inclusion_ii_by_sets(m: int, n: int, delta: Fraction) -> bool:
+    """m * AO(n*m, delta) inside AO(n, m*delta)."""
+    return subset_by_fraction(mul_image_by_fraction(ao_by_arcs(n * m, delta), m).segments,
+                              ao_by_arcs(n, m * delta).segments)
+
+
+def inclusion_iii_by_sets(a: CirclePoint, n: int, delta: Fraction) -> bool:
+    """a + AO(n, delta) inside AO(order(a)*n, delta)."""
+    return subset_by_fraction(translate_by_fraction(ao_by_arcs(n, delta), a).segments,
+                              ao_by_arcs(a.order() * n, delta).segments)
+
+
 def inclusion_iv_by_translate(a: CirclePoint, n: int, delta: Fraction) -> bool:
-    """a + AO(n, delta) == AO(n, delta), with the translate built as an ArcSet; no order condition."""
-    s = approx_order_set(n, delta)
-    return s.translate(a) == s
+    """a + AO(n, delta) == AO(n, delta)."""
+    s = ao_by_arcs(n, delta)
+    return translate_by_fraction(s, a) == s
 
 
 def conjugated_images_by_points(n: int, x: CirclePoint, shift: CirclePoint, sample) -> list:

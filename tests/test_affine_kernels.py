@@ -3,10 +3,11 @@
 translate, mul_image and preimage write integer pieces over one
 denominator per segment, and CirclePoint's group operations work on
 integer numerators over b*d; each must give exactly the set or point that
-Fraction arithmetic gives (the oracles in helpers.py).  is_invariant and
-check_inclusion_iv compare merged integer arcs with a set, and
-conjugation_check compares integer numerators; each must agree with the
-whole sets or points that it no longer builds.
+Fraction arithmetic gives (the oracles in helpers.py).  is_invariant
+compares merged integer arcs with a set, check_inclusion_iv merges a
+translate's integer arcs with the set's (test_inclusion_kernels.py holds
+the other inclusions), and conjugation_check compares integer numerators;
+each must agree with the whole sets or points that it no longer builds.
 """
 
 import json
@@ -31,7 +32,8 @@ from circlelab import (
     conjugation_check,
     invariant_set_search,
 )
-from circlelab.arcs import _integer_union, _union_equals
+from circlelab.approx import _ao_groups
+from circlelab.arcs import _affine_groups, _integer_union, _union_equals, _union_within
 from circlelab.cli import main
 from circlelab.ergodic import _conjugated_images
 from helpers import (
@@ -321,10 +323,12 @@ def test_inclusion_iv_matches_translate_oracle():
         n = q * q * rng.randint(1, 5)
         assert check_inclusion_iv(a, n, d) and inclusion_iv_by_translate(a, n, d)
         n = rng.randint(1, 40)
-        s = approx_order_set(n, d)
-        assert _union_equals(s._translate_groups(a), s) == inclusion_iv_by_translate(a, n, d)
-    s = approx_order_set(9, Fraction(1, 100))
-    assert not _union_equals(s._translate_groups(circle_point("1/9")), s)
+        s = _ao_groups(n, d)
+        image = _affine_groups(s, 1, *a.value.as_integer_ratio())
+        want = inclusion_iv_by_translate(a, n, d)
+        assert _union_within(image, s) == want == _union_equals(image, approx_order_set(n, d))
+    s = _ao_groups(9, Fraction(1, 100))
+    assert not _union_within(_affine_groups(s, 1, 1, 9), s)
 
 
 # -- searches where n >= k -------------------------------------------------------------------
@@ -406,6 +410,26 @@ def test_conjugation_fails_for_a_shift_other_than_x_over_n_minus_1():
         assert not any(left == right for left, right, _ in got), (n, shift)
     # a shift that differs from x/(n-1) by a point of order dividing n - 1 conjugates as well
     assert all(left == right for left, right, _ in _conjugated_images(3, x, (3, 4), sample))
+
+
+def test_conjugated_images_disagree_for_the_shift_x_over_n():
+    """The two sides differ by x - (n-1)*shift for every y: by x/n for the shift x/n, which is not 0 for x != 0.
+
+    So the check is not vacuous, though its sample checks one identity: a single sample point decides it.
+    """
+    rng = random.Random(107)
+    for n in range(2, 10):
+        for x in (circle_point("1/2"), circle_point("1/3"), circle_point(Fraction(5, 2**64 + 13)), rand_point(rng)):
+            if x.value == 0:
+                continue
+            e, f = x.value.as_integer_ratio()
+            for y in (circle_point(0), circle_point("1/7"), rand_point(rng), rand_point(rng, 2**70)):
+                (left, right, den), = _conjugated_images(n, x, (e, f * n), [y])
+                assert left != right and Fraction(left - right, den) % 1 == x.value / n, (n, x, y)
+                (left, right, _), = _conjugated_images(n, x, (e, f * (n - 1)), [y])
+                assert left == right
+    # for x = 0 the shifts x/n and x/(n-1) are both 0, and 0 conjugates
+    assert all(left == right for left, right, _ in _conjugated_images(4, circle_point(0), (0, 4), [circle_point("1/5")]))
 
 
 def test_conjugation_check_fails_when_its_images_differ(monkeypatch):
