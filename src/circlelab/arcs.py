@@ -22,29 +22,36 @@ with ``k = 2 * maxbits + 2``, where every b in play is below
 ``2 ** maxbits``.  Two distinct such rationals differ by more than
 ``2 ** -(2 * maxbits)``, so their keys differ and order as the rationals
 do; equal rationals, reduced or not, get equal keys.  Boolean operations
-on canonical sets need no sort: one sweep over the endpoints of both
-operands serves them all, the complement too, which is the full circle
-less the set.  The sweep gallops over long runs of one operand's
-endpoints, so its cost follows the interleaving of the operands and the
-size of the result, not the size of the larger operand.
+on canonical sets need no sort: one walk over the endpoints of both
+operands (:func:`_runs`) serves them all, the complement too, which is
+the full circle less the set.  The walk takes a run at a time, the
+endpoints of one operand below the other's next one, found by one
+bisection; the sweep keeps or drops each run whole, so its cost follows
+the interleaving of the operands and the size of the result, not the
+size of the larger operand.
 
-The sweep and membership compare cached keys first.  Each ArcSet keeps
-``floor(x * 2**63)`` of its endpoints x in a flat ``array("Q")``, computed
-on the first sweep or lookup that needs it.  Floor is monotone, so
-unequal keys order as the endpoints do; only endpoints with equal keys
-are compared as Fractions, which settles ties exactly.  Most ties are
-shared endpoints, which one exact == settles without ordering them.
+The walk and membership compare cached keys first.  Each ArcSet keeps its
+flattened endpoints and their keys ``floor(x * 2**63)`` in two flat
+lists, computed on the first walk or lookup that needs them.  Floor is
+monotone, so unequal keys order as the endpoints do; only endpoints with
+equal keys are compared as Fractions, which settles ties exactly.  Most
+ties are shared endpoints, which one exact == settles without ordering
+them.
 
 Measures and inclusions
 -----------------------
 On canonical half-open sets, mu(A ^ B) = mu(A) + mu(B) - 2 mu(A & B)
 = 2 mu(A | B) - mu(A) - mu(B), and A <= B exactly when mu(A | B) = mu(B),
 since a nonempty difference of half-open sets has positive measure.  An
-ArcSet caches its measure, so :meth:`ArcSet.symm_diff_measure` sweeps
-only for the intersection.  The tail-union experiments that report only
-measures and inclusions never build an ArcSet, sweep or merge.  The
-measure of a union of integer arcs is their total width, in closed form
-per term, less their overlaps, which one walk over the arcs in key order
+ArcSet caches its measure, and mu(A ^ B) is also mu(B) - mu(A) +
+2 mu(A - B) and mu(A) - mu(B) + 2 mu(B - A).  So
+:meth:`ArcSet.symm_diff_measure` takes the boundaries of A & B, A - B and
+B - A from one walk, as index ranges, and measures only the piece with
+the fewest: against a small ball, the intersection.  The tail-union
+experiments that report only measures and inclusions never build an
+ArcSet, sweep or merge.  The measure of a union of integer arcs is their
+total width, in closed form per term, less their overlaps, which one walk
+over the arcs in key order
 finds (:func:`_run_measure`).  A tail union is its own mirror image under
 y -> -y, as the arc around m/n pairs with the one around (n - m)/n, so its
 measure is twice that of its part in [0, 1/2).  So only the arcs around
@@ -85,7 +92,6 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import json
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,7 +99,7 @@ from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Generator, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .circle import (
     CirclePoint,
@@ -110,7 +116,7 @@ Segment = tuple[Fraction, Fraction]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# an ArcSet's endpoint x in [0, 1] has the key floor(x * 2**_KEY_BITS), which fits array("Q")
+# an ArcSet's endpoint x in [0, 1] has the key floor(x * 2**_KEY_BITS)
 _KEY_BITS = 63
 
 
@@ -345,136 +351,89 @@ def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple
         yield a * (den // b), c * (den // d), den
 
 
-# above every key: the next key of a swept-through operand
-_PAST_END = 1 << (_KEY_BITS + 1)
-# endpoints in a row from one operand after which a sweep gallops
-_GALLOP_AFTER = 8
-
 # keep[2 * in_a + in_b]: whether a point inside a or not, and b or not, is in the result
 _OR = (False, True, True, True)
 _AND = (False, False, False, True)
 _SUB = (False, False, True, False)
 
 
-def _bisect(segs: Sequence[Segment], keys: Sequence, x, x_key, lo: int, hi: int, side=bisect_left) -> int:
-    """Where endpoint x goes among the flattened endpoints of segs, as bisect_left or bisect_right.
+def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_ends: Sequence[Fraction],
+          b_ends: Sequence[Fraction]) -> Iterator[tuple[int, int]]:
+    """Walk the flattened endpoints of a and b in order; yield the positions (i, j) after each step.
 
-    keys[lo:hi] holds the place by key; endpoints whose keys tie with x's
-    are compared with x exactly, first by one == with the first of them,
-    which settles the usual tie, an endpoint equal to x.
+    A step takes a run: one operand's endpoints below the other's next one,
+    found by one bisection of the keys, or all that are left of one operand
+    once the other's are taken.  Only i or only j moves.  A key tie is
+    settled exactly: one == finds equal endpoints, which are one step that
+    moves both, and otherwise the lower endpoint alone is a run.
     """
-    k = bisect_left(keys, x_key, lo, hi)
-    if k < len(keys) and keys[k] == x_key:
-        if segs[k >> 1][k & 1] == x:
-            return k + 1 if side is bisect_right else k
-        k += side(range(k, bisect_right(keys, x_key, k)), x, key=lambda t: segs[t >> 1][t & 1])
-    return k
+    na, nb = len(a_keys), len(b_keys)
+    i = j = 0
+    while i < na and j < nb:
+        x, y = a_keys[i], b_keys[j]
+        if x < y:
+            i = bisect_left(a_keys, y, i + 1)
+        elif y < x:
+            j = bisect_left(b_keys, x, j + 1)
+        elif a_ends[i] == b_ends[j]:
+            i, j = i + 1, j + 1
+        elif a_ends[i] < b_ends[j]:
+            i += 1
+        else:
+            j += 1
+        yield i, j
+    if i < na or j < nb:
+        yield na, nb
 
 
-def _run_end(segs: Sequence[Segment], keys: Sequence, i: int, other: Sequence[Segment],
-             other_keys: Sequence, j: int) -> int:
-    """The first flattened index after i whose endpoint is not below other's endpoint j, given endpoint i is.
-
-    Gallops over keys 1, 2, 4, ... places ahead and bisects the last step,
-    so a run of r endpoints costs O(log r) key comparisons.
-    """
-    n = len(keys)
-    if j == len(other_keys):
-        return n
-    y_key = other_keys[j]
-    lo, hi, step = i + 1, i + 1, 1
-    while hi < n and keys[hi] < y_key:
-        lo = hi + 1
-        hi += step
-        step *= 2
-    return _bisect(segs, keys, other[j >> 1][j & 1], y_key, lo, min(hi, n))
-
-
-def _take(start: Fraction | None, segs: Sequence[Segment], i: int, k: int,
-          inside: bool) -> Generator[Segment, None, Fraction | None]:
-    """Yield the result's segments that end at endpoints i to k - 1 of segs; return the open start.
+def _run_segments(start: Fraction | None, segs: Sequence[Segment], ends: Sequence[Fraction], i: int,
+                  k: int, inside: bool) -> tuple[list[Segment], Fraction | None]:
+    """The result's segments that end at endpoints i to k - 1 of segs, and the result's open start after them.
 
     Over these endpoints the result is inside segs (``inside``) or outside
     it.  Inside, the result's segments are segs' own, and those are reused;
     outside, they are the gaps between segs' segments.
     """
     if inside:
+        out = []
         if i & 1:  # endpoint i ends the segment the result is in
             seg = segs[i >> 1]
-            yield seg if start is seg[0] else (start, seg[1])
+            out.append(seg if start is seg[0] else (start, seg[1]))
             i += 1
-        yield from segs[i >> 1:k >> 1]
-        return segs[k >> 1][0] if k & 1 else None
-    ends = list(chain.from_iterable(segs[i >> 1:(k + 1) >> 1]))
-    ends = ends[i & 1:len(ends) - (k & 1)]
-    if start is not None:
-        ends.insert(0, start)
-    yield from zip(ends[0::2], ends[1::2])
-    return ends[-1] if len(ends) & 1 else None
+        out += segs[i >> 1:k >> 1]
+        return out, ends[k - 1] if k & 1 else None
+    run = ends[i:k] if start is None else [start, *ends[i:k]]
+    return list(zip(run[0::2], run[1::2])), run[-1] if len(run) & 1 else None
 
 
-def _sweep(a: Sequence[Segment], b: Sequence[Segment], keep: tuple[bool, ...],
-           a_keys: Sequence[int], b_keys: Sequence[int]) -> Iterator[Segment]:
-    """Yield, in order, the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
+def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> Iterator[list[Segment]]:
+    """Yield, in order, nonempty lists of the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
 
-    a and b are canonical, so each one's flattened endpoints (index i is
-    ``segs[i >> 1][i & 1]``) strictly increase and a point lies inside
-    after an odd number of them.  a_keys and b_keys are the flattened
-    endpoints' 63-bit keys, which order as the endpoints do wherever they
-    differ; endpoints whose keys are equal are compared themselves.  The
-    sweep steps through both lists in order; once _GALLOP_AFTER endpoints
-    in a row come from one operand, the rest of that run (its endpoints
-    below the other's next one) is found by galloping and taken at once,
-    since all of them bound the result or none do.  So a ball against a
-    large set costs O(log n) comparisons plus its output.  Segments of a
-    or b that are whole in the result are yielded as they are, not
-    rebuilt.  Measures of symmetric differences and inclusions need no
-    sweep of their own: see the module docstring.
+    a and b are canonical, so each one's flattened endpoints strictly
+    increase and a point lies inside after an odd number of them.  Over a
+    run of a's endpoints (see _runs) whether a point is in b is fixed, so
+    either every endpoint of the run bounds the result or none does, and
+    likewise for b; the run is kept or dropped whole.  So a ball against a
+    large set costs O(log n) key comparisons plus its output.  Segments of
+    a or b that are whole in the result are yielded as they are, not
+    rebuilt.  No list is empty, so the result is empty exactly when none is yielded.
     """
-    na, nb = len(a_keys), len(b_keys)
     start = None  # where the result's open segment began
     i = j = 0
-    streak = 0  # endpoints taken in a row: > 0 from a, < 0 from b
-    while i < na or j < nb:
-        x = a_keys[i] if i < na else _PAST_END
-        y = b_keys[j] if j < nb else _PAST_END
-        if x == y:  # equal keys: one exact == settles equal endpoints, and only unequal ones are ordered
-            x, y = a[i >> 1][i & 1], b[j >> 1][j & 1]
-            if x == y:
-                x = y = 0  # neither is below the other: both are taken at once below
-        if x < y:
-            streak = streak + 1 if streak > 0 else 1
-            if streak == _GALLOP_AFTER:
-                k = _run_end(a, a_keys, i, b, b_keys, j)
-                if keep[2 + (j & 1)] != keep[j & 1]:
-                    start = yield from _take(start, a, i, k, keep[2 + (j & 1)])
-                i, streak = k, 0
-                continue
-            segs, t = a, i
-            i += 1
-        elif y < x:
-            streak = streak - 1 if streak < 0 else -1
-            if streak == -_GALLOP_AFTER:
-                k = _run_end(b, b_keys, j, a, a_keys, i)
-                if keep[2 * (i & 1) + 1] != keep[2 * (i & 1)]:
-                    start = yield from _take(start, b, j, k, keep[2 * (i & 1) + 1])
-                j, streak = k, 0
-                continue
-            segs, t = b, j
-            j += 1
-        else:
-            segs, t = a, i
-            i += 1
-            j += 1
-            streak = 0
-        if keep[2 * (i & 1) + (j & 1)] != (start is not None):
-            seg = segs[t >> 1]
-            if start is None:
-                start = seg[t & 1]
-            else:
-                # a segment of a or b that the result holds whole is reused
-                yield seg if t & 1 and start is seg[0] else (start, seg[t & 1])
-                start = None
+    for ni, nj in _runs(a._keys, b._keys, a._ends, b._ends):
+        out = None
+        if nj == j:
+            if keep[j & 1] != keep[2 + (j & 1)]:
+                out, start = _run_segments(start, a.segments, a._ends, i, ni, keep[2 + (j & 1)])
+        elif ni == i:
+            if keep[2 * (i & 1)] != keep[2 * (i & 1) + 1]:
+                out, start = _run_segments(start, b.segments, b._ends, j, nj, keep[2 * (i & 1) + 1])
+        elif keep[2 * (ni & 1) + (nj & 1)] != (start is not None):
+            # the result starts or ends at an endpoint of both, so it is inside a on both sides or on neither
+            out, start = _run_segments(start, a.segments, a._ends, i, ni, (start is not None) == (i & 1))
+        if out:
+            yield out
+        i, j = ni, nj
 
 
 def _measure(segments: Iterable[Segment]) -> Fraction:
@@ -514,12 +473,17 @@ class ArcSet:
         object.__setattr__(self, "segments", _integer_union(groups).segments)
 
     @cached_property
-    def _keys(self) -> array:
-        """The flattened endpoints' keys, computed on the first sweep or lookup that needs them.
+    def _ends(self) -> list[Fraction]:
+        """The flattened endpoints: index i is ``segments[i >> 1][i & 1]``.
 
-        A cache: it takes no part in ==, hash, repr, copies or pickles.
+        A cache, like _keys and measure: it takes no part in ==, hash, repr, copies or pickles.
         """
-        return array("Q", ((x.numerator << _KEY_BITS) // x.denominator for seg in self.segments for x in seg))
+        return list(chain.from_iterable(self.segments))
+
+    @cached_property
+    def _keys(self) -> list[int]:
+        """The flattened endpoints' keys, computed on the first walk or lookup that needs them."""
+        return [(x.numerator << _KEY_BITS) // x.denominator for x in self._ends]
 
     def __getstate__(self) -> dict:
         return {"segments": self.segments}
@@ -560,10 +524,12 @@ class ArcSet:
         return _measure(self.segments)
 
     def __contains__(self, point: CirclePoint) -> bool:
-        v, keys = point.value, self._keys
-        # a point is inside after an odd number of endpoints
-        return _bisect(self.segments, keys, v, (v.numerator << _KEY_BITS) // v.denominator,
-                       0, len(keys), bisect_right) & 1 == 1
+        v, keys, ends = point.value, self._keys, self._ends
+        key = (v.numerator << _KEY_BITS) // v.denominator
+        k = bisect_left(keys, key)
+        if k < len(keys) and keys[k] == key:  # endpoints whose keys tie are compared, first by one ==
+            k = k + 1 if ends[k] == v else bisect_right(ends, v, k, bisect_right(keys, key, k))
+        return k & 1 == 1  # a point is inside after an odd number of endpoints
 
     # -- boolean algebra ----------------------------------------------------
 
@@ -573,30 +539,66 @@ class ArcSet:
 
     __invert__ = complement
 
-    def _boolean(self, other: "ArcSet", keep: tuple[bool, ...]) -> Iterator[Segment]:
-        return _sweep(self.segments, other.segments, keep, self._keys, other._keys)
+    def _boolean(self, other: "ArcSet", keep: tuple[bool, ...]) -> "ArcSet":
+        return ArcSet._trusted(tuple(chain.from_iterable(_sweep(self, other, keep))))
 
     def union(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(self._boolean(other, _OR)))
+        return self._boolean(other, _OR)
 
     __or__ = union
 
     def intersection(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(self._boolean(other, _AND)))
+        return self._boolean(other, _AND)
 
     __and__ = intersection
 
     def difference(self, other: "ArcSet") -> "ArcSet":
-        return ArcSet._trusted(tuple(self._boolean(other, _SUB)))
+        return self._boolean(other, _SUB)
 
     __sub__ = difference
 
     def symm_diff_measure(self, other: "ArcSet") -> Fraction:
-        """measure(self \\ other) + measure(other \\ self); zero iff equal."""
-        return self.measure + other.measure - 2 * _measure(self._boolean(other, _AND))
+        """measure(self \\ other) + measure(other \\ self); zero iff equal.
+
+        One walk (see _runs) finds the runs of boundaries of self & other,
+        self - other and other - self, as index ranges; only the piece with
+        the fewest is measured, and the result follows from the cached
+        measures of self and other.
+        """
+        a_ends, b_ends = self._ends, other._ends
+        both, a_only, b_only = pieces = ([], [], [])  # the boundaries of self & other, self - other, other - self
+        i = j = 0
+        for ni, nj in _runs(self._keys, other._keys, a_ends, b_ends):
+            if nj == j:  # a run of self's endpoints, all inside other or all outside it
+                run = (a_ends, i, ni)
+                if j & 1:
+                    both.append(run)
+                    b_only.append(run)
+                else:
+                    a_only.append(run)
+            elif ni == i:
+                run = (b_ends, j, nj)
+                if i & 1:
+                    both.append(run)
+                    a_only.append(run)
+                else:
+                    b_only.append(run)
+            elif i & 1 == j & 1:  # an endpoint of both, where both start or both end
+                both.append((a_ends, i, ni))
+            else:
+                a_only.append((a_ends, i, ni))
+                b_only.append((a_ends, i, ni))
+            i, j = ni, nj
+        sizes = [sum(k - i for _, i, k in runs) for runs in pieces]
+        p = sizes.index(min(sizes))
+        bounds = chain.from_iterable(ends[i:k] for ends, i, k in pieces[p])
+        piece = _measure(zip(bounds, bounds))  # a piece's boundaries alternate start, end
+        if p == 0:
+            return self.measure + other.measure - 2 * piece
+        return (other.measure - self.measure if p == 1 else self.measure - other.measure) + 2 * piece
 
     def issubset(self, other: "ArcSet") -> bool:
-        return next(self._boolean(other, _SUB), None) is None
+        return next(_sweep(self, other, _SUB), None) is None
 
     __le__ = issubset
 

@@ -254,6 +254,7 @@ def sweep_by_fraction(a, b, keep: tuple[bool, ...], gallop_after: int = 8):
 
 # keep tables for sweep_by_fraction: keep[2 * (x in a) + (x in b)]
 SUB = (False, False, True, False)
+RSUB = (False, True, False, False)
 XOR = (False, True, True, False)
 
 

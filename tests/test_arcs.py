@@ -8,9 +8,24 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlelab import Arc, ArcSet, approx_order_set, arc, circle_point, format_fraction, thicken, union_all
+from circlelab import (
+    Arc,
+    ArcSet,
+    Power,
+    TailUnionSpec,
+    approx_order_set,
+    arc,
+    circle_point,
+    format_fraction,
+    parse_predicate,
+    tail_union,
+    thicken,
+    union_all,
+)
 from circlelab import arcs as arcs_module
 from helpers import (
+    RSUB,
+    SUB,
     XOR,
     arcs_by_sort,
     canonical_by_fraction_sort,
@@ -120,13 +135,13 @@ def test_complement_matches_gap_walk_oracle():
     rng = random.Random(4115)
     sets = [ArcSet.empty(), ArcSet.full(), S((0, "1/3")), S(("2/3", "1/3")), S(("3/4", "1/2")), S(("1/7", "1/7"))]
     sets += [rand_arcset(rng) for _ in range(200)]
-    # up to 60 short arcs: enough segments for the sweep to gallop
+    # up to 60 short arcs: enough segments for runs of many endpoints
     sets += [S(*((Fraction(rng.randrange(500), 500), Fraction(1, rng.randint(200, 2000))) for _ in range(60)))
              for _ in range(200)]
     # sets that touch 0 only, 1 only, both (a wrapping arc) and neither are all among them
     ends = {(s.segments[0][0] == 0, s.segments[-1][1] == 1) for s in sets if s.segments}
     assert ends == {(False, False), (False, True), (True, False), (True, True)}
-    assert max(len(s.segments) for s in sets) > 2 * arcs_module._GALLOP_AFTER
+    assert max(len(s.segments) for s in sets) > 16
     for s in sets:
         assert (~s).segments == complement_by_gap_walk(s), s
 
@@ -531,15 +546,10 @@ def test_boolean_ops_match_grid_oracle(ga, gb):
     assert [circle_point(x) in (a - b) for x in probes] == [in_a(x) and not in_b(x) for x in probes]
 
 
-@pytest.mark.parametrize("gallop_after", [1, 2, 8])
-def test_sweep_runs_match_grid_segments(monkeypatch, gallop_after):
-    """Large sets against small ones, so long runs from one operand are galloped over.
-
-    The gallop threshold is lowered too, so that the galloping path is
-    also taken for short runs.
-    """
-    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
-    rng = random.Random(41 + gallop_after)
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_sweep_runs_match_grid_segments(seed):
+    """Large sets against small ones, so that one operand has long runs of endpoints, and sets of equal size."""
+    rng = random.Random(41 + seed)
     d = 240
     for _ in range(100):
         sizes = rng.choice([(60, 1), (1, 60), (40, 3), (3, 40), (30, 30), (0, 25), (25, 0)])
@@ -563,6 +573,8 @@ def test_sweep_runs_match_grid_segments(monkeypatch, gallop_after):
         assert (a <= b) == (not grid_segments(lambda x: in_a(x) and not in_b(x), d))
         assert (b <= a) == (not grid_segments(lambda x: in_b(x) and not in_a(x), d))
         assert (a & b) <= a and a <= (a | b)
+        for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, XOR):
+            assert all(arcs_module._sweep(a, b, keep)) and all(arcs_module._sweep(b, a, keep))
 
 
 def test_sweep_reuses_whole_segments():
@@ -615,11 +627,10 @@ def _crowded_pair(rng: random.Random) -> tuple[ArcSet, ArcSet]:
     return pair[0], pair[1]
 
 
-@pytest.mark.parametrize("gallop_after", [1, 2, 8])
-def test_key_ties_are_settled_exactly(monkeypatch, gallop_after):
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_key_ties_are_settled_exactly(seed):
     """Every boolean operation and lookup agrees with the Fraction sweep where keys tie."""
-    monkeypatch.setattr(arcs_module, "_GALLOP_AFTER", gallop_after)
-    rng = random.Random(1729 + gallop_after)
+    rng = random.Random(1729 + seed)
     ops = ((arcs_module._OR, ArcSet.union), (arcs_module._AND, ArcSet.intersection),
            (arcs_module._SUB, ArcSet.difference))
     tied_within = tied_across = 0
@@ -680,18 +691,83 @@ class _CountingKeys:
         return self.keys[i]
 
 
+def _with_counting_keys(s: ArcSet) -> tuple[ArcSet, _CountingKeys]:
+    """A copy of s whose cached keys count their reads, and those keys."""
+    t = ArcSet(s.segments)
+    keys = vars(t)["_keys"] = _CountingKeys(s._keys)
+    return t, keys
+
+
 def test_sweep_reads_log_n_keys_for_a_ball():
-    """A ball against 3,001 segments reads O(log n) of their keys, whatever it keeps."""
+    """A ball against 3,001 segments reads O(log n) of their keys, whatever it keeps or measures."""
     big = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
     ball = ArcSet(((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)),))
     bound = 8 * len(big.segments).bit_length()
     for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, XOR):
         for big_first in (True, False):
-            big_keys, ball_keys = _CountingKeys(big._keys), _CountingKeys(ball._keys)
-            operands = [(big.segments, big_keys), (ball.segments, ball_keys)][::1 if big_first else -1]
-            (a, ka), (b, kb) = operands
-            list(arcs_module._sweep(a, b, keep, ka, kb))
+            counted, big_keys = _with_counting_keys(big)
+            a, b = (counted, ball) if big_first else (ball, counted)
+            list(arcs_module._sweep(a, b, keep))
             assert big_keys.reads < bound, (keep, big_first, big_keys.reads)
+    for big_first in (True, False):
+        counted, big_keys = _with_counting_keys(big)
+        a, b = (counted, ball) if big_first else (ball, counted)
+        assert a.symm_diff_measure(b) == symm_diff_by_fraction(a.segments, b.segments)
+        assert big_keys.reads < bound, (big_first, big_keys.reads)
+
+
+def test_symm_diff_measure_from_each_smallest_piece():
+    """mu(A ^ B) is right whichever of A & B, A - B and B - A has the fewest boundaries, and each does in turn.
+
+    A and B share a base set and add extras of their own, so the extras'
+    sizes decide which difference is smallest; two sparse sets make the
+    intersection smallest.  The oracle sweeps A ^ B on Fractions.
+    """
+    rng = random.Random(2203)
+    d = 600
+
+    def cells(k: int, width: int) -> list:
+        return [(Fraction(rng.randrange(d), d), Fraction(rng.randint(1, width), d)) for _ in range(k)]
+
+    smallest = []
+    for t in range(300):
+        if t % 3 == 0:
+            a, b = S(*cells(rng.randint(1, 8), 6)), S(*cells(rng.randint(1, 8), 6))
+        else:
+            base, few, many = cells(rng.randint(5, 25), 30), cells(1, 3), cells(rng.randint(3, 6), 3)
+            a, b = S(*base, *few), S(*base, *many)
+            if t % 3 == 2:
+                a, b = b, a
+        assert a.symm_diff_measure(b) == symm_diff_by_fraction(a.segments, b.segments), (a, b)
+        sizes = [len(tuple(sweep_by_fraction(a.segments, b.segments, keep)))
+                 for keep in (arcs_module._AND, SUB, RSUB)]
+        if sizes.count(min(sizes)) == 1:
+            smallest.append(sizes.index(min(sizes)))
+    assert {smallest.count(p) > 20 for p in range(3)} == {True}, smallest
+
+
+@pytest.mark.parametrize("c, a", [(Fraction(1), 3), (Fraction(1, 4), 2)])
+def test_large_tail_unions_match_fraction_sweeps(c, a):
+    """Boolean operations on the benchmark's standing set, a tail union over [2, 300], against the Fraction sweep.
+
+    The other operand is the other standing set, its half [0, 1/2), a ball
+    and a thickening of the order-97 points.
+    """
+    big = tail_union(TailUnionSpec(2, 300, parse_predicate("all"), Power(c, a)))
+    other = Power(Fraction(1, 4), 2) if a == 3 else Power(Fraction(1), 3)
+    others = [tail_union(TailUnionSpec(2, 300, parse_predicate("all"), other)),
+              ArcSet(((Fraction(0), Fraction(1, 2)),)), S(("1/3", "1/50")),
+              thicken([circle_point(Fraction(m, 97)) for m in range(97)], Fraction(1, 500))]
+    assert len(big.segments) > 4000 and len(others[0].segments) > 4000
+    for t in others:
+        for s, u in ((big, t), (t, big)):
+            for keep, op in ((arcs_module._OR, ArcSet.union), (arcs_module._AND, ArcSet.intersection),
+                             (arcs_module._SUB, ArcSet.difference)):
+                assert op(s, u).segments == tuple(sweep_by_fraction(s.segments, u.segments, keep))
+                assert all(arcs_module._sweep(s, u, keep))
+            assert s.symm_diff_measure(u) == symm_diff_by_fraction(s.segments, u.segments)
+            assert (s <= u) == subset_by_fraction(s.segments, u.segments)
+    assert big & others[0] <= big and not big <= big & others[0]
 
 
 def test_large_booleans_compare_fractions_only_on_key_ties(monkeypatch):
@@ -726,21 +802,21 @@ def test_key_cache_is_invisible():
         return x, hash(x), repr(x), pickle.dumps(x), copy.copy(x), copy.deepcopy(x)
 
     before = views(s)
-    assert "_keys" not in vars(s) and "measure" not in vars(s)
+    assert "_keys" not in vars(s) and "_ends" not in vars(s) and "measure" not in vars(s)
     assert circle_point(Fraction(3, 17)) in s
     results = [s | t, s & t, s - t, t - s]
-    assert "_keys" in vars(s)
+    assert "_keys" in vars(s) and "_ends" in vars(s)
     assert views(s) == before
     assert s.measure == measure_per_denominator(s.segments) and "measure" in vars(s)
     assert s.symm_diff_measure(t) == symm_diff_by_fraction(s.segments, t.segments)
     assert views(s) == before
     thawed = pickle.loads(pickle.dumps(s))
-    assert thawed == s and "_keys" not in vars(thawed) and "measure" not in vars(thawed)
+    assert thawed == s and not {"_keys", "_ends", "measure"} & vars(thawed).keys()
     assert thawed & t == s & t and thawed.measure == s.measure
     for r in results:
         rebuilt = ArcSet(r.segments)
         assert (r, hash(r), repr(r)) == (rebuilt, hash(rebuilt), repr(rebuilt))
-        assert "_keys" not in vars(r) and "measure" not in vars(r)
+        assert not {"_keys", "_ends", "measure"} & vars(r).keys()
 
 
 def test_integer_endpoints_become_fractions():
