@@ -198,7 +198,7 @@ def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
             by_den[last[4]] -= last[3]
             by_den[item[4]] += item[2]
             last, end = item, item[1]
-    return _sum_ratios((num, den) for den, num in by_den.items() if num)
+    return Fraction(*_sum_ratios((num, den) for den, num in by_den.items() if num))
 
 
 def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
@@ -447,7 +447,7 @@ def _measure(segments: Iterable[Segment]) -> Fraction:
         by_den[d] = by_den.get(d, 0) + num
         num, d = lo.as_integer_ratio()
         by_den[d] = by_den.get(d, 0) - num
-    return _sum_ratios((num, den) for den, num in by_den.items() if num)
+    return Fraction(*_sum_ratios((num, den) for den, num in by_den.items() if num))
 
 
 

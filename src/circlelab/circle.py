@@ -34,46 +34,52 @@ def format_fraction(q: Fraction) -> str:
     return num if den == "1" else f"{num}/{den}"
 
 
-# Levels whose denominators have more bits than this add each pair over lcm(q1, q2).
+# Levels whose denominators r**a have more bits than this add each pair over lcm(r1, r2)**a.
 # Timed on the duffin-schaeffer series (c/n^a, a = 1, 2 to cap 4096, a = 3 to 2048,
-# a = 2 to 65536), switches from 512 to 1536 bits ran within noise of each other;
-# 128 bits and 2048 or more ran 10-40 % slower, and product steps alone 2-3.5x.
-# The short per-denominator sums of the measures stay below it.
+# a = 2 to 65536) with the gcds taken of r, switches from 256 to 1536 bits ran within
+# 10 % of each other; 2048 bits ran up to 12 % slower, 4096 bits 10-30 %, and product
+# steps alone 1.5-2.3x.  The short per-denominator sums of the measures stay below it.
 _LCM_BITS = 1024
 
 
-def _sum_ratios(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of p/q over integer pairs (p, q) with q > 0, reduced once at the end.
+def _sum_ratios(pairs: Iterable[tuple[int, int]], a: int = 1) -> tuple[int, int]:
+    """Exact sum of p/r**a over integer pairs (p, r) with r > 0, as an unreduced pair (p, r) read the same way.
 
     Neighbours are added level by level in a balanced tree, so the
     operands of each product are of equal size (binary splitting), where a
     running sum would run one gcd on a growing denominator per term.  A
-    level of small denominators adds pairs as (p1*q2 + p2*q1, q1*q2), or
-    (p1 + p2, q) over a shared q, without reducing.  Past _LCM_BITS a level
-    adds them over lcm(q1, q2) instead, which keeps each node near the size
-    of the reduced sum and leaves a small gcd for the end: for the
-    totient series at cap 4096 and a = 2, about 12 kbit instead of 48.
+    level of small denominators adds pairs as (p1*r2**a + p2*r1**a, r1*r2),
+    or (p1 + p2, r) over a shared r, without reducing.  Past _LCM_BITS a
+    level adds them over lcm(r1, r2) instead, which keeps each node near
+    the size of the reduced sum: for the totient series at cap 4096 and
+    a = 2, about 12 kbit instead of 48.  Its gcds are of r, a times
+    shorter than r**a.  Callers reduce the result once.
     """
     level = list(pairs)
     while len(level) > 1:
         odd_one_out = level[-1:] if len(level) & 1 else []
         it = iter(level)
-        if level[0][1].bit_length() <= _LCM_BITS:
+        if level[0][1].bit_length() * a > _LCM_BITS:
+            level = [_add_over_lcm(p1, r1, p2, r2, a) for (p1, r1), (p2, r2) in zip(it, it)]
+        elif a == 1:  # the step below with no powers, which cost the short sums a quarter more
             level = [
                 (p1 + p2, q1) if q1 == q2 else (p1 * q2 + p2 * q1, q1 * q2)
                 for (p1, q1), (p2, q2) in zip(it, it)
             ]
         else:
-            level = [_add_over_lcm(p1, q1, p2, q2) for (p1, q1), (p2, q2) in zip(it, it)]
+            level = [
+                (p1 + p2, r1) if r1 == r2 else (p1 * r2**a + p2 * r1**a, r1 * r2)
+                for (p1, r1), (p2, r2) in zip(it, it)
+            ]
         level += odd_one_out
-    return Fraction(*level[0]) if level else Fraction(0)
+    return level[0] if level else (0, 1)
 
 
-def _add_over_lcm(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
-    """p1/q1 + p2/q2 as (p1*(q2/g) + p2*(q1/g), q1/g*q2) with g = gcd(q1, q2)."""
-    g = gcd(q1, q2)
-    q1 //= g
-    return p1 * (q2 // g) + p2 * q1, q1 * q2
+def _add_over_lcm(p1: int, r1: int, p2: int, r2: int, a: int) -> tuple[int, int]:
+    """p1/r1**a + p2/r2**a as (p1*(r2/g)**a + p2*(r1/g)**a, r1/g*r2), read the same way, with g = gcd(r1, r2)."""
+    g = gcd(r1, r2)
+    r1 //= g
+    return p1 * (r2 // g) ** a + p2 * r1**a, r1 * r2
 
 
 _LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

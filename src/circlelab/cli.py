@@ -180,7 +180,7 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("duffin-schaeffer", help="totient-series partial sums and classification")
     p.add_argument("--delta", required=True)
-    p.add_argument("--cap", type=int, required=True, help="largest partial-sum cutoff")
+    p.add_argument("--cap", type=int, required=True, help="largest partial-sum cutoff, at most 2**22")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_duffin_schaeffer)
 

@@ -12,28 +12,49 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
+from itertools import accumulate, starmap
 from typing import Iterable, Iterator, Sequence
 
-from .approx import DeltaSequence, scaled_tail_union_comparison, tail_union_measures
-from .circle import CirclePoint, RationalLike, _sum_ratios, as_fraction, format_fraction
+from .approx import DeltaSequence, Power, scaled_tail_union_comparison, tail_union_measures
+from .circle import CirclePoint, RationalLike, _add_over_lcm, _sum_ratios, as_fraction, format_fraction
 from .numtheory import All, IndexPredicate, totient_range
 
 DECIMAL_DIGITS = 12
+# duffin-schaeffer runs about 3.5x as long per doubling of its cap, 7 s at 2**18 on a shared
+# 2-core host: some 20 minutes at 2**22, over an hour past it
+MAX_PARTIAL_SUM_CAP = 2**22
 
 
 def decimal_string(q: Fraction) -> str:
     """Faithful rounding of an exact rational to DECIMAL_DIGITS significant digits.
 
     Half-even rounding; the exact value is always carried alongside in
-    reports, so this rendering is presentation only.
+    reports, so this rendering is presentation only.  The digits come from
+    one integer division scaled to leave two to four digits past them, and
+    print as Decimal prints the quotient of numerator and denominator: an
+    exact quotient drops its trailing zeros past the decimal point.
     """
-    with localcontext() as ctx:
-        ctx.prec = DECIMAL_DIGITS
-        ctx.rounding = ROUND_HALF_EVEN
-        d = Decimal(q.numerator) / Decimal(q.denominator)
-    return str(d)
+    num, den = q.as_integer_ratio()
+    if not num:
+        return "0"
+    # |q| > 2**t, so coeff has DECIMAL_DIGITS + 2 digits or more: 0.30103 exceeds log10(2) by under 5e-9
+    t = abs(num).bit_length() - den.bit_length() - 1
+    k = DECIMAL_DIGITS + 2 - t * 30103 // 100000
+    coeff, rest = divmod(abs(num) * 10**k, den) if k >= 0 else divmod(abs(num), den * 10**-k)
+    drop = len(str(coeff)) - DECIMAL_DIGITS
+    coeff, tail = divmod(coeff, 10**drop)
+    half = 5 * 10 ** (drop - 1)
+    exp = drop - k
+    if tail > half or tail == half and (rest or coeff & 1):
+        coeff += 1
+        if coeff == 10**DECIMAL_DIGITS:
+            coeff, exp = coeff // 10, exp + 1
+    elif not tail and not rest:
+        while exp < 0 and coeff % 10 == 0:
+            coeff, exp = coeff // 10, exp + 1
+    return str(Decimal(f"{'-' if num < 0 else ''}{coeff}E{exp}"))
 
 
 @dataclass(frozen=True)
@@ -114,9 +135,25 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
 # -- drivers --------------------------------------------------------------------
 
 
-def _totient_sum(delta: DeltaSequence, phi: Sequence[int], lo: int, hi: int) -> Fraction:
-    """Exact sum of phi[n] * max(delta_n, 0) over lo <= n < hi, as one summation tree."""
-    return _sum_ratios((f * p, q) for f, (p, q) in zip(phi[lo:hi], delta.ratios(lo, hi)) if p > 0)
+def _totient_sums(delta: DeltaSequence, phi: Sequence[int], blocks: Iterable[tuple[int, int]]) -> Iterator[Fraction]:
+    """Sums of phi[n] * max(delta_n, 0) over the blocks [lo, hi) so far, exact, one per block taken in turn.
+
+    Each block is one summation tree.  A power law c/n**a with a >= 1 hands
+    it (phi[n], n), read as phi[n]/n**a, and applies c once; any other
+    sequence hands it (phi[n]*p, q) for its positive radii p/q.  The running
+    sum is an unreduced pair, added over the lcm, reduced once per block.
+    """
+    power = isinstance(delta, Power) and delta.exponent > 0
+    a = delta.exponent if power else 1
+    c, d = delta.coeff.as_integer_ratio() if power else (1, 1)
+
+    def block_sum(lo: int, hi: int) -> tuple[int, int]:
+        if power:
+            return _sum_ratios(zip(phi[lo:hi], range(lo, hi)), a)
+        return _sum_ratios((f * p, q) for f, (p, q) in zip(phi[lo:hi], delta.ratios(lo, hi)) if p > 0)
+
+    running = accumulate(starmap(block_sum, blocks), lambda s, t: _add_over_lcm(*s, *t, a))
+    return (Fraction(c * p, d * r**a) for p, r in running)
 
 
 def gallagher_experiment(
@@ -142,12 +179,9 @@ def gallagher_experiment(
         "gallagher",
         params={"delta": str(delta), "n_min_schedule": schedule, "n_max": n_max},
     )
-    # the bounds are suffix sums: one tree per schedule interval, added from the top
-    bounds = {}
-    bound = Fraction(0)
-    for lo, hi in reversed(list(zip(schedule, schedule[1:] + [n_max + 1]))):
-        bound += 2 * _totient_sum(delta, phi, lo, hi)
-        bounds[lo] = bound
+    # the bounds are suffix sums: the schedule intervals summed from the top
+    blocks = list(zip(schedule, schedule[1:] + [n_max + 1]))[::-1]
+    bounds = {lo: 2 * s for (lo, _), s in zip(blocks, _totient_sums(delta, phi, blocks))}
     measures = tail_union_measures(All(), delta, schedule, n_max)
     for n_min, measure in zip(schedule, measures):
         bound = bounds[n_min]
@@ -223,24 +257,18 @@ def duffin_schaeffer_classify(delta: DeltaSequence, partial_sum_cap: int) -> Exp
     Tabulated sequences give None and are left "undetermined" — no
     almost-everywhere claim is made from finite data.
     """
-    if partial_sum_cap < 1:
-        raise ValueError(f"partial-sum cap must be >= 1, got {partial_sum_cap}")
+    if not 1 <= partial_sum_cap <= MAX_PARTIAL_SUM_CAP:
+        raise ValueError(f"partial-sum cap must be in [1, 2**22], got {partial_sum_cap}")
     cutoffs = _doubling_schedule(partial_sum_cap)
     phi = totient_range(cutoffs[-1])
     report = ExperimentReport(
         "duffin-schaeffer",
         params={"delta": str(delta), "partial_sum_cap": partial_sum_cap},
     )
-
-    # one tree per doubling block, the block sums added as a running prefix
-    total = Fraction(0)
-    lo = 1
-    sums = []
-    for cutoff in cutoffs:
-        total += _totient_sum(delta, phi, lo, cutoff + 1)
-        lo = cutoff + 1
+    ends = [cutoff + 1 for cutoff in cutoffs]
+    sums = list(_totient_sums(delta, phi, zip([1] + ends, ends)))
+    for cutoff, total in zip(cutoffs, sums):
         report.rows.append(ReportRow(f"partial_sum[n_max={cutoff}]", total))
-        sums.append(total)
     report.verdicts.append(
         Verdict("partial_sums_nondecreasing", all(a <= b for a, b in zip(sums, sums[1:])))
     )

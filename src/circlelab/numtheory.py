@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isqrt
 
 
 def is_prime(n: int) -> bool:
@@ -40,14 +41,22 @@ def totient(n: int) -> int:
 
 
 def totient_range(limit: int) -> list[int]:
-    """Sieve phi(0..limit); phi[0] is 0 by convention."""
+    """Sieve phi(0..limit); phi[0] is 0 by convention.
+
+    A table of smallest prime factors, written a slice per p <= sqrt(limit)
+    from the largest p down, gives phi(n) = phi(m) * (p or p - 1) for
+    n = p*m, by whether p divides m.
+    """
     if limit < 1:
         raise ValueError(f"expected a positive limit, got {limit}")
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] = [x // p * (p - 1) for x in phi[p::p]]
-    phi[0] = 0
+    spf = list(range(limit + 1))
+    for p in range(isqrt(limit), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
+    phi = [0, 1] + [0] * (limit - 1)
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        phi[n] = phi[m] * (p if m % p == 0 else p - 1)
     return phi
 
 

@@ -13,6 +13,7 @@ arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for the measures
 of tail unions, which the library takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
+one Decimal division for the 12-digit rendering of a rational,
 and whole ArcSets or CirclePoints compared for invariance, the
 inclusions (i)-(iv) and conjugation.
 """
@@ -23,6 +24,7 @@ import json
 import os
 import random
 from bisect import bisect_left
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -470,6 +472,15 @@ def partial_sums_sequential(delta, cutoffs) -> list[Fraction]:
             n += 1
         sums.append(total)
     return sums
+
+
+def decimal_string_by_division(q: Fraction) -> str:
+    """q to 12 significant digits, half-even, as the library once rendered it: one Decimal division."""
+    with localcontext() as ctx:
+        ctx.prec = 12
+        ctx.rounding = ROUND_HALF_EVEN
+        d = Decimal(q.numerator) / Decimal(q.denominator)
+    return str(d)
 
 
 def measure_per_denominator(segments) -> Fraction:

@@ -120,8 +120,13 @@ def test_point_str():
 # -- the exact summation tree -----------------------------------------------------------
 
 
-def _sum_by_fraction(pairs) -> Fraction:
-    return sum((Fraction(p, q) for p, q in pairs), Fraction(0))
+def _sum_by_fraction(pairs, a=1) -> Fraction:
+    return sum((Fraction(p, q**a) for p, q in pairs), Fraction(0))
+
+
+def _reduced_sum(pairs, a=1) -> Fraction:
+    p, r = circle_module._sum_ratios(pairs, a)
+    return Fraction(p, r**a)
 
 
 # denominator sizes below and above the level size at which pairs are added over their lcm
@@ -137,7 +142,7 @@ def _coprime_denominators(k: int, bits: int) -> list[int]:
 @pytest.mark.parametrize("bits", [_SMALL_BITS, _LARGE_BITS])
 def test_sum_ratios_matches_fraction_sum(bits):
     rng = random.Random(1300 + bits)
-    sum_ratios = circle_module._sum_ratios
+    sum_ratios = _reduced_sum
     assert sum_ratios([]) == 0
     q = rng.getrandbits(bits) | 1 << bits
     assert sum_ratios([(-3, q)]) == Fraction(-3, q)
@@ -155,18 +160,41 @@ def test_sum_ratios_matches_fraction_sum(bits):
     assert sum_ratios([(1, q), (-1, q)]) == 0
 
 
+@pytest.mark.parametrize("a", [2, 3])
+@pytest.mark.parametrize("bits", [_SMALL_BITS, _LARGE_BITS // 2])
+def test_sum_ratios_of_powers_matches_fraction_sum(bits, a):
+    """Pairs (p, r) read as p/r**a: shared, coprime and gcd-sharing r, product and lcm levels both."""
+    rng = random.Random(1400 + bits + a)
+    r = rng.getrandbits(bits) | 1 << bits
+    assert _reduced_sum([(-3, r)], a) == Fraction(-3, r**a)
+    assert _reduced_sum([(1, r), (-1, r)], a) == 0
+    shared = [(rng.randint(-10**6, 10**6), r) for _ in range(37)]
+    coprime = [(rng.randint(-9, 9), d) for d in _coprime_denominators(25, bits)]
+    common = rng.getrandbits(bits) | 1
+    mixed = [(rng.randint(-10**9, 10**9), common * rng.randint(1, 2**bits)) for _ in range(61)]
+    small = [(rng.randint(-50, 50), rng.randint(1, 60)) for _ in range(200)]
+    for pairs in [shared, coprime, mixed, small, mixed + coprime + shared]:
+        assert _reduced_sum(pairs, a) == _sum_by_fraction(pairs, a)
+        assert _reduced_sum(iter(pairs), a) == _sum_by_fraction(pairs, a)
+    assert max(r.bit_length() for _, r in mixed) * a * 64 > circle_module._LCM_BITS  # the top levels use the lcm
+
+
 @pytest.mark.parametrize("a", [1, 2, 3])
 def test_sum_ratios_of_totient_blocks_matches_series_oracle(a):
-    """The doubling blocks of the totient series to 2^12 sum, block by block, to the running oracle."""
+    """The doubling blocks of the totient series to 2^12 sum, block by block, to the running oracle.
+
+    Each block is summed as pairs (phi(n), n) read as phi(n)/n**a, and as pairs (phi(n), n**a) with a = 1.
+    """
     phi = totient_range(2**12)
     cutoffs = [2**k for k in range(1, 13)]
     totals, total, lo = [], Fraction(0), 1
     widest = 0
     for cutoff in cutoffs:
-        block = [(phi[n], n**a) for n in range(lo, cutoff + 1)]
-        total += circle_module._sum_ratios(block)
+        block = [(phi[n], n) for n in range(lo, cutoff + 1)]
+        total += _reduced_sum(block, a)
+        assert _reduced_sum([(f, n**a) for f, n in block]) == total - (totals[-1] if totals else 0)
         totals.append(total)
-        widest = max(widest, sum(q.bit_length() for _, q in block))
+        widest = max(widest, sum((n**a).bit_length() for _, n in block))
         lo = cutoff + 1
     assert widest > 4 * circle_module._LCM_BITS  # the top levels of the widest block add over the lcm
     assert totals == partial_sums_sequential(Power(Fraction(1), a), cutoffs)

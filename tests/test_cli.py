@@ -187,6 +187,16 @@ def test_malformed_input_exits_1_with_one_line(capsys, argv, names):
     assert "Traceback" not in err
 
 
+def test_duffin_schaeffer_refuses_a_huge_cap_before_sieving(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit} before refusing the cap")
+
+    monkeypatch.setattr("circlelab.experiments.totient_range", no_sieve)
+    code, out, err = run_cli(capsys, "duffin-schaeffer", "--delta", "power:1:2", "--cap", "1000000000")
+    assert code == 1 and out == ""
+    assert err == "circlelab: error: partial-sum cap must be in [1, 2**22], got 1000000000\n"
+
+
 # one small valid call per subcommand; each flag value is swapped in turn for each token of BAD_VALUES
 VALID_ARGV = [
     ["gallagher", "--delta", "power:1:2", "--n-min-schedule", "2,3", "--n-max", "5"],

@@ -22,7 +22,9 @@ from circlelab import (
     tail_union,
     totient,
 )
-from helpers import dist_to_order_scan, partial_sums_sequential, rand_fraction
+from circlelab import experiments as experiments_module
+from circlelab.circle import _sum_ratios
+from helpers import decimal_string_by_division, dist_to_order_scan, partial_sums_sequential, rand_fraction
 
 
 def test_decimal_rendering():
@@ -32,6 +34,45 @@ def test_decimal_rendering():
     assert decimal_string(Fraction(-1, 3)) == "-0.333333333333"
     assert decimal_string(Fraction(2, 3)) == "0.666666666667"
     assert decimal_string(Fraction(0)) == "0"
+    assert decimal_string(Fraction(1, 8)) == "0.125"
+    assert decimal_string(Fraction(1, 10**9)) == "1E-9"
+    assert decimal_string(Fraction(-2000)) == "-2000"
+    assert decimal_string(Fraction(1305514926000)) == "1.30551492600E+12"
+    assert decimal_string(Fraction(125, 84)) == "1.48809523810"
+    assert decimal_string(Fraction(2 * 10**12 - 1, 2)) == "1.00000000000E+12"
+    assert decimal_string(Fraction(1234567890125, 10**13)) == "0.123456789012"
+    assert decimal_string(Fraction(1234567890135, 10**13)) == "0.123456789014"
+
+
+def _decimal_cases(rng: random.Random) -> list[Fraction]:
+    """Seeded rationals of every shape that decimal_string prints, 100,000 and more."""
+    cases = []
+    for _ in range(40_000):  # either sign, 1 to 40 digits over 1 to 40 digits
+        cases.append(Fraction(rng.choice((1, -1)) * rng.randint(1, 10 ** rng.randint(1, 40)),
+                              rng.randint(1, 10 ** rng.randint(1, 40))))
+    for _ in range(10_000):  # integers, with 13 digits or more printed in E+ form
+        cases.append(Fraction(rng.choice((1, -1)) * rng.randint(0, 10 ** rng.randint(1, 30))))
+    for _ in range(10_000):  # exact decimals, short and long
+        cases.append(Fraction(rng.randint(-10**13, 10**13), 2 ** rng.randint(0, 40) * 5 ** rng.randint(0, 40)))
+    for _ in range(10_000):  # ties at the 13th digit after an odd or even 12th, and a hair either side
+        tie = Fraction(10 * rng.randint(10**11, 10**12 - 1) + 5) * Fraction(10) ** rng.randint(-30, 12)
+        hair = tie / 10 ** rng.randint(14, 60)
+        cases += [tie, -tie, tie + hair, tie - hair]
+    for e in range(-40, 40):  # values that round up to a new power of ten
+        for nines in (Fraction(2 * 10**12 - 1, 2), Fraction(10**13 - 1), Fraction(10**30 - 1, 10**30)):
+            cases += [nines * Fraction(10) ** e, -nines * Fraction(10) ** e]
+    for _ in range(12):  # operands past 4,300 digits, of like and unlike sizes
+        big = rng.getrandbits(15_000) | 1 << 15_000
+        cases += [Fraction(big, rng.getrandbits(15_000) | 1), Fraction(-big, 7), Fraction(3, big)]
+    return cases
+
+
+def test_decimal_string_matches_decimal_division_oracle():
+    cases = _decimal_cases(random.Random(2300))
+    assert len(cases) >= 100_000
+    past_4300_digits = 10**4300
+    assert sum(max(abs(c.numerator), c.denominator) >= past_4300_digits for c in cases) == 36
+    assert [q for q in cases if decimal_string(q) != decimal_string_by_division(q)] == []
 
 
 def test_report_accessors_and_exit_logic():
@@ -172,7 +213,7 @@ _DS_DELTAS = [
 ]
 
 
-@pytest.mark.parametrize("cap", [1, 2, 3, 1000, 4096])
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 64, 1000, 4096])
 @pytest.mark.parametrize("delta", _DS_DELTAS, ids=str)
 def test_classifier_partial_sums_match_sequential_oracle(delta, cap):
     cutoffs = [2**k for k in range(1, cap.bit_length()) if 2**k <= cap] or [cap]
@@ -181,6 +222,42 @@ def test_classifier_partial_sums_match_sequential_oracle(delta, cap):
     assert [(r.label, r.exact) for r in rep.rows] == [
         (f"partial_sum[n_max={c}]", total) for c, total in zip(cutoffs, expected)
     ]
+
+
+def test_classifier_sums_power_laws_over_n_and_every_other_sequence_over_its_radii(monkeypatch):
+    """c/n**a for a >= 1 reaches the tree as (phi(n), n) with that a; exponent 0 and the other kinds with a = 1."""
+    calls = []
+
+    def spy(pairs, a=1):
+        pairs = list(pairs)
+        calls.append((a, pairs[:2]))
+        return _sum_ratios(pairs, a)
+
+    monkeypatch.setattr(experiments_module, "_sum_ratios", spy)
+    for delta, a in [(Power(Fraction(7, 3), 3), 3), (Power(Fraction(7, 3), 1), 1), (Power(Fraction(7, 3), 0), 1),
+                     (Constant(Fraction(1, 10)), 1), (Table((Fraction(1, 4), Fraction(1, 9))), 1)]:
+        calls.clear()
+        rep = duffin_schaeffer_classify(delta, 8)
+        assert {called for called, _ in calls} == {a}
+        assert [r.exact for r in rep.rows] == partial_sums_sequential(delta, [2, 4, 8])
+    calls.clear()
+    duffin_schaeffer_classify(Power(Fraction(7, 3), 2), 8)
+    assert calls[0] == (2, [(1, 1), (1, 2)])  # phi(n) over n, with c applied once
+
+
+def test_classifier_refuses_caps_past_2_22_before_sieving(monkeypatch):
+    class Sieved(Exception):
+        pass
+
+    def no_sieve(limit):
+        raise Sieved(limit)
+
+    monkeypatch.setattr(experiments_module, "totient_range", no_sieve)
+    for cap in (2**22 + 1, 10**9):
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*22\], got " + str(cap)):
+            duffin_schaeffer_classify(Power(Fraction(1), 2), cap)
+    with pytest.raises(Sieved):  # the largest cap allowed goes on to the sieve
+        duffin_schaeffer_classify(Power(Fraction(1), 2), 2**22)
 
 
 # -- membership witnesses ------------------------------------------------------------

@@ -30,12 +30,24 @@ def test_totient_against_sympy():
 
 
 def test_totient_range_matches_pointwise():
-    phi = totient_range(2000)
+    phi = totient_range(5000)
     assert phi[0] == 0
-    for n in range(1, 2001):
+    for n in range(1, 5001):
         assert phi[n] == totient(n)
     assert totient_range(1) == [0, 1]
     assert totient_range(2) == [0, 1, 1]
+    assert totient_range(3) == [0, 1, 1, 2]
+    assert totient_range(4) == [0, 1, 1, 2, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 47, 53])
+def test_totient_range_at_prime_squares(p):
+    """A limit of p**2, p**2 - 1 or p**2 + 1 for a prime p: the sieve's largest factor, just in range or not."""
+    for limit in (p * p - 1, p * p, p * p + 1):
+        phi = totient_range(limit)
+        assert phi == [0] + [totient(n) for n in range(1, limit + 1)]
+    assert totient_range(p * p)[p * p] == p * (p - 1)
+    assert totient_range(p**3)[p**3] == p * p * (p - 1)
 
 
 def test_totient_multiplicative():
