@@ -79,12 +79,14 @@ numerators (:func:`_affine_groups`).  The writer cuts the arcs at the
 seam, keys and merges them, and builds a Fraction only for each merged
 endpoint.
 
-Equality and inclusion are decided on integer arcs, with no set or
-Fraction built.  A union of groups equals an ArcSet, as
-``AffineCircleMap.is_invariant`` asks, when its merged endpoints lo/den
-cross-multiply to the set's (:func:`_union_equals`); one lies inside
-another, as the inclusion checks of ``approx`` ask, when merging both
-leaves the other's merged keys as they are (:func:`_union_within`).
+Inclusion is decided on integer arcs, with no set or Fraction built, by
+one kernel (:func:`_union_within`): the outer union is merged once, and
+each inner piece is looked up among its segments by one bisection.  The
+inclusion checks of ``approx`` use it, and so does
+``AffineCircleMap.is_invariant``: for T: y -> n*y + x with n >= 1,
+T^-1 S = S exactly when T(S) <= S, as then S <= T^-1(T S) <= T^-1 S, of
+equal measure.  The first inner piece outside the outer union shows
+where an answer is False.
 
 All values are immutable and all operations pure.
 """
@@ -98,7 +100,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .circle import (
@@ -274,40 +275,36 @@ def _keyed_half_thickenings(*term_lists: Iterable[tuple[int, Sequence[int], Frac
     return [(sorted(_keyed_pieces(grid, k)), grid) for grid in grids]
 
 
-# the start and the end of a merged keyed segment, as (numerator, denominator)
-_LO = itemgetter(2, 4)
-_HI = itemgetter(3, 4)
-
-
-def _merged(groups: Sequence[tuple]) -> list[tuple[tuple, tuple]]:
-    """_canonical of the pieces of groups of integer arcs; the pieces it does not return are freed."""
-    return _canonical(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
-
-
 def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
     """The one canonicaliser: the union of groups of integer arcs (see _keyed_pieces) as an ArcSet.
 
     Fractions are built only for merged endpoints.
     """
-    merged = _merged(groups)
+    merged = _canonical(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
     merged.reverse()
     segments = []
     while merged:  # popping frees each keyed item once its Fractions are built
         first, last = merged.pop()
-        segments.append((Fraction(*_LO(first)), Fraction(*_HI(last))))
+        segments.append((Fraction(first[2], first[4]), Fraction(last[3], last[4])))
     return ArcSet._trusted(tuple(segments))
 
 
 def _union_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
     """Whether the union of the groups inner (see _keyed_pieces) lies inside that of outer.
 
-    It does exactly when outer alone and both together merge to the same key pairs.  All are keyed
-    with one shift, so equal keys are equal endpoints (see Exact keys).
+    Only outer is merged.  Its segments neither overlap nor touch, so an inner piece [lo, hi) lies
+    inside it exactly when hi is at most the end of the last one that starts at or before lo, found by
+    bisection.  All are keyed with one shift, so equal keys are equal endpoints (see Exact keys).
     """
     k = _key_bits(max((g[4] for g in chain(inner, outer)), default=1))
-    keyed = _keyed_pieces(outer, k)
-    alone = [(first[0], last[1]) for first, last in _canonical(keyed)]
-    return alone == [(first[0], last[1]) for first, last in _canonical(keyed + _keyed_pieces(inner, k))]
+    merged = _canonical(_keyed_pieces(outer, k))
+    starts = [first[0] for first, _ in merged]
+    ends = [last[1] for _, last in merged]
+    for piece in _keyed_pieces(inner, k):
+        i = bisect_right(starts, piece[0]) - 1
+        if i < 0 or piece[1] > ends[i]:
+            return False
+    return True
 
 
 def _affine_groups(groups: Iterable[tuple], m: int, e: int, f: int) -> list[tuple]:
@@ -323,23 +320,6 @@ def _affine_groups(groups: Iterable[tuple], m: int, e: int, f: int) -> list[tupl
         s = lcm(den, f) // den
         images.append((ms, m * step * s, m * offset * s + e * (s * den // f), m * width * s, s * den, tag))
     return images
-
-
-def _union_equals(groups: Sequence[tuple], s: "ArcSet") -> bool:
-    """Whether the union of groups of integer arcs (see _keyed_pieces) is exactly s.
-
-    Compares the number of merged segments, then each merged endpoint lo/den
-    with s's a/b as lo * b == a * den, up to the first that differs.
-    """
-    merged = _merged(groups)
-    if len(merged) != len(s.segments):
-        return False
-    for (first, last), (x, y) in zip(merged, s.segments):
-        a, b = x.as_integer_ratio()
-        c, d = y.as_integer_ratio()
-        if first[2] * b != a * first[4] or last[3] * d != c * last[4]:
-            return False
-    return True
 
 
 def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple[int, int, int]]:

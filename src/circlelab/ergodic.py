@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .arcs import ArcSet, _integer_union, _over_one_denominator, _union_equals
+from .arcs import ArcSet, _affine_groups, _integer_union, _over_one_denominator, _union_within
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -38,32 +38,30 @@ class AffineCircleMap:
         is rejected: the constant map's preimages are degenerate and not
         measure-preserving.
         """
-        return _integer_union(self._preimage_groups(s))
-
-    def _preimage_groups(self, s: ArcSet) -> list[tuple]:
-        """The arcs of the preimage of s as groups of the writer (see arcs._keyed_pieces)."""
         n = self.multiplier
         if n < 1:
             raise ValueError("preimage requires multiplier >= 1")
         e, f = self.offset.value.as_integer_ratio()
         # over n*den, a segment [lo, hi) pulls back to the pieces that start at lo - x*den + j*den, j < n
-        return [(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
-                for lo, hi, den in _over_one_denominator(s.segments, f)]
+        return _integer_union([(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
+                               for lo, hi, den in _over_one_denominator(s.segments, f)])
 
     def preserves_measure_on(self, sample: Iterable[ArcSet]) -> bool:
         """Exact self-check: preimages of every sampled set keep its measure."""
         return all(self.preimage(s).measure == s.measure for s in sample)
 
     def is_invariant(self, s: ArcSet) -> bool:
-        """True iff the preimage of s equals s, decided on the preimage's merged integer arcs.
+        """True iff the preimage of s equals s, decided as the image inclusion T(s) <= s (see arcs).
 
-        No preimage ArcSet is built, and the comparison stops at the first
-        merged endpoint that differs (see arcs._union_equals).  The empty set
-        and the circle are invariant without a preimage; a multiplier of 0
-        is rejected, as by preimage.
+        The image, one integer arc per segment of s or the circle, is looked up among the merged
+        segments of s (arcs._union_within), and no preimage is written.  A multiplier of 0 is
+        rejected, as by preimage, whatever s is.
         """
-        groups = self._preimage_groups(s)
-        return s.is_empty() or s.is_full() or _union_equals(groups, s)
+        n = self.multiplier
+        if n < 1:
+            raise ValueError("preimage requires multiplier >= 1")
+        groups = s._groups()
+        return _union_within(_affine_groups(groups, n, *self.offset.value.as_integer_ratio()), groups)
 
 
 def grid_cells(denominator: int) -> list[ArcSet]:
@@ -82,12 +80,12 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     """All unions of grid cells that the map leaves exactly invariant, sorted by cell bitmask.
 
     A union of cells is invariant exactly when it holds every cell that the
-    preimage of one of its cells touches: preimages preserve measure, and
-    canonical half-open sets equal up to measure zero are identical.  So the
-    invariant unions are the unions of the closures reach[j], each still
-    verified exactly by is_invariant.  For n >= k every cell reaches
-    every cell, so only the empty set and the circle are left, and those
-    are invariant with no preimage written: the work does not grow with n.
+    image of one of its cells touches, as invariance is the inclusion
+    T(s) <= s (see is_invariant).  So the invariant unions are the unions
+    of the closures reach[j], each still verified exactly by is_invariant.
+    For n >= k the image of a cell is the circle, so every cell reaches
+    every cell and only the empty set and the circle are left, and those
+    are checked with no cell's image walked: the work does not grow with n.
     k is capped at 20, and the unions of the closures at _MAX_UNIONS: for
     n = 1 all 2**k unions can be invariant, so a search that would check
     more is refused before any union is written.
@@ -96,16 +94,16 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
     n, (e, f) = t.multiplier, t.offset.value.as_integer_ratio()
-    if n >= k:  # the pieces of a cell's preimage start 1/n <= 1/k apart, so one starts in every cell
+    if n >= k:  # the image of a cell has length n/k >= 1
         reach = [(1 << k) - 1] * k
     else:
         reach = [1 << j for j in range(k)]
         for j in range(k):
-            # over n*k*f, the preimage of cell j is n pieces of length f, k*f apart, and
-            # the piece [p, p + f) touches the cells p // (n*f) to ceil((p + f) / (n*f)) - 1
-            for p in range((j * f - e * k) % (k * f), n * k * f, k * f):
-                for i in range(p // (n * f), -(-(p + f) // (n * f))):
-                    reach[j] |= 1 << (i % k)
+            # over k*f, the image of cell j is [p, p + n*f) with p = n*j*f + e*k,
+            # which touches the cells p // f to ceil((p + n*f) / f) - 1, mod k
+            p = n * j * f + e * k
+            for i in range(p // f, -(-(p + n * f) // f)):
+                reach[j] |= 1 << (i % k)
     for m in range(k):  # Warshall: reach[j] becomes its transitive closure
         for j in range(k):
             if reach[j] >> m & 1:

@@ -4,16 +4,18 @@ translate, mul_image and preimage write integer pieces over one
 denominator per segment, and CirclePoint's group operations work on
 integer numerators over b*d; each must give exactly the set or point that
 Fraction arithmetic gives (the oracles in helpers.py).  is_invariant
-compares merged integer arcs with a set, check_inclusion_iv merges a
-translate's integer arcs with the set's (test_inclusion_kernels.py holds
-the other inclusions), and conjugation_check compares integer numerators;
-each must agree with the whole sets or points that it no longer builds.
+decides the image inclusion T(s) <= s and check_inclusion_iv a
+translate's inclusion in the set, both through arcs._union_within
+(test_inclusion_kernels.py holds the other inclusions), and
+conjugation_check compares integer numerators; each must agree with the
+whole sets or points that it no longer builds.
 """
 
 import json
 import random
 import signal
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,9 +33,10 @@ from circlelab import (
     circle_point,
     conjugation_check,
     invariant_set_search,
+    union_all,
 )
 from circlelab.approx import _ao_groups
-from circlelab.arcs import _affine_groups, _integer_union, _union_equals, _union_within
+from circlelab.arcs import _affine_groups, _integer_union, _union_within
 from circlelab.cli import main
 from circlelab.ergodic import _conjugated_images
 from helpers import (
@@ -228,12 +231,18 @@ def test_search_checks_only_the_trivial_candidates_when_every_cell_reaches_all(m
         assert found == [ArcSet.empty(), ArcSet.full()] and calls == 2, (n, x, k, calls)
 
 
-# -- equality on merged integer arcs ------------------------------------------------------
+# -- equality as inclusion both ways ----------------------------------------------------
 
 
 def _arcs(*arcs) -> list[tuple]:
     """Writer groups of one integer arc [lo/den, (lo + width)/den) each, given as (lo, width, den)."""
     return [((lo,), 1, 0, width, den, 0) for lo, width, den in arcs]
+
+
+def _union_equals(groups: list[tuple], s: ArcSet) -> bool:
+    """Whether the union of groups is exactly s: inclusion both ways, through the one kernel."""
+    segments = s._groups()
+    return _union_within(groups, segments) and _union_within(segments, groups)
 
 
 def test_union_equals_on_each_early_exit():
@@ -296,6 +305,43 @@ def test_is_invariant_on_the_invariant_unions_of_rotations():
         cells = [_integer_union(_arcs(*((j, 1, k) for j in range(k) if bits >> j & 1))) for bits in range(1 << k)]
         assert [s for s in cells if t.is_invariant(s)] == found
         assert all(t.is_invariant(s) == is_invariant_by_preimage(t, s) for s in cells)
+
+
+def test_is_invariant_matches_preimage_oracle_on_seeded_sets():
+    """Sets with an arc whose image is the circle, the shortcut of _affine_groups, which are invariant
+    only when they are the circle; and rotations by offsets whose denominators divide none of the
+    set's, of unions of orbits (invariant), of all but one translate and of one translate alone."""
+    rng = random.Random(109)
+    full = 0
+    for trial in range(300):
+        n = rng.randint(2, 6)
+        d = rng.choice(SMALL[1:] + BIG)
+        width = rng.randint(-(-d // n), d)  # at least d/n
+        long_arc = arc(Fraction(rng.randrange(d - width + 1), d), Fraction(width, d))  # does not cross the seam
+        arcs = [long_arc] + [arc(Fraction(rng.randrange(b), b), Fraction(rng.randint(1, b), b))
+                             for b in rng.choices(SMALL + BIG, k=rng.randint(0, 3))]
+        if trial % 4 == 0 and width < d:  # and the rest of the circle
+            arcs.append(arc(long_arc.start.value + long_arc.length, 1 - long_arc.length))
+        s = ArcSet.from_arcs(arcs)
+        t = AffineCircleMap(n, rand_point(rng, rng.choice(SMALL + BIG)))
+        assert _affine_groups(s._groups(), n, *t.offset.value.as_integer_ratio()) == [((0,), 1, 0, 1, 1, 0)]
+        assert t.is_invariant(s) == is_invariant_by_preimage(t, s) == s.is_full(), (t, s)
+        full += s.is_full()
+    assert full >= 75
+    verdicts, mixed = {True: 0, False: 0}, 0
+    for trial in range(300):
+        q = rng.choice((3, 5, 7, 11, 13))
+        t = AffineCircleMap(1, circle_point(Fraction(rng.choice([e for e in range(1, q) if gcd(e, q) == 1]), q)))
+        base = ArcSet.from_arcs(arc(Fraction(rng.randrange(b), b), Fraction(rng.randint(1, max(1, b // (2 * q))), b))
+                                for b in rng.choices([b for b in SMALL + BIG if b % q], k=rng.randint(1, 3)))
+        orbit = [base.translate(j * t.offset) for j in range(q)]
+        s = (union_all(orbit), union_all(orbit[:-1]), base)[trial % 3]
+        mixed += any(x.denominator % q for seg in s.segments for x in seg)
+        want = is_invariant_by_preimage(t, s)
+        assert t.is_invariant(s) == want, (t, s)
+        assert want or trial % 3 != 0
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 100 and mixed >= 250, (verdicts, mixed)
 
 
 def test_is_invariant_rejects_multiplier_zero():

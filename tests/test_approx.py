@@ -133,6 +133,22 @@ def test_approx_order_set_examples():
     assert approx_order_set(2, Fraction(1, 3)) == S(("1/6", "2/3"))
 
 
+def test_approx_order_set_refuses_an_order_above_the_bound_before_factorising(monkeypatch):
+    def no_factorize(n):
+        raise AssertionError(f"factorised {n} before refusing it")
+
+    monkeypatch.setattr(approx_module, "factorize", no_factorize)
+    top = approx_module.MAX_AO_ORDER
+    for n in (top + 1, 10**12):
+        with pytest.raises(ValueError, match=r"order must be at most 2\*\*20"):
+            approx_order_set(n, Fraction(1, 4 * 10**15))
+        # a radius of 1/2 or more is the circle, and one of 0 or less the empty set, with no arc written
+        assert approx_order_set(n, Fraction(1, 2)) == ArcSet.full()
+        assert approx_order_set(n, 0) == ArcSet.empty()
+    with pytest.raises(AssertionError, match="factorised"):  # the bound itself is admitted
+        approx_order_set(top, Fraction(1, 10))
+
+
 def test_approx_order_set_matches_per_point_thickening():
     # empty, disjoint, touching (1/(2n)), overlapping and full cases
     for n in range(1, 61):

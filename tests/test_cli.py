@@ -197,6 +197,18 @@ def test_duffin_schaeffer_refuses_a_huge_cap_before_sieving(capsys, monkeypatch)
     assert err == "circlelab: error: partial-sum cap must be in [1, 2**22], got 1000000000\n"
 
 
+def test_ao_refuses_a_huge_order_before_sieving(capsys, monkeypatch):
+    def no_factorize(n):
+        raise AssertionError(f"factorised {n} before refusing the order")
+
+    monkeypatch.setattr("circlelab.approx.factorize", no_factorize)
+    code, out, err = run_cli(capsys, "ao", "--n", "1000000000000", "--radius", "1/4000000000000000")
+    assert code == 1 and out == ""
+    assert err == "circlelab: error: order must be at most 2**20 for a radius below 1/2, got 1000000000000\n"
+    code, out, _ = run_cli(capsys, "ao", "--n", "1000000000000", "--radius", "1/2")
+    assert code == 0 and json.loads(out) == ArcSet.full().to_json_dict()
+
+
 # one small valid call per subcommand; each flag value is swapped in turn for each token of BAD_VALUES
 VALID_ARGV = [
     ["gallagher", "--delta", "power:1:2", "--n-min-schedule", "2,3", "--n-max", "5"],

@@ -173,15 +173,16 @@ def test_search_refuses_too_many_unions_before_writing_one(monkeypatch):
 
 
 def test_search_matches_brute_force_oracle():
-    # one small and one large grid per multiplier; offsets with denominators up to 6
-    # give rotations (n = 1) with many invariant unions on the 1/12 grid
+    # every offset e/q with q <= 6 under every multiplier n <= 5, on one small grid and one larger;
+    # the rotations (n = 1) on the 1/12 grid, where each such offset moves whole cells and many
+    # unions are invariant, some of them through cell orbits that cross the seam
+    offsets = sorted({Fraction(e, q) for q in range(1, 7) for e in range(q)})
     rng = random.Random(59)
     for n in range(1, 6):
-        for k in (rng.randint(1, 8), rng.randint(9, 12)):
-            t = AffineCircleMap(n, rand_point(rng, 6))
-            assert invariant_set_search(t, k) == invariant_sets_brute_force(t, k)
-    t = AffineCircleMap(1, circle_point("1/4"))
-    assert invariant_set_search(t, 12) == invariant_sets_brute_force(t, 12)
+        for x in offsets:
+            t = AffineCircleMap(n, circle_point(x))
+            for k in (rng.randint(1, 8), 12 if n == 1 else rng.randint(9, 10)):
+                assert invariant_set_search(t, k) == invariant_sets_brute_force(t, k), (n, x, k)
 
 
 def test_grid_cells_cover_circle():

@@ -2,11 +2,11 @@
 
 arcs._affine_groups maps groups of integer arcs under y -> m*y + e/f, and
 arcs._union_within decides whether one union of groups lies inside another
-from their merged keys.  Both must agree with the Fraction oracles in
-helpers.py on seeded groups where the answer is True and where it is False:
-full-circle images, empty groups, arcs across the seam, offsets whose
-denominator does not divide the arcs' own, and endpoints that differ by
-2**-70.  approx._ao_groups must write the set that tail_union writes over
+by looking up each inner piece among the outer union's merged keys.  Both
+must agree with the Fraction oracles in helpers.py on seeded groups where
+the answer is True and where it is False: full-circle images, empty
+groups, arcs across the seam, offsets whose denominator does not divide
+the arcs' own, and endpoints that differ by 2**-70.  approx._ao_groups must write the set that tail_union writes over
 the one index n, and each check must answer as its ArcSet form does.
 """
 
@@ -149,6 +149,19 @@ def test_union_within_edge_cases():
     circle = _affine_groups(quarter, 4, 1, 3)
     assert _integer_union(circle).is_full() and not _union_within(circle, _affine_groups(quarter, 3, 0, 1))
     assert _union_within(_affine_groups(half, 2, 0, 1), [((0,), 1, 0, 7, 7, 0)])
+    # [1/4, 3/4) across the touching [0, 1/2) and [1/2, 1), which merge; across the gap [1/4, 1/2)
+    assert _union_within([((1,), 1, 0, 2, 4, 0)], half + [((1,), 1, 0, 1, 2, 0)])
+    eighths = [((0,), 1, 0, 2, 8, 0), ((4,), 1, 0, 4, 8, 0)]  # [0, 1/4) and [1/2, 1)
+    assert not _union_within([((1,), 1, 0, 4, 8, 0)], eighths)
+    # [1/8, 3/8) starts before the first outer start, 1/4, and would fit the last outer segment's end
+    assert not _union_within([((1,), 1, 0, 2, 8, 0)], [((2,), 1, 0, 2, 8, 0), ((6,), 1, 0, 2, 8, 0)])
+    # half-open: [1/2, 3/4) starts at the end of [0, 1/2) and is outside it, [1/4, 1/2) ends there and is inside
+    assert not _union_within([((2,), 1, 0, 1, 4, 0)], half) and _union_within([((1,), 1, 0, 1, 4, 0)], half)
+    # [7/8, 9/8) across the seam, its pieces [7/8, 1) and [0, 1/8) in different outer segments
+    seam_eighth = [((7,), 1, 0, 2, 8, 0)]
+    assert _union_within(seam_eighth, [((0,), 1, 0, 2, 8, 0), ((6,), 1, 0, 2, 8, 0)])
+    assert not _union_within(seam_eighth, [((0,), 1, 0, 1, 16, 0), ((6,), 1, 0, 2, 8, 0)])
+    assert not _union_within(seam_eighth, [((0,), 1, 0, 2, 8, 0), ((6,), 1, 0, 1, 8, 0)])
 
 
 RADII = (lambda n: Fraction(-1, 5), lambda n: Fraction(0), lambda n: Fraction(1, 5 * n), lambda n: Fraction(1, 2 * n),
