@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
@@ -29,7 +29,8 @@ from .arcs import (
     _union_within,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
-from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factorize
+from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv
+from .numtheory import factorize, prime_factors, smallest_prime_factors
 
 
 # -- radius sequences ---------------------------------------------------------
@@ -38,11 +39,13 @@ from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv, factori
 class DeltaSequence:
     """A radius sequence delta_1, delta_2, ...: a kind gives delta_n only through ratios(lo, hi).
 
-    nonincreasing (its full terms are a prefix of any range) and divergent (of the series of
-    totient(n)*delta_n, None if unknown) answer what callers would otherwise ask of its type.
+    nonincreasing (its full terms are a prefix of any range), divergent (of the series of
+    totient(n)*delta_n, None if unknown) and last_positive (the last n with delta_n > 0, 0 if
+    there is none and None if there is no last) answer what callers would otherwise ask of its type.
     """
 
     nonincreasing = True
+    last_positive = None
 
     def eval_at(self, n: int) -> Fraction:
         (p, q), = self.ratios(n, n + 1)
@@ -93,6 +96,10 @@ class Constant(DeltaSequence):
     def divergent(self) -> bool:
         return self.value > 0  # a non-positive constant gives the zero series
 
+    @property
+    def last_positive(self) -> int | None:
+        return None if self.value > 0 else 0
+
     def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """delta_n for lo <= n < hi as pairs (p, q), q > 0."""
         _check_index(lo)
@@ -115,6 +122,10 @@ class Table(DeltaSequence):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(as_fraction(v) for v in self.values))
+
+    @property
+    def last_positive(self) -> int:
+        return next((n for n in range(len(self.values), 0, -1) if self.values[n - 1] > 0), 0)
 
     def ratios(self, lo: int, hi: int) -> Iterator[tuple[int, int]]:
         """delta_n for lo <= n < hi as pairs (p, q), q > 0; (0, 1) past the table."""
@@ -184,31 +195,49 @@ def parse_delta(text: str) -> DeltaSequence:
 # -- approximate-order sets ----------------------------------------------------
 
 
+# the largest order whose arcs are written below radius 1/2: on a shared 2-core host, ao --radius
+# 1/4000000000000000 took 21 s and 1.1 GB at the prime 2**20 - 3, 40 s and 2.2 GB at 2**22 (a prime: twice)
+MAX_AO_ORDER = 2**20
+
+
 def finite_order_points(n: int) -> list[CirclePoint]:
     """The totient(n) points of order exactly n, sorted: reduced fractions m/n."""
     if n < 1:
         raise ValueError(f"order must be a positive integer, got {n}")
+    if n > MAX_AO_ORDER:
+        raise ValueError(f"order must be at most 2**20, got {n}")
     return [CirclePoint(Fraction(m, n)) for m in _coprime_residues(n)]
 
 
-def _coprime_residues(n: int, stop: int | None = None) -> list[int]:
-    """The m in [0, stop) coprime to n, stop = n unless given, sieved by the prime factors of n;
-    a list, so arcs._run_measure can count a term's arcs and arcs._half_circle_groups bisect them."""
+def _coprime_residues(n: int, stop: int | None = None, primes: Iterable[int] | None = None) -> list[int]:
+    """The m in [0, stop) coprime to n, stop = n unless given, sieved by the primes that divide n,
+    factorize(n) unless given; a list, so arcs._run_measure can count a term's arcs and
+    arcs._half_circle_groups bisect them."""
     stop = n if stop is None else stop
     mask = bytearray(b"\x01") * stop
-    for p in factorize(n):
+    for p in factorize(n) if primes is None else primes:
         mask[::p] = bytes(-(-stop // p))
     return list(compress(range(stop), mask))
 
 
-def _half_circle_terms(terms: Iterable[tuple[int, Fraction]]) -> list[tuple[int, list[int], Fraction]]:
-    """The terms (n, delta_n) with the residues m <= n/2 coprime to n: the centres m/n in [0, 1/2]."""
-    return [(n, _coprime_residues(n, n // 2 + 1), d) for n, d in terms]
+def _with_residues(term_lists: Sequence[list], half: bool) -> list[list]:
+    """Each list of terms (n, (p, q)) as terms (n, ms, (p, q)): ms the m coprime to n in [0, n), or in
+    [0, n // 2] if half, those of the centres m/n in [0, 1/2].
 
-
-# the largest order whose arcs _ao_groups writes below radius 1/2: on a shared 2-core host, ao --radius
-# 1/4000000000000000 took 21 s and 1.1 GB at the prime 2**20 - 3, 40 s and 2.2 GB at 2**22 (a prime: twice)
-MAX_AO_ORDER = 2**20
+    The primes of every n come from one table of smallest prime factors up to
+    the largest n, and the lists share one residue list per n.
+    """
+    spf = smallest_prime_factors(max((n for terms in term_lists for n, _ in terms), default=1))
+    residues: dict[int, list[int]] = {}
+    out = []
+    for terms in term_lists:
+        out.append([])
+        for n, d in terms:
+            ms = residues.get(n)
+            if ms is None:
+                ms = residues[n] = _coprime_residues(n, n // 2 + 1 if half else n, prime_factors(n, spf))
+            out[-1].append((n, ms, d))
+    return out
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -228,10 +257,10 @@ def _ao_groups(n: int, delta: Fraction) -> list[tuple]:
     if delta <= 0:
         return []
     if 2 * delta >= 1:
-        return _thickening_groups([(1, [0], Fraction(1, 2))])
+        return _thickening_groups([(1, [0], (1, 2))])
     if n > MAX_AO_ORDER:
         raise ValueError(f"order must be at most 2**20 for a radius below 1/2, got {n}")
-    return _thickening_groups([(n, _coprime_residues(n), delta)])
+    return _thickening_groups([(n, _coprime_residues(n), delta.as_integer_ratio())])
 
 
 @dataclass(frozen=True)
@@ -257,11 +286,14 @@ def _tail_terms(
     terms from n_max down to it, from the lowest start that lies above it for a nonincreasing delta.
 
     Checks the lowest and the highest start first, as TailUnionSpec does.  The
-    terms are (n, delta_n) for the n with pred(n); each caller picks the residues
-    m of its arcs.  Their radii come from one delta.ratios pass as pairs (p, q):
-    a term with p <= 0 is empty and left out, and one with 2*p >= q is the full
-    circle, so every tail union from a start up to its index is full; the highest
-    such term comes last, as (1, 1/2), whose one arc [-1/2, 1/2) is the full circle.
+    terms are (n, (p, q)) for the n with pred(n), where p/q = delta_n, reduced,
+    with q > 0; each caller picks the residues m of its arcs.  The radii are read
+    from delta.ratios down from n_max, or from delta.last_positive if lower, a
+    block at a time: a term with p <= 0 is empty and left out, and one with
+    2*p >= q is the full circle, so every tail union from a start up to its
+    index is full; the highest such term comes last, as (1, (1, 2)), whose one
+    arc [-1/2, 1/2) is the full circle.  A term with 0 < 2*p < q above
+    MAX_AO_ORDER is refused, before any residue is sieved.
     """
     if not n_mins:
         raise ValueError("no start n_min given")
@@ -274,18 +306,29 @@ def _tail_terms(
         prefix = indices[:bisect_left(indices, True, key=lambda n: _is_partial(delta, n))]
         full = next((n for n in reversed(prefix) if pred(n)), 0)
     first = min((s for s in n_mins if s > full), default=n_max + 1)
+    top = n_max if delta.last_positive is None else min(n_max, delta.last_positive)
     terms = []
-    radii = reversed(list(delta.ratios(first, n_max + 1)))
-    for n, (p, q) in zip(range(n_max, first - 1, -1), radii):
+    for n, (p, q) in _descending_radii(delta, first, top):
         if p <= 0 or not pred(n):
             continue
         if 2 * p >= q:  # only a Table's term can be full here
             full = n
             break
-        terms.append((n, Fraction(p, q)))
+        if n > MAX_AO_ORDER:
+            raise ValueError(f"index must be at most 2**20 for a radius below 1/2, got {n}")
+        g = gcd(p, q)
+        terms.append((n, (p // g, q // g)))
     if full:
-        terms.append((1, Fraction(1, 2)))
+        terms.append((1, (1, 2)))
     return full, terms
+
+
+def _descending_radii(delta: DeltaSequence, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, int]]]:
+    """(n, (p, q)) from delta.ratios for n from hi down to lo, read 4096 indices at a time, so that a
+    range far above MAX_AO_ORDER is refused with no list of its radii."""
+    for top in range(hi, lo - 1, -4096):
+        bottom = max(lo, top - 4095)
+        yield from zip(range(top, bottom - 1, -1), reversed(list(delta.ratios(bottom, top + 1))))
 
 
 def _is_partial(delta: DeltaSequence, n: int) -> bool:
@@ -303,7 +346,7 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
     of one index at a constant radius.
     """
     _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return _integer_union(_thickening_groups((n, _coprime_residues(n), d) for n, d in terms))
+    return _integer_union(_thickening_groups(*_with_residues([terms], half=False)))
 
 
 def tail_union_measures(
@@ -313,15 +356,17 @@ def tail_union_measures(
 
     Each union W is its own mirror image, so mu(W) = 2 mu(W & [0, 1/2)): only
     the arcs around m/n with m <= n/2 are written, clipped to [0, 1/2) (see
-    arcs._half_circle_groups), tagged with their index and sorted once.  For
-    each start, the arcs with index >= N are walked in that order: their
-    total width, in closed form per term, less the parts where they overlap
-    (see arcs._run_measure).  No merged list is built.
+    arcs._half_circle_groups), tagged with their index and sorted once on
+    their start keys.  For each start, the arcs with index >= N are walked in
+    that order: their total width, in closed form per term, less the parts
+    where they overlap (see arcs._run_measure).  No merged list is built.
+    The residues of every term are sieved from one prime table (see
+    _with_residues).
     """
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    (keyed, groups), = _keyed_half_thickenings(_half_circle_terms(t for t in terms if t[0] >= first))
+    (keyed, groups), = _keyed_half_thickenings(*_with_residues([[t for t in terms if t[0] >= first]], half=True))
     measures = {s: 2 * _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
                                     [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
@@ -334,16 +379,17 @@ def scaled_tail_union_comparison(
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
 
     The arcs of each union, a full term's one arc among them, are clipped
-    to [0, 1/2) as in tail_union_measures, sorted once and measured without
-    merging (see arcs._run_measure), and W1 | Wm, a mirror image of itself
-    too, from the two sorted lists together; each measure is doubled, and
-    the rest follows from the three.
+    to [0, 1/2) as in tail_union_measures, sorted once on their start keys
+    and measured without merging (see arcs._run_measure), and W1 | Wm, a
+    mirror image of itself too, from the two sorted lists together; each
+    measure is doubled, and the rest follows from the three.  The two unions
+    share one residue list per index.
     """
     _, t1 = _tail_terms(pred, delta, [n_min], n_max)
     _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
-    (k1, g1), (km, gm) = _keyed_half_thickenings(_half_circle_terms(t1), _half_circle_terms(tm))
+    (k1, g1), (km, gm) = _keyed_half_thickenings(*_with_residues([t1, tm], half=True))
     mu_1, mu_m = 2 * _run_measure(k1, g1), 2 * _run_measure(km, gm)
-    mu_both = 2 * _run_measure(sorted(k1 + km), g1 + gm)  # Timsort merges the two sorted runs
+    mu_both = 2 * _run_measure(sorted(k1 + km, key=itemgetter(0)), g1 + gm)  # Timsort merges the two sorted runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 

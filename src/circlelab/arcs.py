@@ -51,8 +51,11 @@ the fewest: against a small ball, the intersection.  The tail-union
 experiments that report only measures and inclusions never build an
 ArcSet, sweep or merge.  The measure of a union of integer arcs is their
 total width, in closed form per term, less their overlaps, which one walk
-over the arcs in key order
-finds (:func:`_run_measure`).  A tail union is its own mirror image under
+over the arcs in order of their starts finds (:func:`_run_measure`).
+Keys are exact, so equal start keys are equal starts, and of arcs with
+one start the union gains the widest's width whichever comes first: a
+sort on the start keys alone is exact, and it compares no end key,
+numerator or denominator.  A tail union is its own mirror image under
 y -> -y, as the arc around m/n pairs with the one around (n - m)/n, so its
 measure is twice that of its part in [0, 1/2).  So only the arcs around
 m/n with m <= n/2 are written, over 2*den so that 1/2 is an integer, and
@@ -60,7 +63,8 @@ clipped to [0, 1/2) (:func:`_half_circle_groups`): the part of [0, 1/2)
 that the arc around 1 - m/n covers lies inside the clipped arc around m/n,
 and no arc crosses the seam.  A and B are each measured from their own
 sorted arcs, and A | B, symmetric too, from the two lists sorted together;
-Fractions are made only in the final per-denominator sums.
+radii come as integer pairs, and Fractions are made only in the final
+per-denominator sums.
 
 Integer writer
 --------------
@@ -70,7 +74,7 @@ through an arithmetic progression mod den: one start per raw segment of
 ``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and per segment of
 :meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
 of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
-the terms (n, residues, delta_n) that ``approx.tail_union`` and
+the terms (n, residues, (p, q)), delta_n = p/q, that ``approx.tail_union`` and
 ``approx._ao_groups`` hand to :func:`_thickening_groups`; the n pieces of
 a preimage; the cells j/k of a union in ``invariant_set_search``.
 Callers put a segment, an arc's start and length, or a segment and a
@@ -100,6 +104,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .circle import (
@@ -175,7 +180,8 @@ def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
 
 
 def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
-    """Measure of the union of the arcs of groups (see _keyed_pieces), given their keyed items in key order.
+    """Measure of the union of the arcs of groups (see _keyed_pieces), given their keyed items in order
+    of their start keys, those with equal start keys in any order.
 
     The measure is the arcs' total width, len(ms) * width over den per
     group (so ms must be sized), less their overlaps, which one walk over
@@ -183,8 +189,11 @@ def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
     so far that overlap in a chain, and ``end`` is its end's key.  An item
     that starts before the end overlaps the run up to the end, or wholly
     if it ends inside it; one that starts at or past the end starts a new
-    run.  The overlaps are taken off the numerators per denominator, which
-    are added in one tree.
+    run.  Of two items with one start, whichever comes first, the union
+    gains the wider one's width.  An item that ends at the end takes off
+    its own width in one branch and the overlap up to the end in the
+    other, which are equal.  The overlaps are taken off the numerators per
+    denominator, which are added in one tree.
     """
     by_den: dict[int, int] = {}
     for ms, _, _, width, den, _ in groups:
@@ -223,37 +232,38 @@ def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
     return keyed
 
 
-def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], Fraction]]) -> list[tuple]:
-    """The arcs [m/n - d, m/n + d) for the terms (n, ms, d), m in ms, as groups of _keyed_pieces tagged n.
+def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], tuple[int, int]]]) -> list[tuple]:
+    """The arcs [m/n - p/q, m/n + p/q) for the terms (n, ms, (p, q)), m in ms, as groups of _keyed_pieces
+    tagged n.
 
-    Needs 0 < d <= 1/2.  With d = p/q and g = gcd(n, q), the endpoints of a
-    term are integers over den = lcm(n, q) = n * (q/g): the arc around m/n
-    starts at (m*(q/g) - p*(n/g)) mod den and has length 2*p*(n/g).
+    Needs 0 < p/q <= 1/2 with p/q reduced.  With g = gcd(n, q), the endpoints
+    of a term are integers over den = lcm(n, q) = n * (q/g): the arc around
+    m/n starts at (m*(q/g) - p*(n/g)) mod den and has length 2*p*(n/g).
     """
     groups = []
-    for n, ms, d in terms:
-        g = gcd(n, d.denominator)
-        step = d.denominator // g
-        pn = d.numerator * (n // g)
+    for n, ms, (p, q) in terms:
+        g = gcd(n, q)
+        step = q // g
+        pn = p * (n // g)
         groups.append((ms, step, -pn, 2 * pn, n * step, n))
     return groups
 
 
-def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple]:
-    """The arcs [m/n - d, m/n + d) for the terms (n, ms, d), clipped to [0, 1/2), as groups of
+def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], tuple[int, int]]]) -> list[tuple]:
+    """The arcs [m/n - p/q, m/n + p/q) for the terms (n, ms, (p, q)), clipped to [0, 1/2), as groups of
     _keyed_pieces tagged n.
 
-    Needs 0 < d <= 1/2 and ms sorted in [0, n/2].  Each term is put over 2*den,
+    Needs 0 < p/q <= 1/2 reduced and ms sorted in [0, n/2].  Each term is put over 2*den,
     den as in _thickening_groups, so 1/2 is the integer den: the arc around
     m/n is [2*(m*step - pn), 2*(m*step + pn)).  The arcs inside [0, den) are
     one group; the few that cross 0 or den, found by bisection, are one-arc
     groups of their clipped widths.
     """
     groups = []
-    for n, ms, d in terms:
-        g = gcd(n, d.denominator)
-        step = d.denominator // g
-        pn = d.numerator * (n // g)
+    for n, ms, (p, q) in terms:
+        g = gcd(n, q)
+        step = q // g
+        pn = p * (n // g)
         half = n * step
         i = bisect_left(ms, -(-pn // step))
         j = bisect_right(ms, (half - 2 * pn) // (2 * step))
@@ -264,15 +274,19 @@ def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], Fraction]]) ->
     return groups
 
 
-def _keyed_half_thickenings(*term_lists: Iterable[tuple[int, Sequence[int], Fraction]]) -> list[tuple[list, list]]:
+def _keyed_half_thickenings(
+    *term_lists: Iterable[tuple[int, Sequence[int], tuple[int, int]]]
+) -> list[tuple[list, list]]:
     """For each term list, the keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of its thickenings
-    clipped to [0, 1/2), in key order, and its groups (see _half_circle_groups).
+    clipped to [0, 1/2), sorted on their start keys alone, and its groups (see _half_circle_groups).
 
-    All lists share one key shift, so their keys compare as the rationals do.
+    All lists share one key shift, so their keys compare as the rationals do,
+    and items with equal start keys start at one point: _run_measure takes
+    them in any order, so the sort compares no more of the items.
     """
     grids = [_half_circle_groups(terms) for terms in term_lists]
     k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
-    return [(sorted(_keyed_pieces(grid, k)), grid) for grid in grids]
+    return [(sorted(_keyed_pieces(grid, k), key=itemgetter(0)), grid) for grid in grids]
 
 
 def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
@@ -665,4 +679,5 @@ def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:
         return ArcSet.empty()
     if 2 * d >= ONE:
         return ArcSet.full()
-    return _integer_union(_thickening_groups((v.denominator, (v.numerator,), d) for v in values))
+    pq = d.as_integer_ratio()
+    return _integer_union(_thickening_groups((v.denominator, (v.numerator,), pq) for v in values))

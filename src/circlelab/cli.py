@@ -165,7 +165,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("gallagher", help="tail-union measures along a truncation schedule")
     p.add_argument("--delta", required=True, help="delta sequence (JSON, inline, or file)")
     p.add_argument("--n-min-schedule", required=True, help="comma-separated truncation starts")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True, help="at most 2**22")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_gallagher)
 

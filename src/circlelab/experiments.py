@@ -173,6 +173,8 @@ def gallagher_experiment(
         raise ValueError("schedule must be strictly increasing")
     if schedule[0] < 1 or schedule[-1] > n_max:
         raise ValueError(f"schedule must lie within [1, {n_max}]")
+    if n_max > MAX_PARTIAL_SUM_CAP:  # before the bounds' sieve to n_max
+        raise ValueError(f"n_max must be at most 2**22, got {n_max}")
 
     phi = totient_range(n_max)
     report = ExperimentReport(

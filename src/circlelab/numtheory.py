@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
+from typing import Iterator
 
 
 def is_prime(n: int) -> bool:
@@ -40,18 +41,36 @@ def totient(n: int) -> int:
     return out
 
 
-def totient_range(limit: int) -> list[int]:
-    """Sieve phi(0..limit); phi[0] is 0 by convention.
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[n], the smallest prime factor of n, for 2 <= n <= limit; spf[0] = 0 and spf[1] = 1.
 
-    A table of smallest prime factors, written a slice per p <= sqrt(limit)
-    from the largest p down, gives phi(n) = phi(m) * (p or p - 1) for
-    n = p*m, by whether p divides m.
+    Written a slice per p <= sqrt(limit) from the largest p down, so that
+    each n keeps the smallest p that divides it.
     """
-    if limit < 1:
-        raise ValueError(f"expected a positive limit, got {limit}")
     spf = list(range(limit + 1))
     for p in range(isqrt(limit), 1, -1):
         spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
+
+
+def prime_factors(n: int, spf: list[int]) -> Iterator[int]:
+    """The distinct primes that divide n, in increasing order, read from a table of smallest prime factors."""
+    while n > 1:
+        p = spf[n]
+        yield p
+        while n % p == 0:
+            n //= p
+
+
+def totient_range(limit: int) -> list[int]:
+    """Sieve phi(0..limit); phi[0] is 0 by convention.
+
+    The table of smallest prime factors gives phi(n) = phi(m) * (p or p - 1)
+    for n = p*m, by whether p divides m.
+    """
+    if limit < 1:
+        raise ValueError(f"expected a positive limit, got {limit}")
+    spf = smallest_prime_factors(limit)
     phi = [0, 1] + [0] * (limit - 1)
     for n in range(2, limit + 1):
         p = spf[n]

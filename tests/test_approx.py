@@ -31,6 +31,7 @@ from circlelab import (
     totient,
 )
 from circlelab import approx as approx_module
+from circlelab.numtheory import prime_factors, smallest_prime_factors
 from circlelab import arcs as arcs_module
 import helpers
 from helpers import golden_check
@@ -448,6 +449,36 @@ def test_coprime_residues_match_gcd_scan():
         assert list(approx_module._coprime_residues(n)) == helpers.coprime_residues_scan(n), n
 
 
+def test_table_residues_match_gcd_scan():
+    """The residues sieved by the primes of a smallest-prime-factor table, over [0, n) and over the half
+    circle's [0, n // 2 + 1), for every n <= 3000."""
+    spf = smallest_prime_factors(3000)
+    for n in range(1, 3001):
+        scan = helpers.coprime_residues_scan(n)
+        for stop in (n, n // 2 + 1):
+            got = approx_module._coprime_residues(n, stop, prime_factors(n, spf))
+            assert got == [m for m in scan if m < stop], (n, stop)
+
+
+def test_with_residues_shares_one_list_per_index(monkeypatch):
+    """One table up to the largest index, and one residue list per index across the term lists."""
+    tables = []
+
+    def counting(limit):
+        tables.append(limit)
+        return smallest_prime_factors(limit)
+
+    monkeypatch.setattr(approx_module, "smallest_prime_factors", counting)
+    monkeypatch.setattr(approx_module, "factorize", None)
+    a, b = approx_module._with_residues([[(12, (1, 288)), (7, (1, 98))], [(12, (1, 144)), (1, (1, 2))]], half=True)
+    assert tables == [12]
+    assert a == [(12, [1, 5], (1, 288)), (7, [1, 2, 3], (1, 98))] and b == [(12, [1, 5], (1, 144)), (1, [0], (1, 2))]
+    assert a[0][1] is b[0][1]
+    full, = approx_module._with_residues([[(12, (1, 288)), (1, (1, 2))]], half=False)
+    assert full == [(12, [1, 5, 7, 11], (1, 288)), (1, [0], (1, 2))]
+    assert approx_module._with_residues([[]], half=True) == [[]]
+
+
 # -- tail-union measures on integer endpoints ---------------------------------------------
 
 F = Fraction
@@ -546,6 +577,41 @@ def test_tail_terms_of_a_nonincreasing_delta_skip_the_full_prefix(monkeypatch):
     # a start above the full prefix reads only the indices from there on
     assert approx_module.tail_union_measures(All(), delta, [1, 1499], 1500) == [1, top]
     assert sum(calls) <= 2 * (1500).bit_length() + 2
+
+
+def test_tail_union_queries_refuse_an_index_above_the_bound_before_sieving(monkeypatch):
+    """A term with a radius in (0, 1/2) above MAX_AO_ORDER is refused before any residue is sieved;
+    the full prefix, a table past its last positive entry and a non-positive constant answer at any n_max."""
+    def no_sieve(n):
+        raise AssertionError(f"sieved to {n} before refusing")
+
+    monkeypatch.setattr(approx_module, "smallest_prime_factors", no_sieve)
+    monkeypatch.setattr(approx_module, "factorize", no_sieve)
+    top, big = approx_module.MAX_AO_ORDER, 10**12
+    delta = Power(F(1), 2)
+    for n_mins, n_max, got in [([big], big, big), ([2], big, big), ([2, 3], top + 5, top + 5)]:
+        message = rf"index must be at most 2\*\*20 for a radius below 1/2, got {got}$"
+        with pytest.raises(ValueError, match=message):
+            approx_module.tail_union_measures(All(), delta, n_mins, n_max)
+        with pytest.raises(ValueError, match=message):
+            approx_module.scaled_tail_union_comparison(All(), delta, F(2), n_mins[0], n_max)
+        with pytest.raises(ValueError, match=message):
+            tail_union(TailUnionSpec(n_mins[0], n_max, All(), delta))
+    # the highest index that writes arcs is checked, not n_max: 9 divides top - 4 and top + 5
+    with pytest.raises(ValueError, match=rf"got {top + 5}$"):
+        approx_module.tail_union_measures(DivBySquare(3), delta, [2], top + 5)
+    with pytest.raises(AssertionError, match="sieved"):
+        approx_module.tail_union_measures(DivBySquare(3), delta, [2], top + 4)
+    with pytest.raises(AssertionError, match="sieved"):  # the bound itself is admitted
+        approx_module.tail_union_measures(All(), delta, [top], top)
+    with pytest.raises(ValueError, match=r"order must be at most 2\*\*20, got 1048577"):
+        finite_order_points(top + 1)
+    monkeypatch.undo()
+    assert approx_module.tail_union_measures(All(), Power(F(1), 1), [1], big) == [1]
+    table = Table((F(0), F(1, 4), F(1, 12), F(0)))
+    assert approx_module.tail_union_measures(All(), table, [2, 3], big) == [F(1, 2), F(1, 3)]
+    assert approx_module.tail_union_measures(All(), Constant(F(0)), [2], big) == [0]
+    assert approx_module.tail_union_measures(All(), Constant(F(1, 2)), [2], big) == [1]
 
 
 def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
@@ -664,16 +730,16 @@ def test_tail_union_is_its_own_mirror_image():
 
 def test_half_circle_groups_clip_at_0_and_at_one_half():
     """Over 2*den the half circle is [0, den): arcs inside it stay in their term's group,
-    and each arc that crosses 0 or den is a group of its own, clipped."""
+    and each arc that crosses 0 or den is a group of its own, clipped.  Radii are integer pairs (p, q)."""
     groups = arcs_module._half_circle_groups
     # 1/3 +- 9/20 over 120: [-14, 94) clipped at both ends to [0, 60)
-    assert groups([(3, [1], F(9, 20))]) == [([], 40, -54, 108, 120, 3), ((0,), 1, 0, 60, 120, 3)]
+    assert groups([(3, [1], (9, 20))]) == [([], 40, -54, 108, 120, 3), ((0,), 1, 0, 60, 120, 3)]
     # 1/4 +- 1/4 over 8: exactly [0, 4), clipped nowhere
-    assert groups([(4, [1], F(1, 4))]) == [([1], 2, -2, 4, 8, 4)]
+    assert groups([(4, [1], (1, 4))]) == [([1], 2, -2, 4, 8, 4)]
     # 0 +- 1/5 and 1/2 +- 1/10 over 10 and 20: [-2, 2) and [8, 12), clipped to [0, 2) and [8, 10)
-    assert groups([(1, [0], F(1, 5)), (2, [1], F(1, 10))]) == [
+    assert groups([(1, [0], (1, 5)), (2, [1], (1, 10))]) == [
         ([], 10, -2, 4, 10, 1), ((0,), 1, 0, 2, 10, 1),
         ([], 10, -2, 4, 20, 2), ((8,), 1, 0, 2, 20, 2),
     ]
     # 1/7, 2/7 and 3/7 +- 1/10 over 140: only 3/7's arc [46, 74) crosses 70
-    assert groups([(7, [1, 2, 3], F(1, 10))]) == [([1, 2], 20, -14, 28, 140, 7), ((46,), 1, 0, 24, 140, 7)]
+    assert groups([(7, [1, 2, 3], (1, 10))]) == [([1, 2], 20, -14, 28, 140, 7), ((46,), 1, 0, 24, 140, 7)]

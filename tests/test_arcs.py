@@ -3,7 +3,9 @@ import pickle
 import random
 import re
 from fractions import Fraction
-from math import lcm
+from itertools import groupby, permutations, product
+from math import factorial, lcm, prod
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,8 @@ from circlelab import (
     thicken,
     union_all,
 )
-from circlelab import arcs as arcs_module
+from circlelab import Or, Table, approx as approx_module, arcs as arcs_module
+from circlelab.numtheory import DivBySquare, ExactlyOnce, NotDiv
 from helpers import (
     RSUB,
     SUB,
@@ -509,6 +512,86 @@ def test_run_measure_matches_merged_measure_on_random_groups():
             groups.append((ms, rng.randint(1, 3), rng.randrange(den), rng.randint(1, den), den, tag))
         measure, oracle = _run_measure_and_oracle(groups)
         assert measure == oracle, groups
+
+
+def _start_key_orders(keyed, rng, limit=200):
+    """Orders of the keyed items sorted on their start keys alone: every order of the items that share
+    a start key if there are at most limit of them, else limit shuffles sorted stably on that key."""
+    blocks = [list(block) for _, block in groupby(sorted(keyed), key=itemgetter(0))]
+    if prod(factorial(len(b)) for b in blocks) <= limit:
+        for choice in product(*(permutations(b) for b in blocks)):
+            yield [item for block in choice for item in block]
+        return
+    for _ in range(limit):
+        items = list(keyed)
+        rng.shuffle(items)
+        yield sorted(items, key=itemgetter(0))
+
+
+def _assert_exact_in_any_start_order(groups, rng):
+    """_run_measure of the groups' items in each order of equal start keys equals the Fraction oracle;
+    returns how many items share a start key with another."""
+    keyed = arcs_module._keyed_pieces(groups, arcs_module._key_bits(max((g[4] for g in groups), default=1)))
+    _, oracle = _run_measure_and_oracle(groups)
+    for items in _start_key_orders(keyed, rng):
+        assert arcs_module._run_measure(items, groups) == oracle, (groups, items)
+    starts = [item[0] for item in keyed]
+    return sum(starts.count(s) > 1 for s in starts)
+
+
+def test_run_measure_is_exact_in_any_order_of_equal_starts():
+    """Keyed items sorted on their start keys alone, ties in any order, measure as the Fraction merge does:
+    groups over 12, 24 and 36 whose starts fall on the twelfths, so that many coincide across denominators."""
+    rng = random.Random(2503)
+    shared = 0
+    for _ in range(200):
+        groups = []
+        for tag in range(rng.randint(1, 5)):
+            r = rng.choice((1, 2, 3))
+            ms = [rng.randrange(12) for _ in range(rng.randint(1, 4))]
+            groups.append((ms, r, 0, rng.randint(1, 12 * r), 12 * r, tag))
+        shared += _assert_exact_in_any_start_order(groups, rng)
+    assert shared > 500
+
+
+def _half_circle_pair(delta, m, pred, n_min, n_max):
+    """The clipped groups of the tail unions at radii delta_n and m*delta_n, as scaled_tail_union_comparison
+    writes them, and those of each alone."""
+    t1 = approx_module._tail_terms(pred, delta, [n_min], n_max)[1]
+    tm = approx_module._tail_terms(pred, delta.scale(m), [n_min], n_max)[1]
+    g1, gm = map(arcs_module._half_circle_groups, approx_module._with_residues([t1, tm], half=True))
+    return g1, gm
+
+
+def test_run_measure_is_exact_on_equal_starts_of_tail_unions():
+    """A table whose terms start at one point, delta_2 = 1/4 and delta_3 = 1/12 give [1/4, 3/4) and
+    [1/4, 5/12), clipped to [1/4, 1/2) and [1/4, 5/12); and cassels' merged lists, whose two unions
+    share starts (every one of them at m = 1)."""
+    rng = random.Random(2504)
+    table = Table((Fraction(0), Fraction(1, 4), Fraction(1, 12)))
+    g1, gm = _half_circle_pair(table, Fraction(3, 2), parse_predicate("all"), 2, 3)
+    pieces = arcs_module._keyed_pieces(g1, 16)
+    assert sorted((Fraction(lo, den), Fraction(hi, den)) for _, _, lo, hi, den, _ in pieces) == [
+        (Fraction(1, 4), Fraction(5, 12)), (Fraction(1, 4), Fraction(1, 2))]
+    assert _assert_exact_in_any_start_order(g1, rng) == 2
+    # (delta, m, pred, n_min, n_max, whether the two unions share a start)
+    cases = [
+        (table, Fraction(1), parse_predicate("all"), 2, 3, True),
+        (table, Fraction(3, 2), parse_predicate("all"), 2, 3, True),
+        (Power(Fraction(1, 8), 2), Fraction(3, 2), Or(DivBySquare(2), ExactlyOnce(2)), 6, 60, False),
+        (Power(Fraction(1, 8), 2), Fraction(2), Or(DivBySquare(2), ExactlyOnce(2)), 6, 60, False),
+        (Power(Fraction(1, 10), 2), Fraction(2), Or(NotDiv(5), ExactlyOnce(3)), 4, 40, False),
+        (Power(Fraction(1, 2), 3), Fraction(1), Or(NotDiv(5), ExactlyOnce(3)), 2, 40, True),
+    ]
+    for delta, m, pred, n_min, n_max, shares in cases:
+        g1, gm = _half_circle_pair(delta, m, pred, n_min, n_max)
+        assert (_assert_exact_in_any_start_order(g1 + gm, rng) > 0) == shares, (delta, m)
+        # the library's merge: each union's items sorted on their start keys, then the two lists together
+        (k1, _), (km, _) = arcs_module._keyed_half_thickenings(
+            *approx_module._with_residues([approx_module._tail_terms(pred, d, [n_min], n_max)[1]
+                                           for d in (delta, delta.scale(m))], half=True))
+        merged = sorted(k1 + km, key=itemgetter(0))
+        assert arcs_module._run_measure(merged, g1 + gm) == _run_measure_and_oracle(g1 + gm)[1]
 
 
 # -- boolean operations against the grid oracle -------------------------------------------

@@ -209,6 +209,34 @@ def test_ao_refuses_a_huge_order_before_sieving(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == ArcSet.full().to_json_dict()
 
 
+def test_tail_union_commands_refuse_a_huge_index_before_sieving(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit} before refusing")
+
+    monkeypatch.setattr("circlelab.approx.smallest_prime_factors", no_sieve)
+    monkeypatch.setattr("circlelab.approx.factorize", no_sieve)
+    monkeypatch.setattr("circlelab.experiments.totient_range", no_sieve)
+    big = "1000000000000"
+    refused = {
+        ("measure", "--delta", "power:1:2", "--n-min", big, "--n-max", big):
+            "index must be at most 2**20 for a radius below 1/2, got 1000000000000",
+        ("cassels", "--delta", "power:1:2", "--m", "2", "--n-min", "2", "--n-max", big):
+            "index must be at most 2**20 for a radius below 1/2, got 1000000000000",
+        ("gallagher", "--delta", "power:1:2", "--n-min-schedule", big, "--n-max", big):
+            "n_max must be at most 2**22, got 1000000000000",
+        ("gallagher", "--delta", "power:1:1", "--n-min-schedule", "1", "--n-max", str(2**22 + 1)):
+            "n_max must be at most 2**22, got 4194305",
+    }
+    for argv, message in refused.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"circlelab: error: {message}\n"
+    monkeypatch.undo()
+    # inside the full prefix of power:1:1 (n <= 2) nothing is written, at any n_max
+    code, out, _ = run_cli(capsys, "measure", "--delta", "power:1:1", "--n-min", "1", "--n-max", big)
+    assert code == 0 and json.loads(out)["rows"][0]["exact"] == "1"
+
+
 # one small valid call per subcommand; each flag value is swapped in turn for each token of BAD_VALUES
 VALID_ARGV = [
     ["gallagher", "--delta", "power:1:2", "--n-min-schedule", "2,3", "--n-max", "5"],

@@ -15,6 +15,7 @@ from circlelab import (
     totient,
     totient_range,
 )
+from circlelab.numtheory import factorize, prime_factors, smallest_prime_factors
 
 
 def test_totient_examples():
@@ -48,6 +49,23 @@ def test_totient_range_at_prime_squares(p):
         assert phi == [0] + [totient(n) for n in range(1, limit + 1)]
     assert totient_range(p * p)[p * p] == p * (p - 1)
     assert totient_range(p**3)[p**3] == p * p * (p - 1)
+
+
+def test_smallest_prime_factors_match_factorize():
+    spf = smallest_prime_factors(10**4)
+    assert spf[:2] == [0, 1] and len(spf) == 10**4 + 1
+    for n in range(2, 10**4 + 1):
+        primes = sorted(factorize(n))
+        assert spf[n] == primes[0], n
+        assert list(prime_factors(n, spf)) == primes, n
+    assert list(prime_factors(1, spf)) == []
+    assert smallest_prime_factors(1) == [0, 1]
+    assert smallest_prime_factors(4) == [0, 1, 2, 3, 2]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 97, 1000])
+def test_totient_range_against_sympy(limit):
+    assert totient_range(limit) == [0] + [sympy.totient(n) for n in range(1, limit + 1)]
 
 
 def test_totient_multiplicative():
