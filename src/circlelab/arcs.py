@@ -3,12 +3,18 @@
 Canonical form
 --------------
 An :class:`ArcSet` is stored as a sorted tuple of pairwise-disjoint,
-non-touching line segments ``(lo, hi)`` with ``0 <= lo < hi <= 1``.  Arcs
-that cross the 0/1 seam are split at 0 internally and re-joined only for
-presentation (:attr:`ArcSet.arcs`) and JSON output.  Touching segments are
-always merged, so the internal form is unique per subset: two ArcSets are
-equal as Python values exactly when they denote the same subset of the
-circle.
+non-touching line segments ``[lo/den, hi/den)`` with ``0 <= lo < hi <= den``,
+each as its reduced integer triple ``(lo, hi, den)``: ``gcd(lo, hi, den) == 1``,
+so den is the lcm of the endpoints' reduced denominators and the triple of
+a segment is unique (:func:`_triple`).  Arcs that cross the 0/1 seam are
+split at 0 internally and re-joined only for presentation
+(:attr:`ArcSet.arcs`) and JSON output.  Touching segments are always
+merged, so the internal form is unique per subset: two ArcSets are equal as
+Python values, hash alike and pickle alike exactly when they denote the
+same subset of the circle.  Fractions appear only at the edge:
+``ArcSet(...)`` and :meth:`ArcSet.from_arcs` read them, and
+:attr:`ArcSet.segments` builds the Fraction pairs on its first read, as a
+cache; JSON output renders each number from the triples with one gcd.
 
 Everything here is half-open ``[a, b)``.  Boundary points are finite sets
 of measure zero, so measures and containments computed on the half-open
@@ -30,13 +36,14 @@ bisection; the sweep keeps or drops each run whole, so its cost follows
 the interleaving of the operands and the size of the result, not the
 size of the larger operand.
 
-The walk and membership compare cached keys first.  Each ArcSet keeps its
-flattened endpoints and their keys ``floor(x * 2**63)`` in two flat
-lists, computed on the first walk or lookup that needs them.  Floor is
-monotone, so unequal keys order as the endpoints do; only endpoints with
-equal keys are compared as Fractions, which settles ties exactly.  Most
-ties are shared endpoints, which one exact == settles without ordering
-them.
+The walk and membership compare cached keys first.  Each ArcSet keeps the
+keys ``floor(x * 2**63)`` of its flattened endpoints in one flat list,
+computed on the first walk or lookup that needs it; endpoint i is
+``lo`` or ``hi`` of triple ``i >> 1`` over its den.  Floor is monotone, so
+unequal keys order as the endpoints do; only endpoints with equal keys
+are compared exactly, a/b against c/d as a*d against c*b (:func:`_cmp`),
+which settles ties.  Most ties are shared endpoints, which one such
+comparison settles.
 
 Measures and inclusions
 -----------------------
@@ -47,7 +54,10 @@ ArcSet caches its measure, and mu(A ^ B) is also mu(B) - mu(A) +
 2 mu(A - B) and mu(A) - mu(B) + 2 mu(B - A).  So
 :meth:`ArcSet.symm_diff_measure` takes the boundaries of A & B, A - B and
 B - A from one walk, as index ranges, and measures only the piece with
-the fewest: against a small ball, the intersection.  The tail-union
+the fewest: against a small ball, the intersection.  The same walk decides
+A <= B: A - B is empty exactly when no run bounds it, so
+:meth:`ArcSet.issubset` stops at the first run that does and writes no
+segment.  The tail-union
 experiments that report only measures and inclusions never build an
 ArcSet, sweep or merge.  The measure of a union of integer arcs is their
 total width, in closed form per term, less their overlaps, which one walk
@@ -78,10 +88,13 @@ the terms (n, residues, (p, q)), delta_n = p/q, that ``approx.tail_union`` and
 ``approx._ao_groups`` hand to :func:`_thickening_groups`; the n pieces of
 a preimage; the cells j/k of a union in ``invariant_set_search``.
 Callers put a segment, an arc's start and length, or a segment and a
-map's offset over one denominator, so images are integer arithmetic on
+map's offset over one denominator, and a set's triples are such groups as
+they are (:meth:`ArcSet._groups`), so images are integer arithmetic on
 numerators (:func:`_affine_groups`).  The writer cuts the arcs at the
-seam, keys and merges them, and builds a Fraction only for each merged
-endpoint.
+seam, keys and merges them, and writes each merged segment as its reduced
+triple.  The boolean operations reuse the operands' triples for the
+segments they keep whole and write a triple only where a result's segment
+has endpoints from two segments.
 
 Inclusion is decided on integer arcs, with no set or Fraction built, by
 one kernel (:func:`_union_within`): the outer union is merged once, and
@@ -99,7 +112,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -110,6 +123,7 @@ from typing import Iterable, Iterator, Sequence
 from .circle import (
     CirclePoint,
     RationalLike,
+    _format_ratio,
     _sum_ratios,
     as_fraction,
     format_fraction,
@@ -118,6 +132,7 @@ from .circle import (
 )
 
 Segment = tuple[Fraction, Fraction]
+Triple = tuple[int, int, int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -208,7 +223,7 @@ def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
             by_den[last[4]] -= last[3]
             by_den[item[4]] += item[2]
             last, end = item, item[1]
-    return Fraction(*_sum_ratios((num, den) for den, num in by_den.items() if num))
+    return _measure(by_den)
 
 
 def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
@@ -289,18 +304,35 @@ def _keyed_half_thickenings(
     return [(sorted(_keyed_pieces(grid, k), key=itemgetter(0)), grid) for grid in grids]
 
 
+def _triple(a: int, b: int, c: int, d: int) -> Triple:
+    """The reduced triple (lo, hi, den) of the segment [a/b, c/d), b, d > 0, with gcd(lo, hi, den) == 1.
+
+    Also any pair of rationals over one denominator, such as an arc's start and length.
+    """
+    if b != d:
+        den = lcm(b, d)
+        a, c, b = a * (den // b), c * (den // d), den
+    g = gcd(a, c, b)
+    return (a, c, b) if g == 1 else (a // g, c // g, b // g)
+
+
+def _cmp(a: int, b: int, c: int, d: int) -> int:
+    """A number of the sign of a/b - c/d, for b, d > 0: the exact comparison that settles a key tie."""
+    return a * d - c * b
+
+
 def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
     """The one canonicaliser: the union of groups of integer arcs (see _keyed_pieces) as an ArcSet.
 
-    Fractions are built only for merged endpoints.
+    Each merged segment is written as its reduced triple; no Fraction is built.
     """
     merged = _canonical(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
     merged.reverse()
-    segments = []
-    while merged:  # popping frees each keyed item once its Fractions are built
+    triples = []
+    while merged:  # popping frees each keyed item once its triple is written
         first, last = merged.pop()
-        segments.append((Fraction(first[2], first[4]), Fraction(last[3], last[4])))
-    return ArcSet._trusted(tuple(segments))
+        triples.append(_triple(first[2], first[4], last[3], last[4]))
+    return ArcSet._trusted(tuple(triples))
 
 
 def _union_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
@@ -336,30 +368,21 @@ def _affine_groups(groups: Iterable[tuple], m: int, e: int, f: int) -> list[tupl
     return images
 
 
-def _over_one_denominator(segments: Iterable[Segment], f: int) -> Iterator[tuple[int, int, int]]:
-    """Each pair (a/b, c/d), such as a segment [a/b, c/d), as integers ``(lo, hi, den)`` over lcm(b, d, f)."""
-    for x, y in segments:
-        a, b = x.as_integer_ratio()
-        c, d = y.as_integer_ratio()
-        den = lcm(b, d, f)
-        yield a * (den // b), c * (den // d), den
-
-
 # keep[2 * in_a + in_b]: whether a point inside a or not, and b or not, is in the result
 _OR = (False, True, True, True)
 _AND = (False, False, False, True)
 _SUB = (False, False, True, False)
 
 
-def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_ends: Sequence[Fraction],
-          b_ends: Sequence[Fraction]) -> Iterator[tuple[int, int]]:
+def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_segs: Sequence[Triple],
+          b_segs: Sequence[Triple]) -> Iterator[tuple[int, int]]:
     """Walk the flattened endpoints of a and b in order; yield the positions (i, j) after each step.
 
     A step takes a run: one operand's endpoints below the other's next one,
     found by one bisection of the keys, or all that are left of one operand
     once the other's are taken.  Only i or only j moves.  A key tie is
-    settled exactly: one == finds equal endpoints, which are one step that
-    moves both, and otherwise the lower endpoint alone is a run.
+    settled exactly by one _cmp of the triples' integers: equal endpoints
+    are one step that moves both, and otherwise the lower endpoint alone is a run.
     """
     na, nb = len(a_keys), len(b_keys)
     i = j = 0
@@ -369,38 +392,47 @@ def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_ends: Sequence[Fractio
             i = bisect_left(a_keys, y, i + 1)
         elif y < x:
             j = bisect_left(b_keys, x, j + 1)
-        elif a_ends[i] == b_ends[j]:
-            i, j = i + 1, j + 1
-        elif a_ends[i] < b_ends[j]:
-            i += 1
         else:
-            j += 1
+            s, t = a_segs[i >> 1], b_segs[j >> 1]
+            c = _cmp(s[i & 1], s[2], t[j & 1], t[2])
+            if c <= 0:
+                i += 1
+            if c >= 0:
+                j += 1
         yield i, j
     if i < na or j < nb:
         yield na, nb
 
 
-def _run_segments(start: Fraction | None, segs: Sequence[Segment], ends: Sequence[Fraction], i: int,
-                  k: int, inside: bool) -> tuple[list[Segment], Fraction | None]:
+def _run_segments(start: tuple[int, int] | None, segs: Sequence[Triple], i: int, k: int,
+                  inside: bool) -> tuple[list[Triple], tuple[int, int] | None]:
     """The result's segments that end at endpoints i to k - 1 of segs, and the result's open start after them.
 
     Over these endpoints the result is inside segs (``inside``) or outside
-    it.  Inside, the result's segments are segs' own, and those are reused;
-    outside, they are the gaps between segs' segments.
+    it.  Inside, the result's segments are segs' own, and those triples are
+    reused; outside, they are the gaps between segs' segments, each written
+    by _triple.  The open start is an endpoint as a pair (num, den).
     """
     if inside:
         out = []
         if i & 1:  # endpoint i ends the segment the result is in
             seg = segs[i >> 1]
-            out.append(seg if start is seg[0] else (start, seg[1]))
+            out.append(seg if start == (seg[0], seg[2]) else _triple(*start, seg[1], seg[2]))
             i += 1
         out += segs[i >> 1:k >> 1]
-        return out, ends[k - 1] if k & 1 else None
-    run = ends[i:k] if start is None else [start, *ends[i:k]]
-    return list(zip(run[0::2], run[1::2])), run[-1] if len(run) & 1 else None
+        return out, (segs[k >> 1][0], segs[k >> 1][2]) if k & 1 else None
+    out = []
+    if start is not None:  # endpoint i starts a segment of segs, where the result's open segment ends
+        seg = segs[i >> 1]
+        out.append(_triple(*start, seg[0], seg[2]))
+        i += 1
+    # the endpoints left alternately end a segment of segs, where a gap starts, and start the next one
+    q, r = i >> 1, (k - 1) >> 1
+    out += [_triple(s[1], s[2], t[0], t[2]) for s, t in zip(segs[q:r], segs[q + 1:r + 1])]
+    return out, (segs[r][1], segs[r][2]) if (k - i) & 1 else None
 
 
-def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> Iterator[list[Segment]]:
+def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> Iterator[list[Triple]]:
     """Yield, in order, nonempty lists of the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
 
     a and b are canonical, so each one's flattened endpoints strictly
@@ -414,81 +446,75 @@ def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> Iterator[list[Se
     """
     start = None  # where the result's open segment began
     i = j = 0
-    for ni, nj in _runs(a._keys, b._keys, a._ends, b._ends):
+    for ni, nj in _runs(a._keys, b._keys, a.triples, b.triples):
         out = None
         if nj == j:
             if keep[j & 1] != keep[2 + (j & 1)]:
-                out, start = _run_segments(start, a.segments, a._ends, i, ni, keep[2 + (j & 1)])
+                out, start = _run_segments(start, a.triples, i, ni, keep[2 + (j & 1)])
         elif ni == i:
             if keep[2 * (i & 1)] != keep[2 * (i & 1) + 1]:
-                out, start = _run_segments(start, b.segments, b._ends, j, nj, keep[2 * (i & 1) + 1])
+                out, start = _run_segments(start, b.triples, j, nj, keep[2 * (i & 1) + 1])
         elif keep[2 * (ni & 1) + (nj & 1)] != (start is not None):
             # the result starts or ends at an endpoint of both, so it is inside a on both sides or on neither
-            out, start = _run_segments(start, a.segments, a._ends, i, ni, (start is not None) == (i & 1))
+            out, start = _run_segments(start, a.triples, i, ni, (start is not None) == (i & 1))
         if out:
             yield out
         i, j = ni, nj
 
 
-def _measure(segments: Iterable[Segment]) -> Fraction:
-    """Sum of hi - lo over segments.
+def _measure(by_den: dict[int, int]) -> Fraction:
+    """Sum of num/den over the items ``den: num`` of by_den, numerators already added per denominator.
 
-    The numerators are added per denominator first, and the sums per denominator in one tree.
+    The sums per denominator are added in one tree.
     """
-    by_den: dict[int, int] = {}
-    for lo, hi in segments:
-        num, d = hi.as_integer_ratio()
-        by_den[d] = by_den.get(d, 0) + num
-        num, d = lo.as_integer_ratio()
-        by_den[d] = by_den.get(d, 0) - num
     return Fraction(*_sum_ratios((num, den) for den, num in by_den.items() if num))
 
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ArcSet:
-    """A finite union of half-open arcs in canonical form.
+    """A finite union of half-open arcs in canonical form, stored as reduced triples (see Canonical form).
 
     Construct via :meth:`from_arcs`, :func:`thicken`, or the set operations;
-    the raw constructor accepts any iterable of in-range segments and
-    canonicalises it.  Supports ``|  &  -  ~  <=  in`` with exact semantics.
+    the raw constructor accepts any iterable of in-range segments ``(lo, hi)``
+    of rationals and canonicalises it.  Supports ``|  &  -  ~  <=  in`` with
+    exact semantics.
     """
 
-    segments: tuple[Segment, ...] = field(default=())
+    triples: tuple[Triple, ...] = ()
 
-    def __post_init__(self) -> None:
-        raw = tuple(self.segments)
+    def __init__(self, segments: Iterable[Segment] = ()) -> None:
         groups = []
-        for (x, y), (lo, hi, den) in zip(raw, _over_one_denominator(raw, 1)):
+        for x, y in segments:
+            lo, hi, den = _triple(*x.as_integer_ratio(), *y.as_integer_ratio())
             if lo != hi:  # empty pairs are dropped, others checked
                 if not 0 <= lo < hi <= den:
                     raise ValueError(f"segment out of range: ({x}, {y})")
                 groups.append(((lo,), 1, 0, hi - lo, den, 0))
-        object.__setattr__(self, "segments", _integer_union(groups).segments)
+        object.__setattr__(self, "triples", _integer_union(groups).triples)
 
     @cached_property
-    def _ends(self) -> list[Fraction]:
-        """The flattened endpoints: index i is ``segments[i >> 1][i & 1]``.
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments as Fraction pairs ``(lo, hi)``, built on first read.
 
         A cache, like _keys and measure: it takes no part in ==, hash, repr, copies or pickles.
         """
-        return list(chain.from_iterable(self.segments))
+        return tuple((Fraction(lo, den), Fraction(hi, den)) for lo, hi, den in self.triples)
 
     @cached_property
     def _keys(self) -> list[int]:
         """The flattened endpoints' keys, computed on the first walk or lookup that needs them."""
-        return [(x.numerator << _KEY_BITS) // x.denominator for x in self._ends]
+        return [(x << _KEY_BITS) // den for lo, hi, den in self.triples for x in (lo, hi)]
 
     def __getstate__(self) -> dict:
-        return {"segments": self.segments}
+        return {"triples": self.triples}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, segments: tuple[Segment, ...]) -> "ArcSet":
-        """Wrap segments that are already canonical, skipping canonicalisation."""
+    def _trusted(cls, triples: tuple[Triple, ...]) -> "ArcSet":
+        """Wrap reduced triples that are already canonical, skipping canonicalisation."""
         s = object.__new__(cls)
-        object.__setattr__(s, "segments", segments)
+        object.__setattr__(s, "triples", triples)
         return s
 
     @classmethod
@@ -497,32 +523,37 @@ class ArcSet:
 
     @classmethod
     def full(cls) -> "ArcSet":
-        return cls._trusted(((ZERO, ONE),))
+        return cls._trusted(((0, 1, 1),))
 
     @classmethod
     def from_arcs(cls, arcs: Iterable[Arc]) -> "ArcSet":
-        return _integer_union([((lo,), 1, 0, width, den, 0) for lo, width, den
-                               in _over_one_denominator(((a.start.value, a.length) for a in arcs), 1)])
+        starts_and_lengths = (_triple(*a.start.value.as_integer_ratio(), *a.length.as_integer_ratio()) for a in arcs)
+        return _integer_union([((lo,), 1, 0, width, den, 0) for lo, width, den in starts_and_lengths])
 
     # -- predicates and measure --------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.segments
+        return not self.triples
 
     def is_full(self) -> bool:
-        return self.segments == ((ZERO, ONE),)
+        return self.triples == ((0, 1, 1),)
 
     @cached_property
     def measure(self) -> Fraction:
         """The total length, computed once; like _keys, a cache that no comparison or copy sees."""
-        return _measure(self.segments)
+        by_den: dict[int, int] = {}
+        for lo, hi, den in self.triples:
+            by_den[den] = by_den.get(den, 0) + hi - lo
+        return _measure(by_den)
 
     def __contains__(self, point: CirclePoint) -> bool:
-        v, keys, ends = point.value, self._keys, self._ends
-        key = (v.numerator << _KEY_BITS) // v.denominator
+        u, w = point.value.as_integer_ratio()
+        keys, segs = self._keys, self.triples
+        key = (u << _KEY_BITS) // w
         k = bisect_left(keys, key)
-        if k < len(keys) and keys[k] == key:  # endpoints whose keys tie are compared, first by one ==
-            k = k + 1 if ends[k] == v else bisect_right(ends, v, k, bisect_right(keys, key, k))
+        # endpoints whose keys tie are compared exactly, in order, while they are at most the point
+        while k < len(keys) and keys[k] == key and _cmp(segs[k >> 1][k & 1], segs[k >> 1][2], u, w) <= 0:
+            k += 1
         return k & 1 == 1  # a point is inside after an odd number of endpoints
 
     # -- boolean algebra ----------------------------------------------------
@@ -559,40 +590,52 @@ class ArcSet:
         the fewest is measured, and the result follows from the cached
         measures of self and other.
         """
-        a_ends, b_ends = self._ends, other._ends
+        a_segs, b_segs = self.triples, other.triples
         both, a_only, b_only = pieces = ([], [], [])  # the boundaries of self & other, self - other, other - self
         i = j = 0
-        for ni, nj in _runs(self._keys, other._keys, a_ends, b_ends):
+        for ni, nj in _runs(self._keys, other._keys, a_segs, b_segs):
             if nj == j:  # a run of self's endpoints, all inside other or all outside it
-                run = (a_ends, i, ni)
+                run = (a_segs, i, ni)
                 if j & 1:
                     both.append(run)
                     b_only.append(run)
                 else:
                     a_only.append(run)
             elif ni == i:
-                run = (b_ends, j, nj)
+                run = (b_segs, j, nj)
                 if i & 1:
                     both.append(run)
                     a_only.append(run)
                 else:
                     b_only.append(run)
             elif i & 1 == j & 1:  # an endpoint of both, where both start or both end
-                both.append((a_ends, i, ni))
+                both.append((a_segs, i, ni))
             else:
-                a_only.append((a_ends, i, ni))
-                b_only.append((a_ends, i, ni))
+                a_only.append((a_segs, i, ni))
+                b_only.append((a_segs, i, ni))
             i, j = ni, nj
         sizes = [sum(k - i for _, i, k in runs) for runs in pieces]
         p = sizes.index(min(sizes))
-        bounds = chain.from_iterable(ends[i:k] for ends, i, k in pieces[p])
-        piece = _measure(zip(bounds, bounds))  # a piece's boundaries alternate start, end
+        by_den: dict[int, int] = {}
+        sign = -1  # a piece's boundaries alternate start, end
+        for segs, i, k in pieces[p]:
+            for m in range(i, k):
+                seg = segs[m >> 1]
+                by_den[seg[2]] = by_den.get(seg[2], 0) + sign * seg[m & 1]
+                sign = -sign
+        piece = _measure(by_den)
         if p == 0:
             return self.measure + other.measure - 2 * piece
         return (other.measure - self.measure if p == 1 else self.measure - other.measure) + 2 * piece
 
     def issubset(self, other: "ArcSet") -> bool:
-        return next(_sweep(self, other, _SUB), None) is None
+        """Whether no run of the walk (see _runs) bounds self - other, classified as in symm_diff_measure."""
+        i = j = 0
+        for ni, nj in _runs(self._keys, other._keys, self.triples, other.triples):
+            if (not j & 1) if nj == j else (i & 1) if ni == i else (i & 1 != j & 1):
+                return False
+            i, j = ni, nj
+        return True
 
     __le__ = issubset
 
@@ -602,8 +645,8 @@ class ArcSet:
     # -- geometric actions ---------------------------------------------------
 
     def _groups(self) -> list[tuple]:
-        """The segments as one-arc groups of the writer (see _keyed_pieces)."""
-        return [((lo,), 1, 0, hi - lo, den, 0) for lo, hi, den in _over_one_denominator(self.segments, 1)]
+        """The triples as one-arc groups of the writer (see _keyed_pieces)."""
+        return [((lo,), 1, 0, hi - lo, den, 0) for lo, hi, den in self.triples]
 
     def translate(self, a: CirclePoint) -> "ArcSet":
         """Exact image {a + y : y in self}; preserves measure."""
@@ -627,12 +670,15 @@ class ArcSet:
         return tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
 
     def to_json_dict(self) -> dict:
-        return {
-            "arcs": [
-                {"start": format_fraction(a.start.value), "length": format_fraction(a.length)}
-                for a in self.arcs
-            ]
-        }
+        """The wrap-joined arcs as in :attr:`arcs`, each start and length rendered from the triples."""
+        segs = self.triples
+        arcs = [(lo, hi - lo, den) for lo, hi, den in segs]  # start and length over den
+        if len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == segs[-1][2]:
+            (_, hi, d), (lo, _, den) = segs[0], segs[-1]
+            m = lcm(d, den)  # the seam arc [lo/den, 1 + hi/d) over m, last as in arcs
+            arcs = arcs[1:-1] + [(lo * (m // den), m - lo * (m // den) + hi * (m // d), m)]
+        return {"arcs": [{"start": _reduced_text(lo, den), "length": _reduced_text(width, den)}
+                         for lo, width, den in arcs]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -662,9 +708,15 @@ class ArcSet:
         return " ∪ ".join(str(a) for a in self.arcs)
 
 
+def _reduced_text(num: int, den: int) -> str:
+    """num/den rendered as format_fraction renders the Fraction, reduced by one gcd."""
+    g = gcd(num, den)
+    return _format_ratio(num // g, den // g)
+
+
 def union_all(sets: Iterable[ArcSet]) -> ArcSet:
     """Union of arbitrarily many ArcSets in one canonicalisation pass."""
-    return ArcSet(chain.from_iterable(s.segments for s in sets))
+    return _integer_union([g for s in sets for g in s._groups()])
 
 
 def thicken(points: Iterable[CirclePoint], delta: RationalLike) -> ArcSet:

@@ -22,16 +22,21 @@ def as_fraction(value: RationalLike) -> Fraction:
     """Coerce an int, a 'p/q' string, or a Fraction to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
-    return Fraction(value)
+    return parse_fraction(value) if isinstance(value, str) else Fraction(value)
 
 
 def format_fraction(q: Fraction) -> str:
     """Render 'p/q', omitting the denominator when it is 1."""
+    return _format_ratio(q.numerator, q.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as format_fraction renders it."""
     try:
-        num, den = str(q.numerator), str(q.denominator)
+        p, q = str(num), str(den)
     except ValueError:  # beyond sys.get_int_max_str_digits(); Decimal prints exact digits
-        num, den = str(Decimal(q.numerator)), str(Decimal(q.denominator))
-    return num if den == "1" else f"{num}/{den}"
+        p, q = str(Decimal(num)), str(Decimal(den))
+    return p if q == "1" else f"{p}/{q}"
 
 
 # Levels whose denominators r**a have more bits than this add each pair over lcm(r1, r2)**a.
@@ -84,12 +89,23 @@ def _add_over_lcm(p1: int, r1: int, p2: int, r2: int, a: int) -> tuple[int, int]
 
 _LONG_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
+# Fraction('1e30000000') computes 10**30000000 in full, for minutes; larger exponents are refused,
+# and this one is the number of digits that int() reads by default
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][+-]?([0-9_]+)$")
+
 
 def parse_fraction(text: str, name: str = "value") -> Fraction:
-    """Read what format_fraction writes, or any other literal that Fraction accepts."""
+    """Read what format_fraction writes, or any other literal that Fraction accepts with an exponent of
+    magnitude at most _MAX_EXPONENT."""
     if not isinstance(text, str):
         raise ValueError(f"{name} must be a string such as '1/4', got {text!r}")
     text = text.strip()
+    exponent = _EXPONENT.search(text)
+    if exponent is not None:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or "0") > _MAX_EXPONENT:
+            raise ValueError(f"{name} has an exponent above {_MAX_EXPONENT} in magnitude")
     try:
         return Fraction(text)
     except ValueError:

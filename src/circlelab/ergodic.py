@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .arcs import ArcSet, _affine_groups, _integer_union, _over_one_denominator, _union_within
+from .arcs import ArcSet, _affine_groups, _integer_union, _union_within
 from .circle import ZERO_POINT, CirclePoint
 
 
@@ -42,9 +42,10 @@ class AffineCircleMap:
         if n < 1:
             raise ValueError("preimage requires multiplier >= 1")
         e, f = self.offset.value.as_integer_ratio()
-        # over n*den, a segment [lo, hi) pulls back to the pieces that start at lo - x*den + j*den, j < n
-        return _integer_union([(range(n), den, lo - e * (den // f), hi - lo, n * den, 0)
-                               for lo, hi, den in _over_one_denominator(s.segments, f)])
+        # over n*den*f, a segment [lo/den, hi/den) pulls back to the pieces that start at
+        # lo*f - e*den + j*den*f, j < n
+        return _integer_union([(range(n), den * f, lo * f - e * den, (hi - lo) * f, n * den * f, 0)
+                               for lo, hi, den in s.triples])
 
     def preserves_measure_on(self, sample: Iterable[ArcSet]) -> bool:
         """Exact self-check: preimages of every sampled set keep its measure."""

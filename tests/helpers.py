@@ -6,8 +6,9 @@ so measures of boolean combinations can be cross-checked against an
 implementation that shares no code with the library's canonicalisation.
 The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
-algorithms: a Fraction sort for canonicalisation, a sweep that compares
-Fraction endpoints for boolean operations, one set per term for tail
+algorithms: the ArcSet on Fraction endpoints (FractionArcSet), a Fraction
+sort for canonicalisation, a sweep that compares Fraction endpoints for
+boolean operations, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
 arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for the measures
@@ -161,6 +162,70 @@ def canonical_by_fraction_sort(raw) -> tuple:
     return tuple((lo, hi) for lo, hi in merged)
 
 
+def arcset_of_segments(segments) -> ArcSet:
+    """The ArcSet of canonical segments (lo, hi) of rationals, its reduced triples (lo, hi, den) found here:
+    den is the lcm of the endpoints' reduced denominators, with no library writer."""
+    triples = []
+    for lo, hi in segments:
+        (a, b), (c, d) = Fraction(lo).as_integer_ratio(), Fraction(hi).as_integer_ratio()
+        den = b * d // gcd(b, d)
+        triples.append((a * (den // b), c * (den // d), den))
+    return ArcSet._trusted(tuple(triples))
+
+
+class FractionArcSet:
+    """ArcSet as the library once stored it, with Fraction endpoints, every operation by the Fraction oracles
+    here: canonical form by Fraction sort, boolean operations by the Fraction sweep, the maps by Fraction
+    arithmetic, and JSON from the wrap-joined arcs sorted by start."""
+
+    def __init__(self, raw=()):
+        self.segments = canonical_by_fraction_sort((Fraction(lo), Fraction(hi)) for lo, hi in raw)
+
+    def as_arcset(self) -> ArcSet:
+        return arcset_of_segments(self.segments)
+
+    def _swept(self, other: "FractionArcSet", keep) -> "FractionArcSet":
+        return FractionArcSet(sweep_by_fraction(self.segments, other.segments, keep))
+
+    def __or__(self, other):
+        return self._swept(other, OR)
+
+    def __and__(self, other):
+        return self._swept(other, AND)
+
+    def __sub__(self, other):
+        return self._swept(other, SUB)
+
+    def __invert__(self):
+        return FractionArcSet(complement_by_gap_walk(self))
+
+    def __le__(self, other) -> bool:
+        return subset_by_fraction(self.segments, other.segments)
+
+    def symm_diff_measure(self, other) -> Fraction:
+        return symm_diff_by_fraction(self.segments, other.segments)
+
+    def __contains__(self, point: CirclePoint) -> bool:
+        return any(lo <= point.value < hi for lo, hi in self.segments)
+
+    @property
+    def measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self.segments), Fraction(0))
+
+    def translate(self, a: CirclePoint) -> "FractionArcSet":
+        return FractionArcSet(translate_by_fraction(self, a).segments)
+
+    def mul_image(self, m: int) -> "FractionArcSet":
+        return FractionArcSet(mul_image_by_fraction(self, m).segments)
+
+    def preimage(self, t: AffineCircleMap) -> "FractionArcSet":
+        return FractionArcSet(preimage_by_fraction(t, self).segments)
+
+    def to_json(self) -> str:
+        return json.dumps({"arcs": [{"start": format_fraction(a.start.value), "length": format_fraction(a.length)}
+                                    for a in arcs_by_sort(self)]})
+
+
 class _PastEnd:
     """Above every Fraction: the next endpoint of a swept-through operand."""
 
@@ -255,6 +320,8 @@ def sweep_by_fraction(a, b, keep: tuple[bool, ...], gallop_after: int = 8):
 
 
 # keep tables for sweep_by_fraction: keep[2 * (x in a) + (x in b)]
+OR = (False, True, True, True)
+AND = (False, False, False, True)
 SUB = (False, False, True, False)
 RSUB = (False, True, False, False)
 XOR = (False, True, True, False)
@@ -283,7 +350,7 @@ def complement_by_gap_walk(s: ArcSet) -> tuple:
     return tuple(gaps)
 
 
-def arcs_by_sort(s: ArcSet) -> tuple:
+def arcs_by_sort(s) -> tuple:
     """s.arcs as the library once built them: the two seam pieces joined first, then all sorted by start."""
     segs = s.segments
     out = []
@@ -309,7 +376,7 @@ def translate_by_fraction(s: ArcSet, a: CirclePoint) -> ArcSet:
     for lo, hi in s.segments:
         start = (lo + a.value) % 1
         raw.extend(_split_at_one(start, start + (hi - lo)))
-    return ArcSet(tuple(raw))
+    return arcset_of_segments(canonical_by_fraction_sort(raw))
 
 
 def mul_image_by_fraction(s: ArcSet, m: int) -> ArcSet:
@@ -321,7 +388,7 @@ def mul_image_by_fraction(s: ArcSet, m: int) -> ArcSet:
             return ArcSet.full()
         start = (m * lo) % 1
         raw.extend(_split_at_one(start, start + length))
-    return ArcSet(tuple(raw))
+    return arcset_of_segments(canonical_by_fraction_sort(raw))
 
 
 def preimage_by_fraction(t: AffineCircleMap, s: ArcSet) -> ArcSet:
@@ -334,7 +401,7 @@ def preimage_by_fraction(t: AffineCircleMap, s: ArcSet) -> ArcSet:
         for k in range(n):
             start = (base + k) / n
             raw.extend(_split_at_one(start, start + sub))
-    return ArcSet(tuple(raw))
+    return arcset_of_segments(canonical_by_fraction_sort(raw))
 
 
 def is_invariant_by_preimage(t: AffineCircleMap, s: ArcSet) -> bool:
@@ -350,12 +417,12 @@ def union_of_groups_by_fraction(groups) -> ArcSet:
         for m in ms:
             start = Fraction((m * step + offset) % den, den)
             raw.extend(_split_at_one(start, start + Fraction(width, den)))
-    return ArcSet._trusted(canonical_by_fraction_sort(raw))
+    return arcset_of_segments(canonical_by_fraction_sort(raw))
 
 
 def ao_by_arcs(n: int, delta: Fraction) -> ArcSet:
     """AO(n, delta), the order-n points thickened by delta, from Fraction arcs merged by Fraction sort."""
-    return ArcSet._trusted(thicken_by_arcs(finite_order_points(n), delta))
+    return arcset_of_segments(thicken_by_arcs(finite_order_points(n), delta))
 
 
 # the inclusion checks (i)-(iv) as the library once decided them, on whole ArcSets, here built, mapped and

@@ -41,6 +41,7 @@ from circlelab.cli import main
 from circlelab.ergodic import _conjugated_images
 from helpers import (
     add_by_integers,
+    arcset_of_segments,
     conjugated_images_by_points,
     inclusion_iv_by_translate,
     invariant_sets_brute_force,
@@ -292,7 +293,7 @@ def test_union_equals_matches_the_built_union_on_seeded_sets():
             for step in (Fraction(-1, 7 * ends[i].denominator), Fraction(1, 7 * ends[i].denominator)):
                 moved = ends[:i] + [ends[i] + step] + ends[i + 1:]
                 if 0 <= moved[0] and moved[-1] <= 1 and all(x < y for x, y in zip(moved, moved[1:])):
-                    other = ArcSet._trusted(tuple(zip(moved[0::2], moved[1::2])))
+                    other = arcset_of_segments(zip(moved[0::2], moved[1::2]))
                     assert union != other and not _union_equals(groups, other)
 
 

@@ -4,13 +4,14 @@ import random
 import re
 from fractions import Fraction
 from itertools import groupby, permutations, product
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from circlelab import (
+    AffineCircleMap,
     Arc,
     ArcSet,
     Power,
@@ -27,6 +28,7 @@ from circlelab import (
 from circlelab import Or, Table, approx as approx_module, arcs as arcs_module
 from circlelab.numtheory import DivBySquare, ExactlyOnce, NotDiv
 from helpers import (
+    FractionArcSet,
     RSUB,
     SUB,
     XOR,
@@ -208,26 +210,35 @@ def test_measure_examples():
     assert S((0, "1/8"), ("1/2", "1/4")).measure == Fraction(3, 8)
 
 
+def _measure_of_segments(segments) -> Fraction:
+    """arcs._measure of Fraction segments, given the numerators of hi - lo added per denominator."""
+    by_den: dict[int, int] = {}
+    for lo, hi in segments:
+        by_den[hi.denominator] = by_den.get(hi.denominator, 0) + hi.numerator
+        by_den[lo.denominator] = by_den.get(lo.denominator, 0) - lo.numerator
+    return arcs_module._measure(by_den)
+
+
 def test_measure_matches_per_denominator_oracle():
     rng = random.Random(4107)
-    assert arcs_module._measure([]) == 0 == measure_per_denominator([])
+    assert _measure_of_segments([]) == 0 == measure_per_denominator([])
     # touching segments: the numerators over 3 cancel to 0
     chain = [(Fraction(1, 5), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 5)), (Fraction(2, 5), Fraction(1, 2))]
-    assert arcs_module._measure(chain) == Fraction(3, 10) == measure_per_denominator(chain)
+    assert _measure_of_segments(chain) == Fraction(3, 10) == measure_per_denominator(chain)
     for _ in range(300):
         dens = [rng.randint(1, 60) for _ in range(rng.randint(1, 6))]
         segments = []
         for _ in range(rng.randint(1, 40)):
             lo = Fraction(rng.randrange(d := rng.choice(dens)), d)
             segments.append((lo, lo + Fraction(rng.randint(1, 60), rng.choice(dens) * 60)))
-        assert arcs_module._measure(segments) == measure_per_denominator(segments)
-        assert arcs_module._measure(segments) == sum((hi - lo for lo, hi in segments), Fraction(0))
+        assert _measure_of_segments(segments) == measure_per_denominator(segments)
+        assert _measure_of_segments(segments) == sum((hi - lo for lo, hi in segments), Fraction(0))
     # distinct denominators of about 133 bits, each start and end over its own
     segments = []
     for _ in range(200):
         q, r = (rng.getrandbits(133) | 1 << 132 for _ in range(2))
         segments.append((Fraction(rng.randrange(q), q), Fraction(q - 1, q) + Fraction(1, r)))
-    assert arcs_module._measure(segments) == measure_per_denominator(segments)
+    assert _measure_of_segments(segments) == measure_per_denominator(segments)
 
 
 def test_measure_against_grid_oracle():
@@ -661,33 +672,59 @@ def test_sweep_runs_match_grid_segments(seed):
 
 
 def test_sweep_reuses_whole_segments():
-    """Segments of an operand that are whole in the result are its own tuples, not copies."""
+    """Segments of an operand that are whole in the result are its own triples, not copies."""
     big = thicken([circle_point(Fraction(m, 97)) for m in range(97)], Fraction(1, 400))
     ball = ArcSet(((Fraction(1, 3), Fraction(1, 2)),))
-    outside = [seg for seg in big.segments if seg[1] < ball.segments[0][0] or seg[0] > ball.segments[0][1]]
+    outside = [t for t, (lo, hi) in zip(big.triples, big.segments)
+               if hi < ball.segments[0][0] or lo > ball.segments[0][1]]
     assert len(outside) > 80
-    kept = {id(seg) for seg in (big - ball).segments}
-    assert all(id(seg) in kept for seg in outside)
+    kept = {id(t) for t in (big - ball).triples}
+    assert all(id(t) in kept for t in outside)
+
+
+def _count_exact_comparisons(monkeypatch) -> list[int]:
+    """Count every exact comparison from here on, arcs._cmp and Fraction's own, in the one-item list returned."""
+    compared = [0]
+
+    def counting(plain):
+        def count(*args):
+            compared[0] += 1
+            return plain(*args)
+        return count
+
+    monkeypatch.setattr(arcs_module, "_cmp", counting(arcs_module._cmp))
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    return compared
 
 
 def test_sweep_cost_follows_runs_not_size(monkeypatch):
     """A ball against a set of 3,000 segments takes O(log n) comparisons, not O(n)."""
     big = thicken([circle_point(Fraction(m, 3001)) for m in range(3001)], Fraction(1, 9000))
     ball = ArcSet(((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000)),))
-    compared = 0
-    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-        plain = getattr(Fraction, name)
-
-        def counting(x, y, plain=plain):
-            nonlocal compared
-            compared += 1
-            return plain(x, y)
-
-        monkeypatch.setattr(Fraction, name, counting)
+    compared = _count_exact_comparisons(monkeypatch)
     for op in (ArcSet.intersection, ArcSet.issubset, ArcSet.__ge__, ArcSet.symm_diff_measure):
-        compared = 0
+        compared[0] = 0
         op(big, ball)
-        assert compared < 200, (op.__name__, compared)
+        assert compared[0] < 200, (op.__name__, compared[0])
+
+
+def _crowded_raw(rng: random.Random, points: list) -> list:
+    """Raw segments between sampled points, each cut once more into two touching pieces where it can be."""
+    gap = Fraction(1, 2**70)
+    ends = sorted(rng.sample(points, 2 * rng.randint(0, 12)))
+    raw = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        cut = lo + gap * rng.randint(1, 3)
+        raw.extend([(lo, cut), (cut, hi)] if cut < hi else [(lo, hi)])
+    return raw
+
+
+def _crowded_points(rng: random.Random) -> list:
+    """0, 1, and clusters of points 2**-70 apart around three points over 2**40 + 15."""
+    q, gap = 2**40 + 15, Fraction(1, 2**70)
+    bases = sorted(Fraction(rng.randrange(1, q), q) for _ in range(3))
+    return [Fraction(0)] + [c + t * gap for c in bases for t in range(24)] + [Fraction(1)]
 
 
 def _crowded_pair(rng: random.Random) -> tuple[ArcSet, ArcSet]:
@@ -696,18 +733,8 @@ def _crowded_pair(rng: random.Random) -> tuple[ArcSet, ArcSet]:
     Distinct endpoints of a cluster often share a 63-bit key; the sets share
     endpoints, touch each other, and are built from touching raw segments.
     """
-    q, gap = 2**40 + 15, Fraction(1, 2**70)
-    bases = sorted(Fraction(rng.randrange(1, q), q) for _ in range(3))
-    points = [Fraction(0)] + [c + t * gap for c in bases for t in range(24)] + [Fraction(1)]
-    pair = []
-    for _ in range(2):
-        ends = sorted(rng.sample(points, 2 * rng.randint(0, 12)))
-        raw = []
-        for lo, hi in zip(ends[::2], ends[1::2]):
-            cut = lo + gap * rng.randint(1, 3)
-            raw.extend([(lo, cut), (cut, hi)] if cut < hi else [(lo, hi)])
-        pair.append(ArcSet(raw))
-    return pair[0], pair[1]
+    points = _crowded_points(rng)
+    return ArcSet(_crowded_raw(rng, points)), ArcSet(_crowded_raw(rng, points))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 8])
@@ -739,25 +766,18 @@ def test_key_ties_are_settled_exactly(seed):
 
 @pytest.mark.parametrize("m, n, d", [(3, 10, Fraction(1, 100)), (5, 29, Fraction(1, 300)), (2, 7, Fraction(1, 50))])
 def test_shared_endpoints_cost_one_fraction_comparison_per_key_tie(monkeypatch, m, n, d):
-    """In an inclusion-(i) check the two sets share every endpoint: each key tie costs one exact ==."""
+    """In an inclusion-(i) check the two sets share every endpoint: each key tie costs one exact comparison
+    of the triples' integers (arcs._cmp), and no Fraction is compared."""
     a, b = approx_order_set(n, d).mul_image(m), approx_order_set(n, m * d)
     ties = len(set(a._keys) & set(b._keys))
-    assert ties == 2 * len(a.segments) > 0
-    compared = 0
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-        plain = getattr(Fraction, name)
-
-        def counting(x, y, plain=plain):
-            nonlocal compared
-            compared += 1
-            return plain(x, y)
-
-        monkeypatch.setattr(Fraction, name, counting)
+    assert ties == 2 * len(a.triples) > 0
+    points = [circle_point(x) for seg in a.segments for x in seg]
+    compared = _count_exact_comparisons(monkeypatch)
     assert a <= b and b <= a
-    assert compared == 2 * ties
-    compared = 0
-    assert [circle_point(x) in b for seg in a.segments for x in seg] == [True, False] * len(a.segments)
-    assert compared == ties
+    assert compared[0] == 2 * ties
+    compared[0] = 0
+    assert [x in b for x in points] == [True, False] * len(a.triples)
+    assert compared[0] == ties
 
 
 class _CountingKeys:
@@ -859,47 +879,113 @@ def test_large_booleans_compare_fractions_only_on_key_ties(monkeypatch):
     b = thicken([circle_point(Fraction(m, 2003)) for m in range(2003)], Fraction(1, 5000))
     ties = len(set(a._keys) & set(b._keys))
     assert ties == 2
-    compared = 0
-    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
-        plain = getattr(Fraction, name)
-
-        def counting(x, y, plain=plain):
-            nonlocal compared
-            compared += 1
-            return plain(x, y)
-
-        monkeypatch.setattr(Fraction, name, counting)
+    compared = _count_exact_comparisons(monkeypatch)
     for op in (ArcSet.intersection, ArcSet.union, ArcSet.difference, ArcSet.symm_diff_measure,
                ArcSet.issubset, ArcSet.__ge__):
-        compared = 0
+        compared[0] = 0
         op(a, b)
-        assert compared <= 2 * ties, (op.__name__, compared)
+        assert compared[0] <= 2 * ties, (op.__name__, compared[0])
+
+
+# endpoints of the oracle's sets: each of 1/3, 1/2 and 2/3 is written over several denominators, as the
+# triples of segments such as [1/4, 1/3) over 12 and [1/3, 2/5) over 15 share it
+_SHARED_POINTS = [Fraction(0), Fraction(1, 6), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2),
+                  Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(1)]
+
+
+def _oracle_raw(rng: random.Random, crowded: list) -> list:
+    """Raw segments of one seeded set: small arcs that cross the seam, touch and repeat; segments between
+    points shared over several denominators; crowded points whose 63-bit keys tie; the empty or full set."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return [] if rng.random() < 0.5 else [(Fraction(0), Fraction(1))]
+    if kind == 1:
+        arcs = [(Fraction(rng.randrange(d), d), Fraction(rng.randint(1, d), d))
+                for d in rng.choices((1, 2, 3, 4, 5, 6, 8, 12), k=rng.randint(1, 6))]
+        return _seam_split_by_fraction(arcs + arcs[:rng.randint(0, 1)])
+    if kind == 2:
+        ends = sorted(rng.sample(_SHARED_POINTS, 2 * rng.randint(1, 4)))
+        return list(zip(ends[0::2], ends[1::2]))
+    if kind == 3:  # the seam pieces [0, a) and [b, 1) of one arc, and more over large denominators
+        q = rng.choice((2**33 + 1, 2**40 + 15))
+        a, b = sorted(Fraction(rng.randrange(1, q), q) for _ in range(2))
+        return [(Fraction(0), a), (b, Fraction(1))] + _crowded_raw(rng, crowded)[:2]
+    return _crowded_raw(rng, crowded)
+
+
+def test_arcset_matches_fraction_endpoint_oracle():
+    """Every operation on seeded sets against the ArcSet on Fraction endpoints that the library once was."""
+    rng = random.Random(2671)
+    q = 2**40 + 15
+    shifts = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(5, 6), Fraction(rng.randrange(q), q)]
+    tied = 0
+    for _ in range(150):
+        crowded = _crowded_points(rng)
+        raws = [_oracle_raw(rng, crowded), _oracle_raw(rng, crowded)]
+        (a, b), (fa, fb) = [ArcSet(raw) for raw in raws], [FractionArcSet(raw) for raw in raws]
+        for s, f in ((a, fa), (b, fb)):
+            assert s.segments == f.segments and s == f.as_arcset() and hash(s) == hash(f.as_arcset())
+            assert all(gcd(*t) == 1 for t in s.triples)
+            assert s.measure == f.measure and s.to_json() == f.to_json()
+            assert ~s == (~f).as_arcset()
+            x, m, n = rng.choice(shifts), rng.randint(1, 4), rng.randint(1, 3)
+            assert s.translate(circle_point(x)) == f.translate(circle_point(x)).as_arcset()
+            assert s.mul_image(m) == f.mul_image(m).as_arcset()
+            t = AffineCircleMap(n, circle_point(x))
+            assert t.preimage(s) == f.preimage(t).as_arcset()
+        for s, t, f, g in ((a, b, fa, fb), (b, a, fb, fa)):
+            assert s | t == (f | g).as_arcset() and s & t == (f & g).as_arcset() and s - t == (f - g).as_arcset()
+            assert (s <= t) == (f <= g) and s.symm_diff_measure(t) == f.symm_diff_measure(g)
+        ends = {x for seg in fa.segments + fb.segments for x in seg}
+        tied += len({(x.numerator << 63) // x.denominator for x in ends}) < len(ends)
+        probes = {y for x in ends for y in (x, x - Fraction(1, 2**80), x + Fraction(1, 2**80)) if 0 <= y < 1}
+        for y in probes:
+            p = circle_point(y)
+            assert (p in a, p in b) == (p in fa, p in fb)
+    assert tied > 20
+
+
+def test_triples_are_reduced_and_unique():
+    """One set written over different denominators, reduced or not, is one tuple of reduced triples."""
+    s = ArcSet(((Fraction(1, 4), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 5))))
+    assert s.triples == ((5, 8, 20),)
+    assert ArcSet.from_arcs([arc("3/12", "2/24"), arc("4/12", "1/15")]) == s
+    assert arcs_module._integer_union([((6,), 1, 0, 6, 40, 0)]).triples == ((3, 6, 20),)
+    assert ArcSet(((Fraction(1, 2), Fraction(1)),)).triples == ((1, 2, 2),)
+    assert ArcSet.full().triples == ((0, 1, 1),) == ArcSet(((Fraction(0), Fraction(1)),)).triples
+    assert arcs_module._triple(2, 4, 3, 6) == (1, 1, 2) and arcs_module._triple(0, 7, 1, 7) == (0, 1, 7)
+    assert arcs_module._triple(5, 15, 4, 12) == (1, 1, 3)
 
 
 def test_key_cache_is_invisible():
-    """Computing a set's keys or measure changes none of ==, hash, repr, copies or pickles."""
+    """Computing a set's keys, measure or Fraction segments changes none of ==, hash, repr, copies or pickles."""
     s = thicken([circle_point(Fraction(m, 17)) for m in range(0, 17, 3)], Fraction(1, 40))
     t = ArcSet(((Fraction(1, 5), Fraction(3, 4)),))
+    caches = {"_keys", "measure", "segments"}
 
     def views(x: ArcSet) -> tuple:
         return x, hash(x), repr(x), pickle.dumps(x), copy.copy(x), copy.deepcopy(x)
 
     before = views(s)
-    assert "_keys" not in vars(s) and "_ends" not in vars(s) and "measure" not in vars(s)
+    assert not caches & vars(s).keys() and "segments" not in vars(t)
     assert circle_point(Fraction(3, 17)) in s
     results = [s | t, s & t, s - t, t - s]
-    assert "_keys" in vars(s) and "_ends" in vars(s)
+    assert "_keys" in vars(s) and not {"measure", "segments"} & vars(s).keys()
     assert views(s) == before
-    assert s.measure == measure_per_denominator(s.segments) and "measure" in vars(s)
-    assert s.symm_diff_measure(t) == symm_diff_by_fraction(s.segments, t.segments)
+    assert s.symm_diff_measure(~t) == s.measure + (~t).measure - 2 * (s & ~t).measure
+    assert "measure" in vars(s) and "segments" not in vars(s) and "segments" not in vars(t)
     assert views(s) == before
+    assert s.measure == measure_per_denominator(s.segments) and "segments" in vars(s)
+    assert s.segments is s.segments and views(s) == before
     thawed = pickle.loads(pickle.dumps(s))
-    assert thawed == s and not {"_keys", "_ends", "measure"} & vars(thawed).keys()
+    assert thawed == s and not caches & vars(thawed).keys()
     assert thawed & t == s & t and thawed.measure == s.measure
+    for x in (copy.copy(s), copy.deepcopy(s)):
+        assert x == s and not caches & vars(x).keys()
     for r in results:
         rebuilt = ArcSet(r.segments)
         assert (r, hash(r), repr(r)) == (rebuilt, hash(rebuilt), repr(rebuilt))
-        assert not {"_keys", "_ends", "measure"} & vars(r).keys()
+        assert vars(r).keys() == {"triples", "segments"} and not caches & vars(rebuilt).keys()
 
 
 def test_integer_endpoints_become_fractions():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,24 @@ def test_fraction_formatting():
     assert format_fraction(Fraction(-1, 4)) == "-1/4"
     assert parse_fraction("89/144") == Fraction(89, 144)
     assert parse_fraction("1/1") == 1
+
+
+def test_parse_fraction_refuses_an_exponent_above_4300_before_computing_it():
+    """Fraction would compute 10**N in full; an exponent beyond 4,300 in magnitude is refused at once."""
+    t0 = time.process_time()
+    for bad in ("1e30000000", " 1E-4301 ", "-2.5e+1_000_000", "1e" + "9" * 5000, "3e0000000004301"):
+        with pytest.raises(ValueError, match="exponent above 4300 in magnitude"):
+            parse_fraction(bad, "x")
+    with pytest.raises(ValueError, match="exponent above 4300"):
+        circle_point("1e30000000")
+    assert time.process_time() - t0 < 1
+    assert parse_fraction("1e4300") == 10**4300 and parse_fraction("-1e-4300") == Fraction(-1, 10**4300)
+    assert parse_fraction("2.5E-0_3") == Fraction(1, 400) and parse_fraction("7e00004300") == 7 * 10**4300
+    # no exponent: plain literals of any length, and what Fraction refuses anyway
+    assert parse_fraction("1" * 5000 + "/7") == Fraction(int("1" * 4000) * 10**1000 + int("1" * 1000), 7)
+    for bad in ("1e", "e5", "1/2e3"):
+        with pytest.raises(ValueError):
+            parse_fraction(bad)
 
 
 def test_points_are_hashable_and_ordered():

@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import circlelab
 from circlelab import (
@@ -17,6 +20,7 @@ from circlelab import (
     Verdict,
     arc,
     duffin_schaeffer_classify,
+    format_fraction,
 )
 from circlelab import cli
 from circlelab.cli import _emit_report, main
@@ -713,3 +717,88 @@ def test_one_parser_serves_every_call_as_fresh_ones_do(capsys, monkeypatch):
     assert run_all(fresh=False) == expected
     assert len(built) == 1
     assert [code for code, _, _ in expected] == [1, 0, 0, 0, 0, 1, 0]
+
+
+# -- fuzzing the arc-set and radius inputs ------------------------------------------------
+
+def _branch(strategy):
+    """strategy as one branch of a one_of, which would otherwise take each of its own branches as one."""
+    return st.deferred(lambda: strategy)
+
+
+_LITERALS = st.sampled_from([
+    "0", "1", "1/2", "2/4", "3/6", "1/3", "-1/3", "3/2", "5/5", "0.25", "1e-3", "2e0", "1e4300", "1e-4300",
+    "1e4301", "1e30000000", "-2.5E+1_000_000", "1/0", "", " ", "x", "nan", "inf", "1/2/3", "0x10",
+])
+_RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=12).map(format_fraction)
+# p/q with p up to 2q, reduced or not: mostly valid starts and lengths, some lengths above 1
+_UNREDUCED = st.tuples(st.integers(0, 24), st.integers(1, 12)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+_LITERAL = _branch(st.one_of(_LITERALS, _RATIONALS, _UNREDUCED, _UNREDUCED))
+# what a JSON value may be where a rational string belongs: the string, or anything else
+_JSON_VALUE = _branch(st.one_of(_LITERAL, st.integers(-3, 3), st.floats(allow_nan=False), st.none(),
+                                st.booleans(), st.lists(_LITERAL, max_size=2),
+                                st.dictionaries(_LITERAL, _LITERAL, max_size=2)))
+_ARC = st.one_of(
+    st.fixed_dictionaries({"start": _UNREDUCED, "length": _UNREDUCED}),
+    st.fixed_dictionaries({"start": _LITERAL, "length": _LITERAL}),
+    st.fixed_dictionaries({"start": _JSON_VALUE, "length": _JSON_VALUE}),
+    st.fixed_dictionaries({"start": _LITERAL}),
+    _JSON_VALUE,
+)
+_GOOD_ARC = st.fixed_dictionaries({"start": _UNREDUCED, "length": st.sampled_from(["1/12", "1/6", "2/8", "1/2", "1"])})
+_ARC_SET = st.one_of(
+    # touching, seam-crossing and duplicate arcs come from repeats of the listed literals
+    st.lists(_GOOD_ARC, max_size=6).map(lambda arcs: {"arcs": arcs + arcs[:1]}),
+    st.lists(_ARC, max_size=6).map(lambda arcs: {"arcs": arcs + arcs[:1]}),
+    st.fixed_dictionaries({"arcs": _JSON_VALUE}),
+    st.lists(_ARC, max_size=3).map(lambda arcs: {"arcs": [arcs]}),
+    st.lists(_ARC, max_size=3),
+    _JSON_VALUE,
+).map(json.dumps)
+_PRED_LEAF = st.sampled_from(["all", "sq:2", "exact:3", "ndvd:5", "sq:0", "sq:-1", "sq:", "dvd:3", "wibble:2",
+                              "or(", "", "sq:1e3"])
+_PRED = st.recursive(_PRED_LEAF, lambda inner: st.tuples(inner, inner).map(lambda ab: f"or({ab[0]},{ab[1]})"),
+                     max_leaves=8)
+_DELTA = st.one_of(
+    st.tuples(_UNREDUCED, st.integers(0, 3)).map(lambda ca: f"power:{ca[0]}:{ca[1]}"),
+    st.tuples(_LITERAL, st.integers(-1, 4)).map(lambda ca: f"power:{ca[0]}:{ca[1]}"),
+    _LITERAL.map(lambda c: f"const:{c}"),
+    st.lists(_LITERAL, max_size=5).map(lambda vs: "table:" + ",".join(vs)),
+    st.sampled_from(["power:1", "power::2", "const:", "table:,", '{"kind":"power","c":"1e99999999","a":2}']),
+)
+# decreasing radii 1/k, as density needs
+_EPS = st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(
+    lambda ks: ",".join(f"1/{k}" for k in sorted(ks)))
+_FUZZED_ARGV = st.one_of(
+    st.tuples(_ARC_SET).map(lambda t: ["measure", f"--set={t[0]}"]),
+    st.tuples(_ARC_SET, _UNREDUCED, _EPS).map(
+        lambda t: ["density", f"--set={t[0]}", f"--x={t[1]}", f"--eps={t[2]}", "--output=json"]),
+    st.tuples(_ARC_SET, _LITERAL, st.lists(_LITERAL, min_size=1, max_size=3)).map(
+        lambda t: ["density", f"--set={t[0]}", f"--x={t[1]}", "--eps=" + ",".join(t[2])]),
+    st.tuples(st.integers(-2, 60), _LITERAL).map(lambda t: ["ao", f"--n={t[0]}", f"--radius={t[1]}"]),
+    st.tuples(st.integers(-2, 60), _DELTA).map(lambda t: ["ao", f"--n={t[0]}", f"--delta={t[1]}"]),
+    st.tuples(_DELTA, _PRED, st.integers(-2, 60), st.integers(-2, 60)).map(
+        lambda t: ["measure", f"--delta={t[0]}", f"--pred={t[1]}", f"--n-min={t[2]}", f"--n-max={t[3]}"]),
+)
+
+
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_FUZZED_ARGV)
+def test_fuzzed_arc_sets_radii_and_predicates_exit_cleanly(tmp_path_factory, argv):
+    """Composed arc-set JSON, rational literals, radii and nested predicates: exit 0, 1 or 2, never a
+    traceback, and on exit 1 one line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.getbasetemp())  # so no value names a file that --delta or --set would read
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    text = err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in text, (argv, text)
+    if code == 1:
+        assert text.startswith("circlelab: error: ") and text.count("\n") == 1, (argv, text)
+        assert out.getvalue() == ""
+    else:
+        assert text == "" and out.getvalue()
