@@ -31,10 +31,14 @@ do; equal rationals, reduced or not, get equal keys.  Boolean operations
 on canonical sets need no sort: one walk over the endpoints of both
 operands (:func:`_runs`) serves them all, the complement too, which is
 the full circle less the set.  The walk takes a run at a time, the
-endpoints of one operand below the other's next one, found by one
-bisection; the sweep keeps or drops each run whole, so its cost follows
-the interleaving of the operands and the size of the result, not the
-size of the larger operand.
+endpoints of one operand below the other's next one.  A canonical set
+has two endpoints per segment, so a run is most often the rest of one
+segment: the walk compares the operand's next two keys with the other's
+next key, and bisects the keys only for a run longer than that.  The
+sweep keeps or drops each run whole and builds its result as one list,
+a kept run of whole segments as one slice of the operand's triples, so
+its cost follows the interleaving of the operands and the size of the
+result, not the size of the larger operand.
 
 The walk and membership compare cached keys first.  Each ArcSet keeps the
 keys ``floor(x * 2**63)`` of its flattened endpoints in one flat list,
@@ -379,19 +383,31 @@ def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_segs: Sequence[Triple]
     """Walk the flattened endpoints of a and b in order; yield the positions (i, j) after each step.
 
     A step takes a run: one operand's endpoints below the other's next one,
-    found by one bisection of the keys, or all that are left of one operand
-    once the other's are taken.  Only i or only j moves.  A key tie is
-    settled exactly by one _cmp of the triples' integers: equal endpoints
-    are one step that moves both, and otherwise the lower endpoint alone is a run.
+    or all that are left of one operand once the other's are taken.  A
+    canonical set has two endpoints per segment, so a run is most often the
+    rest of one segment: the step compares the operand's next two keys, the
+    rest of its segment and the next start, with the other's key, and
+    bisects the keys only when both are below.  A key tie stops a run and
+    is settled exactly by one _cmp of the triples' integers: equal
+    endpoints are one step that moves both i and j, and otherwise the lower
+    endpoint alone is a run.  Every other step moves only i or only j.
     """
     na, nb = len(a_keys), len(b_keys)
     i = j = 0
     while i < na and j < nb:
         x, y = a_keys[i], b_keys[j]
         if x < y:
-            i = bisect_left(a_keys, y, i + 1)
+            i += 1
+            if i < na and a_keys[i] < y:
+                i += 1
+                if i < na and a_keys[i] < y:
+                    i = bisect_left(a_keys, y, i + 1)
         elif y < x:
-            j = bisect_left(b_keys, x, j + 1)
+            j += 1
+            if j < nb and b_keys[j] < x:
+                j += 1
+                if j < nb and b_keys[j] < x:
+                    j = bisect_left(b_keys, x, j + 1)
         else:
             s, t = a_segs[i >> 1], b_segs[j >> 1]
             c = _cmp(s[i & 1], s[2], t[j & 1], t[2])
@@ -404,9 +420,10 @@ def _runs(a_keys: Sequence[int], b_keys: Sequence[int], a_segs: Sequence[Triple]
         yield na, nb
 
 
-def _run_segments(start: tuple[int, int] | None, segs: Sequence[Triple], i: int, k: int,
-                  inside: bool) -> tuple[list[Triple], tuple[int, int] | None]:
-    """The result's segments that end at endpoints i to k - 1 of segs, and the result's open start after them.
+def _run_segments(out: list[Triple], start: tuple[int, int] | None, segs: Sequence[Triple], i: int, k: int,
+                  inside: bool) -> tuple[int, int] | None:
+    """Append to out the result's segments that end at endpoints i to k - 1 of segs; return the result's
+    open start after them.
 
     Over these endpoints the result is inside segs (``inside``) or outside
     it.  Inside, the result's segments are segs' own, and those triples are
@@ -414,14 +431,12 @@ def _run_segments(start: tuple[int, int] | None, segs: Sequence[Triple], i: int,
     by _triple.  The open start is an endpoint as a pair (num, den).
     """
     if inside:
-        out = []
         if i & 1:  # endpoint i ends the segment the result is in
             seg = segs[i >> 1]
             out.append(seg if start == (seg[0], seg[2]) else _triple(*start, seg[1], seg[2]))
             i += 1
         out += segs[i >> 1:k >> 1]
-        return out, (segs[k >> 1][0], segs[k >> 1][2]) if k & 1 else None
-    out = []
+        return (segs[k >> 1][0], segs[k >> 1][2]) if k & 1 else None
     if start is not None:  # endpoint i starts a segment of segs, where the result's open segment ends
         seg = segs[i >> 1]
         out.append(_triple(*start, seg[0], seg[2]))
@@ -429,37 +444,58 @@ def _run_segments(start: tuple[int, int] | None, segs: Sequence[Triple], i: int,
     # the endpoints left alternately end a segment of segs, where a gap starts, and start the next one
     q, r = i >> 1, (k - 1) >> 1
     out += [_triple(s[1], s[2], t[0], t[2]) for s, t in zip(segs[q:r], segs[q + 1:r + 1])]
-    return out, (segs[r][1], segs[r][2]) if (k - i) & 1 else None
+    return (segs[r][1], segs[r][2]) if (k - i) & 1 else None
 
 
-def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> Iterator[list[Triple]]:
-    """Yield, in order, nonempty lists of the canonical segments of {x : keep[2 * (x in a) + (x in b)]}.
+def _sweep(a: "ArcSet", b: "ArcSet", keep: tuple[bool, ...]) -> list[Triple]:
+    """The canonical segments of {x : keep[2 * (x in a) + (x in b)]}, in order.
 
     a and b are canonical, so each one's flattened endpoints strictly
     increase and a point lies inside after an odd number of them.  Over a
     run of a's endpoints (see _runs) whether a point is in b is fixed, so
     either every endpoint of the run bounds the result or none does, and
     likewise for b; the run is kept or dropped whole.  So a ball against a
-    large set costs O(log n) key comparisons plus its output.  Segments of
-    a or b that are whole in the result are yielded as they are, not
-    rebuilt.  No list is empty, so the result is empty exactly when none is yielded.
+    large set costs O(log n) key comparisons plus its output.  A kept run
+    from a segment's start to a segment's start is whole segments of the
+    operand, copied with one slice of its triples; _run_segments writes
+    the rest, where the result starts or ends inside an operand's segment.
     """
+    out: list[Triple] = []
     start = None  # where the result's open segment began
+    a_keys, b_keys, a_segs, b_segs = a._keys, b._keys, a.triples, b.triples
     i = j = 0
-    for ni, nj in _runs(a._keys, b._keys, a.triples, b.triples):
-        out = None
+    for ni, nj in _runs(a_keys, b_keys, a_segs, b_segs):
         if nj == j:
-            if keep[j & 1] != keep[2 + (j & 1)]:
-                out, start = _run_segments(start, a.triples, i, ni, keep[2 + (j & 1)])
+            inside = keep[2 + (j & 1)]
+            if keep[j & 1] != inside:
+                if inside and not (i | ni) & 1:
+                    out += a_segs[i >> 1:ni >> 1]
+                else:
+                    start = _run_segments(out, start, a_segs, i, ni, inside)
         elif ni == i:
-            if keep[2 * (i & 1)] != keep[2 * (i & 1) + 1]:
-                out, start = _run_segments(start, b.triples, j, nj, keep[2 * (i & 1) + 1])
+            inside = keep[2 * (i & 1) + 1]
+            if keep[2 * (i & 1)] != inside:
+                if inside and not (j | nj) & 1:
+                    out += b_segs[j >> 1:nj >> 1]
+                else:
+                    start = _run_segments(out, start, b_segs, j, nj, inside)
         elif keep[2 * (ni & 1) + (nj & 1)] != (start is not None):
-            # the result starts or ends at an endpoint of both, so it is inside a on both sides or on neither
-            out, start = _run_segments(start, a.triples, i, ni, (start is not None) == (i & 1))
-        if out:
-            yield out
+            # the result starts or ends at an endpoint of both
+            s, t = a_segs[i >> 1], b_segs[j >> 1]
+            if start is not None:  # it ends: a segment of a or b that starts where it does is kept whole
+                out.append(s if i & 1 and start == (s[0], s[2]) else t if j & 1 and start == (t[0], t[2])
+                           else _triple(*start, s[i & 1], s[2]))
+                start = None
+            else:  # it starts, written as the endpoint of the segment that may end it, so that one is reused
+                if not (i | j) & 1:  # both start here: the result ends with the first to end, or stays in
+                    x, y = a_keys[i + 1], b_keys[j + 1]
+                    b_first = y < x or y == x and _cmp(t[1], t[2], s[1], s[2]) < 0
+                    use_b = not keep[2] if b_first else keep[1]  # keep[2]: in a alone, keep[1]: in b alone
+                else:
+                    use_b = not j & 1
+                start = (t[0], t[2]) if use_b else (s[i & 1], s[2])
         i, j = ni, nj
+    return out
 
 
 def _measure(by_den: dict[int, int]) -> Fraction:
@@ -565,7 +601,7 @@ class ArcSet:
     __invert__ = complement
 
     def _boolean(self, other: "ArcSet", keep: tuple[bool, ...]) -> "ArcSet":
-        return ArcSet._trusted(tuple(chain.from_iterable(_sweep(self, other, keep))))
+        return ArcSet._trusted(tuple(_sweep(self, other, keep)))
 
     def union(self, other: "ArcSet") -> "ArcSet":
         return self._boolean(other, _OR)
@@ -586,12 +622,13 @@ class ArcSet:
         """measure(self \\ other) + measure(other \\ self); zero iff equal.
 
         One walk (see _runs) finds the runs of boundaries of self & other,
-        self - other and other - self, as index ranges; only the piece with
-        the fewest is measured, and the result follows from the cached
-        measures of self and other.
+        self - other and other - self, as index ranges, and counts them;
+        only the piece with the fewest is measured, and the result follows
+        from the cached measures of self and other.
         """
         a_segs, b_segs = self.triples, other.triples
         both, a_only, b_only = pieces = ([], [], [])  # the boundaries of self & other, self - other, other - self
+        n_both = n_a = n_b = 0  # their sizes
         i = j = 0
         for ni, nj in _runs(self._keys, other._keys, a_segs, b_segs):
             if nj == j:  # a run of self's endpoints, all inside other or all outside it
@@ -599,22 +636,31 @@ class ArcSet:
                 if j & 1:
                     both.append(run)
                     b_only.append(run)
+                    n_both += ni - i
+                    n_b += ni - i
                 else:
                     a_only.append(run)
+                    n_a += ni - i
             elif ni == i:
                 run = (b_segs, j, nj)
                 if i & 1:
                     both.append(run)
                     a_only.append(run)
+                    n_both += nj - j
+                    n_a += nj - j
                 else:
                     b_only.append(run)
+                    n_b += nj - j
             elif i & 1 == j & 1:  # an endpoint of both, where both start or both end
                 both.append((a_segs, i, ni))
+                n_both += 1
             else:
                 a_only.append((a_segs, i, ni))
                 b_only.append((a_segs, i, ni))
+                n_a += 1
+                n_b += 1
             i, j = ni, nj
-        sizes = [sum(k - i for _, i, k in runs) for runs in pieces]
+        sizes = [n_both, n_a, n_b]
         p = sizes.index(min(sizes))
         by_den: dict[int, int] = {}
         sign = -1  # a piece's boundaries alternate start, end

@@ -8,7 +8,7 @@ The brute-force oracles check the library's structured searches against
 plain enumeration, and the slow-path oracles keep the library's earlier
 algorithms: the ArcSet on Fraction endpoints (FractionArcSet), a Fraction
 sort for canonicalisation, a sweep that compares Fraction endpoints for
-boolean operations, one set per term for tail
+boolean operations, a walk that bisects for every run of endpoints, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
 arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for the measures
@@ -325,6 +325,34 @@ AND = (False, False, False, True)
 SUB = (False, False, True, False)
 RSUB = (False, True, False, False)
 XOR = (False, True, True, False)
+
+
+def runs_by_bisection(a_keys, b_keys, a_segs, b_segs):
+    """The library's earlier walk of the flattened endpoints of a and b: yield the positions (i, j) after
+    each step.
+
+    Each step bisects one operand's keys for its run below the other's next
+    key; a key tie is settled by comparing the triples' integers, and equal
+    endpoints move both.
+    """
+    na, nb = len(a_keys), len(b_keys)
+    i = j = 0
+    while i < na and j < nb:
+        x, y = a_keys[i], b_keys[j]
+        if x < y:
+            i = bisect_left(a_keys, y, i + 1)
+        elif y < x:
+            j = bisect_left(b_keys, x, j + 1)
+        else:
+            s, t = a_segs[i >> 1], b_segs[j >> 1]
+            c = s[i & 1] * t[2] - t[j & 1] * s[2]
+            if c <= 0:
+                i += 1
+            if c >= 0:
+                j += 1
+        yield i, j
+    if i < na or j < nb:
+        yield na, nb
 
 
 def symm_diff_by_fraction(a, b) -> Fraction:

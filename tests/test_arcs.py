@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby, permutations, product
 from math import factorial, gcd, lcm, prod
@@ -41,6 +42,7 @@ from helpers import (
     measure_per_denominator,
     rand_arcset,
     rand_grid_arcs,
+    runs_by_bisection,
     subset_by_fraction,
     sweep_by_fraction,
     symm_diff_by_fraction,
@@ -640,6 +642,20 @@ def test_boolean_ops_match_grid_oracle(ga, gb):
     assert [circle_point(x) in (a - b) for x in probes] == [in_a(x) and not in_b(x) for x in probes]
 
 
+def _assert_canonical_sweep(a: ArcSet, b: ArcSet, keep: tuple[bool, ...]) -> None:
+    """_sweep(a, b, keep) is canonical: reduced triples in range, strictly increasing with a gap between
+    neighbours, and each one that is a segment of a or b is that operand's own triple."""
+    out = arcs_module._sweep(a, b, keep)
+    for lo, hi, den in out:
+        assert 0 <= lo < hi <= den and gcd(lo, hi, den) == 1
+    for (_, hi, d), (lo, _, den) in zip(out, out[1:]):
+        assert hi * den < lo * d
+    own_a, own_b = ({t: t for t in s.triples} for s in (a, b))
+    for t in out:
+        if t in own_a or t in own_b:
+            assert t is own_a.get(t) or t is own_b.get(t), t
+
+
 @pytest.mark.parametrize("seed", [1, 2, 8])
 def test_sweep_runs_match_grid_segments(seed):
     """Large sets against small ones, so that one operand has long runs of endpoints, and sets of equal size."""
@@ -668,7 +684,8 @@ def test_sweep_runs_match_grid_segments(seed):
         assert (b <= a) == (not grid_segments(lambda x: in_b(x) and not in_a(x), d))
         assert (a & b) <= a and a <= (a | b)
         for keep in (arcs_module._OR, arcs_module._AND, arcs_module._SUB, XOR):
-            assert all(arcs_module._sweep(a, b, keep)) and all(arcs_module._sweep(b, a, keep))
+            _assert_canonical_sweep(a, b, keep)
+            _assert_canonical_sweep(b, a, keep)
 
 
 def test_sweep_reuses_whole_segments():
@@ -819,6 +836,86 @@ def test_sweep_reads_log_n_keys_for_a_ball():
         assert big_keys.reads < bound, (big_first, big_keys.reads)
 
 
+@pytest.fixture(scope="module")
+def standing_pair() -> tuple[ArcSet, ArcSet]:
+    """The benchmark's standing sets: the tail unions over [2, 300] at radii 1/n^3 and 1/(4 n^2)."""
+    return tuple(tail_union(TailUnionSpec(2, 300, parse_predicate("all"), d))
+                 for d in (Power(Fraction(1), 3), Power(Fraction(1, 4), 2)))
+
+
+def _walk(walk, a: ArcSet, b: ArcSet) -> list[tuple[int, int]]:
+    return list(walk(a._keys, b._keys, a.triples, b.triples))
+
+
+def _steps(a: ArcSet, b: ArcSet) -> list[tuple[int, int, int, int]]:
+    """The steps (i, j, ni, nj) of the walk of a and b, after checking them against the bisection walk."""
+    after = _walk(arcs_module._runs, a, b)
+    assert after == _walk(runs_by_bisection, a, b)
+    return [(i, j, ni, nj) for (i, j), (ni, nj) in zip([(0, 0)] + after, after)]
+
+
+def _walk_pairs(rng: random.Random, standing_pair) -> list[tuple[ArcSet, ArcSet]]:
+    """Pairs whose walks take runs of every length, end on either operand, tie keys and share endpoints."""
+    d = 240
+    pairs = list(product((ArcSet.empty(), ArcSet.full(), S(("1/4", "1/4")), S(("3/4", "1/2"))), repeat=2))
+    pairs.append((S(("0", "1/4"), ("1/2", "1/8")), S(("1/8", "5/8"))))  # a run of 3 that ends a
+    for sizes in [(60, 1), (1, 60), (40, 3), (3, 40), (30, 30), (0, 25), (25, 0)] * 8:
+        a, b = (S(*[(Fraction(rng.randrange(d), d), Fraction(rng.randint(1, 4), d)) for _ in range(k)])
+                for k in sizes)
+        pairs.append((a, b))
+    big = thicken([circle_point(Fraction(m, 307)) for m in range(307)], Fraction(1, 1000))
+    pairs += [(big, S((x, "1/40"))) for x in ("0", "1/3", "0.9", "0.99")]
+    pairs += [_crowded_pair(rng) for _ in range(40)]
+    pairs += [(approx_order_set(n, r).mul_image(m), approx_order_set(n, m * r))
+              for m, n, r in [(3, 10, Fraction(1, 100)), (2, 7, Fraction(1, 50))]]
+    pairs.append(standing_pair)
+    return pairs + [(b, a) for a, b in pairs]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 8])
+def test_runs_match_bisection_walk(seed, standing_pair):
+    """The walk that probes a run's own segment before bisecting steps exactly as the walk that bisects
+    for every run, on runs of 1, 2, 3 and hundreds of endpoints, on operands that run out first, on the
+    empty set and the full circle, on key ties and shared endpoints, and on the standing tail unions."""
+    rng = random.Random(3301 + seed)
+    lengths, last_runs, ties = set(), set(), 0
+    for a, b in _walk_pairs(rng, standing_pair):
+        na, nb = 2 * len(a.triples), 2 * len(b.triples)
+        for i, j, ni, nj in _steps(a, b):
+            if nj == j:
+                lengths.add(ni - i)
+                if ni == na and nj < nb:  # a runs out first: the probes fall on its last endpoint or past it
+                    last_runs.add(ni - i)
+            elif ni == i:
+                lengths.add(nj - j)
+            elif i < na and j < nb:
+                ties += 1
+    assert {1, 2, 3} <= lengths and max(lengths) > 300
+    assert {1, 2, 3} <= last_runs
+    assert ties > 100
+
+
+def test_walks_bisect_once_per_run_longer_than_a_segment(monkeypatch, standing_pair):
+    """On the standing pair most runs are one whole segment, two endpoints, which the probes take without
+    a bisection: every boolean walk bisects at most once per run of more than two endpoints."""
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr(arcs_module, "bisect_left", counting)
+    for a, b in (standing_pair, standing_pair[::-1]):
+        steps = _steps(a, b)
+        long_runs = sum(max(ni - i, nj - j) > 2 for i, j, ni, nj in steps)
+        assert len(steps) > 7000 and 0 < long_runs < len(steps) // 10
+        for op in (ArcSet.intersection, ArcSet.difference, ArcSet.symm_diff_measure, ArcSet.issubset,
+                   ArcSet.__ge__):
+            calls[0] = 0
+            op(a, b)
+            assert calls[0] <= long_runs, (op.__name__, calls[0], long_runs)
+
+
 def test_symm_diff_measure_from_each_smallest_piece():
     """mu(A ^ B) is right whichever of A & B, A - B and B - A has the fewest boundaries, and each does in turn.
 
@@ -867,7 +964,7 @@ def test_large_tail_unions_match_fraction_sweeps(c, a):
             for keep, op in ((arcs_module._OR, ArcSet.union), (arcs_module._AND, ArcSet.intersection),
                              (arcs_module._SUB, ArcSet.difference)):
                 assert op(s, u).segments == tuple(sweep_by_fraction(s.segments, u.segments, keep))
-                assert all(arcs_module._sweep(s, u, keep))
+                _assert_canonical_sweep(s, u, keep)
             assert s.symm_diff_measure(u) == symm_diff_by_fraction(s.segments, u.segments)
             assert (s <= u) == subset_by_fraction(s.segments, u.segments)
     assert big & others[0] <= big and not big <= big & others[0]
