@@ -14,7 +14,10 @@ Python values, hash alike and pickle alike exactly when they denote the
 same subset of the circle.  Fractions appear only at the edge:
 ``ArcSet(...)`` and :meth:`ArcSet.from_arcs` read them, and
 :attr:`ArcSet.segments` builds the Fraction pairs on its first read, as a
-cache; JSON output renders each number from the triples with one gcd.
+cache.  JSON is read and written without them: the reader takes each
+start and length to an integer pair, a plain ``p/q`` by ``int()`` alone
+(:meth:`ArcSet.from_json_dict`), and the writer renders each number from
+the triples with one gcd.
 
 Everything here is half-open ``[a, b)``.  Boundary points are finite sets
 of measure zero, so measures and containments computed on the half-open
@@ -85,12 +88,15 @@ Integer writer
 One writer builds every ArcSet that is not already canonical, from
 integer arcs ``[lo/den, (lo + width)/den)`` in groups whose starts run
 through an arithmetic progression mod den: one start per raw segment of
-``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and per segment of
+``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and of
+:meth:`ArcSet.from_json_dict`, and per segment of
 :meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
 of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
 the terms (n, residues, (p, q)), delta_n = p/q, that ``approx.tail_union`` and
-``approx._ao_groups`` hand to :func:`_thickening_groups`; the n pieces of
-a preimage; the cells j/k of a union in ``invariant_set_search``.
+``approx._ao_groups`` hand to :func:`_thickening_groups`; the cells j/k of
+a union in ``invariant_set_search``.  A preimage needs no writer: its n
+copies of the set come out in order and disjoint, and
+``AffineCircleMap.preimage`` writes each piece's triple in turn.
 Callers put a segment, an arc's start and length, or a segment and a
 map's offset over one denominator, and a set's triples are such groups as
 they are (:meth:`ArcSet._groups`), so images are integer arithmetic on
@@ -131,8 +137,8 @@ from .circle import (
     _sum_ratios,
     as_fraction,
     format_fraction,
-    parse_fraction,
     parse_json,
+    parse_ratio,
 )
 
 Segment = tuple[Fraction, Fraction]
@@ -155,11 +161,15 @@ class Arc:
     def __post_init__(self) -> None:
         object.__setattr__(self, "length", as_fraction(self.length))
         if not ZERO < self.length <= ONE:
-            raise ValueError(f"arc length must satisfy 0 < length <= 1, got {self.length}")
+            raise _length_error(self.length)
 
     def __str__(self) -> str:
         end = self.start.value + self.length
         return f"[{format_fraction(self.start.value)}, {format_fraction(end)})"
+
+
+def _length_error(length: Fraction) -> ValueError:
+    return ValueError(f"arc length must satisfy 0 < length <= 1, got {length}")
 
 
 def arc(start: RationalLike | CirclePoint, length: RationalLike) -> Arc:
@@ -715,32 +725,47 @@ class ArcSet:
             segs = segs[1:-1] + ((segs[-1][0], ONE + segs[0][1]),)
         return tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
 
-    def to_json_dict(self) -> dict:
-        """The wrap-joined arcs as in :attr:`arcs`, each start and length rendered from the triples."""
+    def _arc_triples(self) -> Sequence[Triple]:
+        """The wrap-joined arcs of :attr:`arcs` as triples (lo, hi, den), not always reduced: the arc
+        across the seam, last, has hi > den."""
         segs = self.triples
-        arcs = [(lo, hi - lo, den) for lo, hi, den in segs]  # start and length over den
         if len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == segs[-1][2]:
             (_, hi, d), (lo, _, den) = segs[0], segs[-1]
-            m = lcm(d, den)  # the seam arc [lo/den, 1 + hi/d) over m, last as in arcs
-            arcs = arcs[1:-1] + [(lo * (m // den), m - lo * (m // den) + hi * (m // d), m)]
-        return {"arcs": [{"start": _reduced_text(lo, den), "length": _reduced_text(width, den)}
-                         for lo, width, den in arcs]}
+            m = lcm(d, den)  # the seam arc [lo/den, 1 + hi/d) over m
+            return [*segs[1:-1], (lo * (m // den), m + hi * (m // d), m)]
+        return segs
+
+    def to_json_dict(self) -> dict:
+        """The wrap-joined arcs as in :attr:`arcs`, each start and length rendered from the triples."""
+        return {"arcs": [{"start": _reduced_text(lo, den), "length": _reduced_text(hi - lo, den)}
+                         for lo, hi, den in self._arc_triples()]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ArcSet":
+        """The union of the arcs of arc-set JSON, ``{"arcs": [{"start": "p/q", "length": "p/q"}, ...]}``.
+
+        Each start and length is read to an integer pair (circle.parse_ratio)
+        and the length checked on integers; a Fraction is built only for the
+        message of a length outside (0, 1].  Each arc is one group of the
+        writer, which takes its start mod 1.
+        """
         items = data.get("arcs") if isinstance(data, dict) else None
         if not isinstance(items, list):
             raise ValueError("arc-set JSON must be an object with an 'arcs' list")
-        out = []
+        groups = []
         for i, item in enumerate(items):
             if not isinstance(item, dict) or not {"start", "length"} <= item.keys():
                 raise ValueError(f"arcs[{i}] must be an object with 'start' and 'length'")
-            start = parse_fraction(item["start"], f"arcs[{i}].start")
-            out.append(Arc(CirclePoint(start), parse_fraction(item["length"], f"arcs[{i}].length")))
-        return cls.from_arcs(out)
+            a, b = parse_ratio(item["start"], f"arcs[{i}].start")
+            c, d = parse_ratio(item["length"], f"arcs[{i}].length")
+            if not 0 < c <= d:
+                raise _length_error(Fraction(c, d))
+            lo, width, den = _triple(a, b, c, d)
+            groups.append(((lo,), 1, 0, width, den, 0))
+        return _integer_union(groups)
 
     @classmethod
     def from_json(cls, text: str) -> "ArcSet":

@@ -117,6 +117,26 @@ def parse_fraction(text: str, name: str = "value") -> Fraction:
         return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
+# int() reads a string of up to this many digits whatever sys.set_int_max_str_digits allows
+_INT_DIGITS = 640
+
+
+def parse_ratio(text: str, name: str = "value") -> tuple[int, int]:
+    """parse_fraction(text, name) as an integer pair (p, q), q > 0, not always reduced.
+
+    A plain 'p' or 'p/q' of ASCII digits, short enough for int(), with q
+    nonzero, is read by int() alone; every other value goes through
+    parse_fraction, so the values accepted and the errors raised are its own.
+    """
+    if isinstance(text, str) and len(text) <= _INT_DIGITS and text.isascii():
+        p, slash, q = text.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            den = int(q) if slash else 1
+            if den:
+                return int(p), den
+    return parse_fraction(text, name).as_integer_ratio()
+
+
 def parse_json(text: str) -> object:
     """json.loads, with input nested too deeply for the decoder raised as a ValueError."""
     try:

@@ -26,6 +26,7 @@ from .experiments import (
     csv_text,
     duffin_schaeffer_classify,
     gallagher_experiment,
+    json_text,
     membership_witnesses,
     report_csv_rows,
 )
@@ -64,7 +65,7 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 def _emit(args, value, header, rows, code: int = 0) -> int:
     """Write `value` as JSON, or `header` and `rows` (a generator: JSON skips it) as CSV."""
-    text = csv_text(header, rows) if args.output == "csv" else json.dumps(value, indent=2) + "\n"
+    text = csv_text(header, rows) if args.output == "csv" else json_text(value) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

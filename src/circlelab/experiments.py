@@ -10,11 +10,11 @@ parameters instead, so a "convergent" outcome never reads as a failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, starmap
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
 from .approx import DeltaSequence, Power, scaled_tail_union_comparison, tail_union_measures
@@ -101,7 +101,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        return json_text(self.to_json_dict())
 
     def to_csv(self) -> str:
         return csv_text(REPORT_CSV_HEADER, report_csv_rows(self.to_json_dict()))
@@ -130,6 +130,34 @@ def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
         return text
 
     return "".join(",".join(map(field, row)) + "\n" for row in (header, *rows))
+
+
+def json_text(value: object) -> str:
+    """value as json.dumps(value, indent=2) writes it, for str, int, bool, None, lists and str-keyed dicts.
+
+    With indent, json.dumps runs the json module's pure-Python encoder; this
+    is one short recursion, with strings encoded as json.dumps encodes them.
+    """
+    return _json_text(value, "\n")
+
+
+def _json_text(value: object, newline: str) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("json_text writes only dicts with str keys")
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # -- drivers --------------------------------------------------------------------

@@ -15,6 +15,7 @@ operations, every residue's arc on the whole circle for the measures
 of tail unions, which the library takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
 one Decimal division for the 12-digit rendering of a rational,
+a Fraction, CirclePoint and Arc per arc for the arc-set JSON reader,
 and whole ArcSets or CirclePoints compared for invariance, the
 inclusions (i)-(iv) and conjugation.
 """
@@ -430,6 +431,21 @@ def preimage_by_fraction(t: AffineCircleMap, s: ArcSet) -> ArcSet:
             start = (base + k) / n
             raw.extend(_split_at_one(start, start + sub))
     return arcset_of_segments(canonical_by_fraction_sort(raw))
+
+
+def arcset_from_json_by_fraction(data) -> ArcSet:
+    """ArcSet.from_json_dict as it was: each start and length read by parse_fraction to a Fraction, the arc
+    built as an Arc, which checks its length, and the set by from_arcs."""
+    items = data.get("arcs") if isinstance(data, dict) else None
+    if not isinstance(items, list):
+        raise ValueError("arc-set JSON must be an object with an 'arcs' list")
+    out = []
+    for i, item in enumerate(items):
+        if not isinstance(item, dict) or not {"start", "length"} <= item.keys():
+            raise ValueError(f"arcs[{i}] must be an object with 'start' and 'length'")
+        start = parse_fraction(item["start"], f"arcs[{i}].start")
+        out.append(Arc(CirclePoint(start), parse_fraction(item["length"], f"arcs[{i}].length")))
+    return ArcSet.from_arcs(out)
 
 
 def is_invariant_by_preimage(t: AffineCircleMap, s: ArcSet) -> bool:

@@ -158,6 +158,49 @@ def test_map_kernels_match_fraction_oracle_on_seeded_sets():
         assert t.preimage(s) == preimage_by_fraction(t, s)
 
 
+def test_preimage_cases_match_fraction_oracle_with_no_sort(monkeypatch):
+    """x = 0, n = 1, the empty set, the circle, sets across the seam, x at an endpoint and inside a segment,
+    and copies that touch at j/n (where x lies inside a segment, or is 0 and the set holds both seam pieces):
+    each matches the Fraction oracle, and preimage keys, sorts and merges no piece."""
+    seam = ArcSet.from_arcs([arc("3/4", "1/2")])  # [0, 1/4) and [3/4, 1)
+    sets = [ArcSet.empty(), ArcSet.full(), seam, ArcSet.from_arcs([arc("3/4", "1/2"), arc("1/3", "1/12")]),
+            ArcSet.from_arcs([arc("1/5", "2/5")]), ArcSet.from_arcs([arc("1/2", "1/2")]),
+            ArcSet.from_arcs([arc(0, "1/2")]), ArcSet.from_arcs([arc("1/3", "1/6"), arc("2/3", "1/12")]),
+            ArcSet.from_arcs([arc(Fraction(2**64, 2**64 + 13), Fraction(1, 6)), arc(Fraction(1, 3), Fraction(1, 9))])]
+    offsets = [0, "1/8", "7/8", "3/4", "1/4", "1/3", "1/2", "2/3", "3/4", "5/6", Fraction(2**64, 2**64 + 13)]
+    cases = [(s, circle_point(x), n) for s in sets for x in offsets for n in (1, 2, 3, 5)]
+    calls = []
+    keyed_pieces = arcs_module._keyed_pieces
+    monkeypatch.setattr(arcs_module, "_keyed_pieces", lambda *a: calls.append(a) or keyed_pieces(*a))
+    for s, x, n in cases:
+        t = AffineCircleMap(n, x)
+        before = len(calls)
+        pre = t.preimage(s)
+        assert len(calls) == before, (s, x, n)
+        assert pre == preimage_by_fraction(t, s) and _valid(pre), (s, x, n)
+    # the copies of [1/5, 3/5) - 1/3 = [0, 4/15) and [13/15, 1) touch at j/3, where each pair is one segment
+    pre = AffineCircleMap(3, circle_point("1/3")).preimage(sets[4])
+    assert pre.segments == ((0, Fraction(4, 45)), (Fraction(13, 45), Fraction(19, 45)),
+                            (Fraction(28, 45), Fraction(34, 45)), (Fraction(43, 45), 1))
+
+
+def test_preimage_of_the_circle_is_answered_at_once_and_large_preimages_are_refused(monkeypatch):
+    s = ArcSet.from_arcs([arc("1/7", "1/9"), arc("1/2", "1/5"), arc("5/6", "1/4")])  # four segments
+    for n in (1, 2, 10**8, 10**30 + 57):
+        t = AffineCircleMap(n, circle_point("1/3"))
+        assert t.preimage(ArcSet.full()) == ArcSet.full() and t.preimage(ArcSet.empty()) == ArcSet.empty()
+    with pytest.raises(ValueError, match="2\\*\\*22"):
+        AffineCircleMap(2**20 + 1).preimage(s)
+    monkeypatch.setattr(ergodic_module, "MAX_PREIMAGE_PIECES", 16)
+    t = AffineCircleMap(4, circle_point("1/3"))
+    assert t.preimage(s) == preimage_by_fraction(t, s)
+    written = []
+    monkeypatch.setattr(ergodic_module, "_triple", lambda *a: written.append(a))
+    with pytest.raises(ValueError, match="2\\*\\*22"):
+        AffineCircleMap(5, circle_point("1/3")).preimage(s)
+    assert not written
+
+
 def test_search_with_offsets_sharing_factors_with_the_grid():
     for n, x, k in ((1, "1/6", 12), (2, "1/4", 12), (3, "5/6", 9), (2, "3/8", 8), (4, "1/2", 10), (5, "2/3", 6)):
         t = AffineCircleMap(n, circle_point(x))
@@ -412,8 +455,8 @@ def test_search_for_large_multipliers_writes_no_preimage(writer_capped, capsys):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
     assert [ArcSet.from_json_dict(d) for d in json.loads(capsys.readouterr().out)] == trivial
-    with pytest.raises(AssertionError):
-        AffineCircleMap(10**8).preimage(ArcSet.full())
+    with pytest.raises(AssertionError):  # the cap fires on a writer asked for 10**5 + 1 grid cells
+        _integer_union([(range(10**5 + 1), 1, 0, 1, 10**5 + 1, 0)])
 
 
 def test_search_around_n_equal_to_k_matches_brute_force_oracle():

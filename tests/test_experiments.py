@@ -1,7 +1,9 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circlelab import (
     All,
@@ -24,6 +26,7 @@ from circlelab import (
 )
 from circlelab import experiments as experiments_module
 from circlelab.circle import _sum_ratios
+from circlelab.experiments import json_text
 from helpers import decimal_string_by_division, dist_to_order_scan, partial_sums_sequential, rand_fraction
 
 
@@ -325,3 +328,24 @@ def test_bounds_match_direct_sums_at_every_start():
         assert rep.row(f"upper_bound[n_min={n_min}]").exact == direct
         measure = tail_union(TailUnionSpec(n_min, 30, All(), delta)).measure
         assert rep.row(f"measure[n_min={n_min}]").exact == measure
+
+
+# text with non-ASCII letters, quotes, backslashes and control characters, and the empty string
+json_strings = st.one_of(st.text(max_size=8), st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é√\u2028𝄞", 'a"b\\c\nd']))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(min_value=-1, max_value=1), json_strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@settings(max_examples=400)
+def test_json_text_matches_json_dumps_with_indent(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_text_refuses_what_it_does_not_write():
+    for value in (1.5, {1: 2}, {"a": Fraction(1, 2)}, [object()]):
+        with pytest.raises(TypeError):
+            json_text(value)

@@ -23,7 +23,8 @@ from circlelab import (
     thicken,
 )
 from circlelab import circle_point
-from helpers import rand_grid_arcs
+from circlelab.circle import parse_ratio
+from helpers import arcset_from_json_by_fraction, rand_grid_arcs
 
 
 def test_arcset_json_shape():
@@ -144,3 +145,62 @@ def test_arcset_json_round_trip_beyond_int_str_digit_limit():
     for bad in ("1" * 5000 + "/x", "1.5/" + "1" * 5000, "3/-" + "1" * 5000):
         with pytest.raises(ValueError):
             parse_fraction(bad)
+
+
+# -- the arc-set JSON reader against the Fraction reader it replaced ----------------------
+
+LONG = "7" * 5000  # past sys.get_int_max_str_digits(), which int() refuses
+STARTS = ["0", "1/3", "-1/3", "7/3", "0.25", "1e-2", "+3/4", " 1/3 ", "007/010", "2/4", "1_000/3000", "١/٣", "²/3",
+          "1/0", "0/0", "", "/3", "3/", "1/2/3", "x", "1e5000", 0.5, 1, None, ["1/3"],
+          LONG, LONG + "/" + "9" * 5001, "1" * 640, "1" * 641, "1" * 320 + "/" + "3" * 319, "1" * 320 + "/" + "3" * 320]
+LENGTHS = ["1", "0", "-1/3", "3/2", "1/1", "5/5", "2/4", "0.25", "1e-2", " 007/010 ", "+1/3", "0/7", "1/0", 0.5,
+           LONG + "/" + "3" * 4999, LONG + "/" + "9" * 5001, "1/" + LONG, "1" * 320 + "/" + "3" * 320]
+
+
+def _outcome(read, data):
+    """What read(data) returns, or the type and message of what it raises."""
+    try:
+        return read(data)
+    except Exception as exc:  # noqa: BLE001 - any exception must match the oracle's
+        return type(exc), str(exc)
+
+
+def test_json_reader_matches_fraction_oracle_on_every_input_form():
+    cases = [{"arcs": [{"start": "1/7", "length": "1/9"}, {"start": s, "length": n}]} for s in STARTS for n in LENGTHS]
+    cases += [[], {}, {"arcs": {}}, {"arcs": [["0", "1/2"]]}, {"arcs": [{"start": "0"}]}, {"arcs": []},
+              {"arcs": [{"start": "x", "length": "2"}, {"start": "0", "length": "x"}]},
+              {"arcs": [{"start": "0", "length": "2"}, {"start": "x", "length": "1"}]}]
+    for data in cases:
+        got, want = _outcome(ArcSet.from_json_dict, data), _outcome(arcset_from_json_by_fraction, data)
+        assert got == want, data
+    for value in STARTS + LENGTHS:
+        got, want = _outcome(lambda v: Fraction(*parse_ratio(v)), value), _outcome(parse_fraction, value)
+        assert got == want, value
+
+
+def _number_text(rng: random.Random, q: Fraction, start: bool) -> str:
+    """q written in one of the forms the reader accepts, chosen by rng; a start also as q + 2 or q - 3."""
+    p, d = q.as_integer_ratio()
+    k = rng.randint(1, 3)
+    forms = [str(q), f"{p * k}/{d * k}", f"{'-' if p < 0 else ''}00{abs(p)}/0{d}", f" {q}\t",
+             f"+{q}" if p >= 0 else str(q)]
+    if start:
+        forms += [f"{p + 2 * d}/{d}", f"{p - 3 * d}/{d}"]
+    if 10**6 % d == 0:  # a decimal and an exponent
+        forms += [str(Decimal(p) / d), f"{p * 10**6 // d}e-6"]
+    return rng.choice(forms)
+
+
+def test_json_reader_matches_fraction_oracle_on_seeded_sets():
+    rng = random.Random(2803)
+    dens = (1, 2, 3, 6, 7, 10, 12, 60, 2**61 - 1, 10**30 + 57)
+    for _ in range(400):
+        arcs = []
+        for _ in range(rng.randint(0, 8)):
+            d, e = rng.choice(dens), rng.choice(dens)
+            start, length = Fraction(rng.randrange(-d, 2 * d), d), Fraction(rng.randint(1, e), e)
+            arcs.append({"start": _number_text(rng, start, True), "length": _number_text(rng, length, False)})
+        data = {"arcs": arcs}
+        got = ArcSet.from_json_dict(data)
+        assert got == arcset_from_json_by_fraction(data), data
+        assert ArcSet.from_json(got.to_json()) == got
