@@ -12,12 +12,13 @@ split at 0 internally and re-joined only for presentation
 merged, so the internal form is unique per subset: two ArcSets are equal as
 Python values, hash alike and pickle alike exactly when they denote the
 same subset of the circle.  Fractions appear only at the edge:
-``ArcSet(...)`` and :meth:`ArcSet.from_arcs` read them, and
-:attr:`ArcSet.segments` builds the Fraction pairs on its first read, as a
-cache.  JSON is read and written without them: the reader takes each
-start and length to an integer pair, a plain ``p/q`` by ``int()`` alone
-(:meth:`ArcSet.from_json_dict`), and the writer renders each number from
-the triples with one gcd.
+``ArcSet(...)`` and :meth:`ArcSet.from_arcs` read them, :attr:`ArcSet.arcs`
+and ``str`` build one pair per arc from the triples, and
+:attr:`ArcSet.segments` builds the segments' pairs on its first read, only
+as a cache for outside readers.  JSON is read and written without them:
+the reader takes each start and length to an integer pair, a plain
+``p/q`` by ``int()`` alone (:meth:`ArcSet.from_json_dict`), and the
+writer renders each number from the triples with one gcd.
 
 Everything here is half-open ``[a, b)``.  Boundary points are finite sets
 of measure zero, so measures and containments computed on the half-open
@@ -282,24 +283,20 @@ def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], tuple[int, int
     """The arcs [m/n - p/q, m/n + p/q) for the terms (n, ms, (p, q)), clipped to [0, 1/2), as groups of
     _keyed_pieces tagged n.
 
-    Needs 0 < p/q <= 1/2 reduced and ms sorted in [0, n/2].  Each term is put over 2*den,
-    den as in _thickening_groups, so 1/2 is the integer den: the arc around
-    m/n is [2*(m*step - pn), 2*(m*step + pn)).  The arcs inside [0, den) are
-    one group; the few that cross 0 or den, found by bisection, are one-arc
-    groups of their clipped widths.
+    Needs 0 < p/q <= 1/2 reduced and ms sorted in [0, n/2].  Each group of
+    _thickening_groups is put over 2*den, so 1/2 is the integer den: the
+    arc around m/n is [2*(m*step + offset), 2*(m*step + offset + width)).
+    The arcs inside [0, den) are one group; the few that cross 0 or den,
+    found by bisection, are one-arc groups of their clipped widths.
     """
     groups = []
-    for n, ms, (p, q) in terms:
-        g = gcd(n, q)
-        step = q // g
-        pn = p * (n // g)
-        half = n * step
-        i = bisect_left(ms, -(-pn // step))
-        j = bisect_right(ms, (half - 2 * pn) // (2 * step))
-        groups.append((ms[i:j], 2 * step, -2 * pn, 4 * pn, 2 * half, n))
+    for ms, step, offset, width, half, n in _thickening_groups(terms):
+        i = bisect_left(ms, -(offset // step))
+        j = bisect_right(ms, (half - width) // (2 * step))
+        groups.append((ms[i:j], 2 * step, 2 * offset, 2 * width, 2 * half, n))
         for m in ms[:i] + ms[max(i, j):]:
-            lo = max(2 * (m * step - pn), 0)
-            groups.append(((lo,), 1, 0, min(2 * (m * step + pn), half) - lo, 2 * half, n))
+            lo = max(2 * (m * step + offset), 0)
+            groups.append(((lo,), 1, 0, min(2 * (m * step + offset + width), half) - lo, 2 * half, n))
     return groups
 
 
@@ -718,16 +715,13 @@ class ArcSet:
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        """The set as wrap-joined arcs, sorted by start point."""
-        segs = self.segments
-        if len(segs) > 1 and segs[0][0] == ZERO and segs[-1][1] == ONE:
-            # the two seam pieces are one arc of the circle, and it starts last
-            segs = segs[1:-1] + ((segs[-1][0], ONE + segs[0][1]),)
-        return tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in segs)
+        """The set as wrap-joined arcs, sorted by start point, one per triple of _arc_triples."""
+        return tuple(Arc(CirclePoint(Fraction(lo, den)), Fraction(hi - lo, den))
+                     for lo, hi, den in self._arc_triples())
 
     def _arc_triples(self) -> Sequence[Triple]:
-        """The wrap-joined arcs of :attr:`arcs` as triples (lo, hi, den), not always reduced: the arc
-        across the seam, last, has hi > den."""
+        """The wrap-joined arcs as triples (lo, hi, den), not always reduced: the two seam pieces are
+        one arc of the circle, which comes last, with hi > den."""
         segs = self.triples
         if len(segs) > 1 and segs[0][0] == 0 and segs[-1][1] == segs[-1][2]:
             (_, hi, d), (lo, _, den) = segs[0], segs[-1]

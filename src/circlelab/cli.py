@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -188,7 +187,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("witnesses", help="indices n with an order-n point delta_n-close to x")
     p.add_argument("--x", required=True, help="rational point p/q")
     p.add_argument("--delta", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=int, required=True, help="at most 2**22")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_witnesses)
 
@@ -242,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         print(f"circlelab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -113,9 +113,9 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     image of one of its cells touches, as invariance is the inclusion
     T(s) <= s (see is_invariant).  So the invariant unions are the unions
     of the closures reach[j], each still verified exactly by is_invariant.
-    For n >= k the image of a cell is the circle, so every cell reaches
-    every cell and only the empty set and the circle are left, and those
-    are checked with no cell's image walked: the work does not grow with n.
+    The image of a cell is one range of cells mod k, written as one
+    bitmask with no cell walked, so the work does not grow with n: for
+    n >= k it is every cell, and only the empty set and the circle are left.
     k is capped at 20, and the unions of the closures at _MAX_UNIONS: for
     n = 1 all 2**k unions can be invariant, so a search that would check
     more is refused before any union is written.
@@ -124,16 +124,15 @@ def invariant_set_search(t: AffineCircleMap, grid_denominator: int) -> list[ArcS
     if not 1 <= k <= 20:
         raise ValueError(f"grid denominator must lie in 1..20, got {k}")
     n, (e, f) = t.multiplier, t.offset.value.as_integer_ratio()
-    if n >= k:  # the image of a cell has length n/k >= 1
-        reach = [(1 << k) - 1] * k
-    else:
-        reach = [1 << j for j in range(k)]
-        for j in range(k):
-            # over k*f, the image of cell j is [p, p + n*f) with p = n*j*f + e*k,
-            # which touches the cells p // f to ceil((p + n*f) / f) - 1, mod k
-            p = n * j * f + e * k
-            for i in range(p // f, -(-(p + n * f) // f)):
-                reach[j] |= 1 << (i % k)
+    every = (1 << k) - 1
+    reach = []
+    for j in range(k):
+        # over k*f, the image of cell j is [p, p + n*f) with p = n*j*f + e*k,
+        # which touches the cells lo = p // f to hi - 1 = ceil((p + n*f) / f) - 1, mod k
+        p = n * j * f + e * k
+        lo, hi = p // f, -(-(p + n * f) // f)
+        bits = every if hi - lo >= k else ((1 << (hi - lo)) - 1) << (lo % k)
+        reach.append(1 << j | (bits | bits >> k) & every)
     for m in range(k):  # Warshall: reach[j] becomes its transitive closure
         for j in range(k):
             if reach[j] >> m & 1:

@@ -1,11 +1,16 @@
-"""Integer helpers: totient, primality, and divisibility predicates."""
+"""Integer helpers: totient, primality, and divisibility predicates.
+
+The predicates of one prime p, ``ndvd:p``, ``exact:p`` and ``sq:p``, share
+a private frozen base that holds p, checks it prime and at most 10**12,
+and renders ``name:p``; each kind adds only its name and its test.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 
 def is_prime(n: int) -> bool:
@@ -86,14 +91,6 @@ class IndexPredicate:
         raise NotImplementedError
 
 
-def _check_prime(p: int) -> None:
-    # trial division runs to sqrt(p): about 0.1 s at 10**12, over a minute at 10**18
-    if p > 10**12:
-        raise ValueError(f"a predicate prime must be at most 10**12, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 @dataclass(frozen=True)
 class All(IndexPredicate):
     def __call__(self, n: int) -> bool:
@@ -104,51 +101,48 @@ class All(IndexPredicate):
 
 
 @dataclass(frozen=True)
-class NotDiv(IndexPredicate):
-    """True when p does not divide n."""
+class _PrimePredicate(IndexPredicate):
+    """A predicate of one prime p, written ``name:p``; the subclasses add only name and __call__."""
 
     p: int
+    name: ClassVar[str]
 
     def __post_init__(self) -> None:
-        _check_prime(self.p)
+        # trial division runs to sqrt(p): about 0.1 s at 10**12, over a minute at 10**18
+        if self.p > 10**12:
+            raise ValueError(f"a predicate prime must be at most 10**12, got {self.p}")
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+
+    def __str__(self) -> str:
+        return f"{self.name}:{self.p}"
+
+
+class NotDiv(_PrimePredicate):
+    """True when p does not divide n."""
+
+    name = "ndvd"
 
     def __call__(self, n: int) -> bool:
         return n % self.p != 0
 
-    def __str__(self) -> str:
-        return f"ndvd:{self.p}"
 
-
-@dataclass(frozen=True)
-class ExactlyOnce(IndexPredicate):
+class ExactlyOnce(_PrimePredicate):
     """True when p divides n exactly once (p | n and p**2 does not)."""
 
-    p: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
+    name = "exact"
 
     def __call__(self, n: int) -> bool:
         return n % self.p == 0 and n % (self.p * self.p) != 0
 
-    def __str__(self) -> str:
-        return f"exact:{self.p}"
 
-
-@dataclass(frozen=True)
-class DivBySquare(IndexPredicate):
+class DivBySquare(_PrimePredicate):
     """True when p**2 divides n."""
 
-    p: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
+    name = "sq"
 
     def __call__(self, n: int) -> bool:
         return n % (self.p * self.p) == 0
-
-    def __str__(self) -> str:
-        return f"sq:{self.p}"
 
 
 @dataclass(frozen=True)
@@ -187,10 +181,7 @@ def parse_predicate(text: str) -> IndexPredicate:
             p = int(arg)
         except ValueError:
             raise ValueError(f"bad predicate argument in {text!r}") from None
-        if kind == "ndvd":
-            return NotDiv(p)
-        if kind == "exact":
-            return ExactlyOnce(p)
-        if kind == "sq":
-            return DivBySquare(p)
+        for cls in (NotDiv, ExactlyOnce, DivBySquare):
+            if kind == cls.name:
+                return cls(p)
     raise ValueError(f"unknown predicate: {text!r}")

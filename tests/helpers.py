@@ -14,7 +14,8 @@ arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for the measures
 of tail unions, which the library takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
-one Decimal division for the 12-digit rendering of a rational,
+one Decimal division for the 12-digit rendering of a rational, a loop
+for the doubling schedule of partial-sum cutoffs,
 a Fraction, CirclePoint and Arc per arc for the arc-set JSON reader,
 and whole ArcSets or CirclePoints compared for invariance, the
 inclusions (i)-(iv) and conjugation.
@@ -583,6 +584,16 @@ def partial_sums_sequential(delta, cutoffs) -> list[Fraction]:
             n += 1
         sums.append(total)
     return sums
+
+
+def doubling_schedule_by_loop(cap: int) -> list[int]:
+    """The cutoffs 2, 4, 8, ... up to cap, or [cap] when there are none, by doubling in a loop."""
+    ms = []
+    m = 2
+    while m <= cap:
+        ms.append(m)
+        m *= 2
+    return ms or [cap]
 
 
 def decimal_string_by_division(q: Fraction) -> str:

@@ -255,7 +255,9 @@ def test_search_checks_only_the_trivial_candidates_when_every_cell_reaches_all(m
     """Where the preimages of every cell reach every cell, only the empty set and the circle are tried.
 
     That holds for n >= 2, and for a rotation by half a cell, whose last
-    cell reaches the first only across the seam.  A touched cell left out
+    cell reaches the first only across the seam.  With n = 2 on the 1/3
+    grid and a rotation by three quarters of a cell, some cell's image
+    crosses the seam into a cell other than itself.  A touched cell left out
     of the integer reach would not change the result, which the exact check
     filters, but would leave more candidates to check.
     """
@@ -269,7 +271,7 @@ def test_search_checks_only_the_trivial_candidates_when_every_cell_reaches_all(m
 
     monkeypatch.setattr(AffineCircleMap, "is_invariant", counting)
     for n, x, k in ((2, "0", 16), (3, "1/2", 18), (2, "1/3", 12), (5, "3/4", 20), (4, "5/6", 7),
-                     (1, "11/12", 6)):
+                     (1, "11/12", 6), (2, "0", 3), (1, "1/4", 3)):
         calls = 0
         found = invariant_set_search(AffineCircleMap(n, circle_point(x)), k)
         assert found == [ArcSet.empty(), ArcSet.full()] and calls == 2, (n, x, k, calls)

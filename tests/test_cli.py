@@ -241,6 +241,23 @@ def test_tail_union_commands_refuse_a_huge_index_before_sieving(capsys, monkeypa
     assert code == 0 and json.loads(out)["rows"][0]["exact"] == "1"
 
 
+def test_witnesses_refuses_a_huge_n_max_before_reading_a_radius(capsys, monkeypatch):
+    def no_ratios(delta, lo, hi):
+        raise AssertionError(f"read the radii {lo}..{hi - 1} before refusing n_max")
+
+    monkeypatch.setattr("circlelab.approx.Power.ratios", no_ratios)
+    monkeypatch.setattr("circlelab.approx.Constant.ratios", no_ratios)
+    for delta in ("power:1:2", "const:1/2"):
+        for n_max in (str(2**22 + 1), "1000000000000"):
+            code, out, err = run_cli(capsys, "witnesses", "--x", "1/3", "--delta", delta, "--n-max", n_max)
+            assert code == 1 and out == ""
+            assert err == f"circlelab: error: n_max must be at most 2**22, got {n_max}\n"
+    # 2**22 itself is admitted
+    monkeypatch.setattr("circlelab.approx.Power.ratios", lambda delta, lo, hi: iter(()))
+    code, out, _ = run_cli(capsys, "witnesses", "--x", "1/3", "--delta", "power:1:2", "--n-max", str(2**22))
+    assert code == 0 and json.loads(out) == {"x": "1/3", "n_max": 2**22, "witnesses": []}
+
+
 # one small valid call per subcommand; each flag value is swapped in turn for each token of BAD_VALUES
 VALID_ARGV = [
     ["gallagher", "--delta", "power:1:2", "--n-min-schedule", "2,3", "--n-max", "5"],

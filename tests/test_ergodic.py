@@ -175,13 +175,15 @@ def test_search_refuses_too_many_unions_before_writing_one(monkeypatch):
 def test_search_matches_brute_force_oracle():
     # every offset e/q with q <= 6 under every multiplier n <= 5, on one small grid and one larger;
     # the rotations (n = 1) on the 1/12 grid, where each such offset moves whole cells and many
-    # unions are invariant, some of them through cell orbits that cross the seam
+    # unions are invariant, some of them through cell orbits that cross the seam; and the grids
+    # k = n + 1, n and n - 1, where the image of a cell, n cells long, falls one cell short of the
+    # circle, is the circle, and is longer, its edges on cell boundaries when q divides k (x = 0 too)
     offsets = sorted({Fraction(e, q) for q in range(1, 7) for e in range(q)})
     rng = random.Random(59)
     for n in range(1, 6):
         for x in offsets:
             t = AffineCircleMap(n, circle_point(x))
-            for k in (rng.randint(1, 8), 12 if n == 1 else rng.randint(9, 10)):
+            for k in (rng.randint(1, 8), 12 if n == 1 else rng.randint(9, 10), *range(max(n - 1, 1), n + 2)):
                 assert invariant_set_search(t, k) == invariant_sets_brute_force(t, k), (n, x, k)
 
 

@@ -27,7 +27,13 @@ from circlelab import (
 from circlelab import experiments as experiments_module
 from circlelab.circle import _sum_ratios
 from circlelab.experiments import json_text
-from helpers import decimal_string_by_division, dist_to_order_scan, partial_sums_sequential, rand_fraction
+from helpers import (
+    decimal_string_by_division,
+    dist_to_order_scan,
+    doubling_schedule_by_loop,
+    partial_sums_sequential,
+    rand_fraction,
+)
 
 
 def test_decimal_rendering():
@@ -248,6 +254,12 @@ def test_classifier_sums_power_laws_over_n_and_every_other_sequence_over_its_rad
     assert calls[0] == (2, [(1, 1), (1, 2)])  # phi(n) over n, with c applied once
 
 
+def test_doubling_schedule_matches_loop_oracle():
+    caps = [*range(1, 71)] + [2**k + d for k in range(1, 23) for d in (-1, 0, 1)]
+    for cap in caps:
+        assert experiments_module._doubling_schedule(cap) == doubling_schedule_by_loop(cap), cap
+
+
 def test_classifier_refuses_caps_past_2_22_before_sieving(monkeypatch):
     class Sieved(Exception):
         pass
@@ -303,9 +315,22 @@ def test_witnesses_match_scan_oracle(delta):
         assert membership_witnesses(circle_point(x), delta, 1) == _witnesses_by_scan(x, delta, 1), x
 
 
-def test_witnesses_validation():
+def test_witnesses_validation(monkeypatch):
     with pytest.raises(ValueError):
         membership_witnesses(circle_point("1/3"), Power(Fraction(1), 2), 0)
+
+    def no_ratios(delta, lo, hi):
+        raise AssertionError(f"read the radii {lo}..{hi - 1} before refusing n_max")
+
+    # an n_max past 2**22 is refused before any radius is read; under const:1/2 every index is a witness
+    monkeypatch.setattr(Power, "ratios", no_ratios)
+    monkeypatch.setattr(Constant, "ratios", no_ratios)
+    for n_max in (2**22 + 1, 10**12):
+        for delta in (Power(Fraction(1), 2), Constant(Fraction(1, 2))):
+            with pytest.raises(ValueError, match=rf"^n_max must be at most 2\*\*22, got {n_max}$"):
+                membership_witnesses(circle_point("1/3"), delta, n_max)
+    monkeypatch.setattr(Power, "ratios", lambda delta, lo, hi: iter(()))
+    assert membership_witnesses(circle_point("1/3"), Power(Fraction(1), 2), 2**22) == []
 
 
 # -- sanity: experiment bound ingredients ------------------------------------------------

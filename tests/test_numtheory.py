@@ -1,4 +1,6 @@
+import pickle
 import random
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -135,15 +137,23 @@ def test_predicate_primes_above_10_to_the_12_are_refused_before_factorising():
 
 
 def test_predicate_text_round_trip():
-    for pred in (
-        All(),
-        NotDiv(3),
-        ExactlyOnce(2),
-        DivBySquare(5),
-        Or(NotDiv(2), DivBySquare(3)),
-        Or(Or(NotDiv(2), ExactlyOnce(3)), DivBySquare(5)),
+    for pred, text in (
+        (All(), "All()"),
+        (NotDiv(3), "NotDiv(p=3)"),
+        (ExactlyOnce(2), "ExactlyOnce(p=2)"),
+        (DivBySquare(5), "DivBySquare(p=5)"),
+        (Or(NotDiv(2), DivBySquare(3)), "Or(left=NotDiv(p=2), right=DivBySquare(p=3))"),
+        (Or(Or(NotDiv(2), ExactlyOnce(3)), DivBySquare(5)),
+         "Or(left=Or(left=NotDiv(p=2), right=ExactlyOnce(p=3)), right=DivBySquare(p=5))"),
     ):
-        assert parse_predicate(str(pred)) == pred
+        parsed, unpickled = parse_predicate(str(pred)), pickle.loads(pickle.dumps(pred))
+        assert parsed == unpickled == pred and hash(parsed) == hash(unpickled) == hash(pred)
+        assert type(parsed) is type(unpickled) is type(pred)
+        assert repr(parsed) == repr(unpickled) == repr(pred) == text
+    # the kinds of one prime are unequal, and so are the primes of one kind
+    kinds = [NotDiv(3), ExactlyOnce(3), DivBySquare(3), NotDiv(5)]
+    assert all(a != b for a, b in combinations(kinds, 2))
+    assert [str(pred) for pred in kinds] == ["ndvd:3", "exact:3", "sq:3", "ndvd:5"]
 
 
 def test_parse_predicate_rejects_garbage():
