@@ -22,11 +22,14 @@ from typing import Iterable, Iterator, Sequence
 from .arcs import (
     ArcSet,
     _affine_groups,
+    _canonical,
     _integer_union,
     _keyed_half_thickenings,
+    _mirrored,
     _run_measure,
     _thickening_groups,
     _union_within,
+    _written,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
 from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv
@@ -220,9 +223,10 @@ def _coprime_residues(n: int, stop: int | None = None, primes: Iterable[int] | N
     return list(compress(range(stop), mask))
 
 
-def _with_residues(term_lists: Sequence[list], half: bool) -> list[list]:
-    """Each list of terms (n, (p, q)) as terms (n, ms, (p, q)): ms the m coprime to n in [0, n), or in
-    [0, n // 2] if half, those of the centres m/n in [0, 1/2].
+def _with_residues(term_lists: Sequence[list]) -> list[list]:
+    """Each list of terms (n, (p, q)) as terms (n, ms, (p, q)): ms the m coprime to n in [0, n // 2], those
+    of the centres m/n in [0, 1/2], the only arcs that tail unions and their measures write (see
+    arcs._half_circle_groups).
 
     The primes of every n come from one table of smallest prime factors up to
     the largest n, and the lists share one residue list per n.
@@ -235,7 +239,7 @@ def _with_residues(term_lists: Sequence[list], half: bool) -> list[list]:
         for n, d in terms:
             ms = residues.get(n)
             if ms is None:
-                ms = residues[n] = _coprime_residues(n, n // 2 + 1 if half else n, prime_factors(n, spf))
+                ms = residues[n] = _coprime_residues(n, n // 2 + 1, prime_factors(n, spf))
             out[-1].append((n, ms, d))
     return out
 
@@ -340,13 +344,20 @@ def _is_partial(delta: DeltaSequence, n: int) -> bool:
 def tail_union(spec: TailUnionSpec) -> ArcSet:
     """Union of the order-i points thickened by delta_i over n_min <= i <= n_max with pred(i).
 
-    Every arc of every term goes into one sort and one merge.  A term with
+    The union is its own mirror image under y -> -y, so only its part in
+    [0, 1/2) is written: the arcs around m/n with m <= n/2, clipped to
+    [0, 1/2) as in tail_union_measures, go into one sort on their start
+    keys and one merge, and the merged half is mirrored (arcs._mirrored).
+    The result keeps its half, and booleans, symmetric differences and
+    inclusions of two such unions run on their halves.  A term with
     delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle,
     written as one arc like any other term.  approx_order_set is the case
     of one index at a constant radius.
     """
     _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    return _integer_union(_thickening_groups(*_with_residues([terms], half=False)))
+    # the keyed items are held only by _canonical and its result, so _written frees them as it goes
+    half = _written(_canonical(_keyed_half_thickenings(*_with_residues([terms]))[0][0]))
+    return _mirrored(ArcSet._trusted(half))
 
 
 def tail_union_measures(
@@ -366,7 +377,7 @@ def tail_union_measures(
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    (keyed, groups), = _keyed_half_thickenings(*_with_residues([[t for t in terms if t[0] >= first]], half=True))
+    (keyed, groups), = _keyed_half_thickenings(*_with_residues([[t for t in terms if t[0] >= first]]))
     measures = {s: 2 * _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
                                     [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
@@ -387,7 +398,7 @@ def scaled_tail_union_comparison(
     """
     _, t1 = _tail_terms(pred, delta, [n_min], n_max)
     _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
-    (k1, g1), (km, gm) = _keyed_half_thickenings(*_with_residues([t1, tm], half=True))
+    (k1, g1), (km, gm) = _keyed_half_thickenings(*_with_residues([t1, tm]))
     mu_1, mu_m = 2 * _run_measure(k1, g1), 2 * _run_measure(km, gm)
     mu_both = 2 * _run_measure(sorted(k1 + km, key=itemgetter(0)), g1 + gm)  # Timsort merges the two sorted runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1

@@ -84,6 +84,19 @@ sorted arcs, and A | B, symmetric too, from the two lists sorted together;
 radii come as integer pairs, and Fractions are made only in the final
 per-denominator sums.
 
+Tail unions themselves are written as their half: the same clipped arcs
+are merged once, and :func:`_mirrored` appends the mirror image of the
+merged half, which the result keeps as its ``_half``.  Booleans, symmetric
+differences and inclusions of two such sets run on their halves.  The
+endpoints of each are symmetric, so mirroring maps each open interval
+between consecutive endpoints of both to one where each operand, and so
+the result, is the same: the canonical segments [lo, hi) of any boolean
+of the two map exactly to [1 - hi, 1 - lo).  So a boolean sweeps the
+halves and mirrors the swept half, and its result keeps that half, so a
+chain of booleans stays on halves; mu(A ^ B) is twice that of the halves,
+and A <= B exactly when the halves are so.  A pair of which either set
+has no half takes the general sweep.
+
 Integer writer
 --------------
 One writer builds every ArcSet that is not already canonical, from
@@ -93,9 +106,12 @@ through an arithmetic progression mod den: one start per raw segment of
 :meth:`ArcSet.from_json_dict`, and per segment of
 :meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
 of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
-the terms (n, residues, (p, q)), delta_n = p/q, that ``approx.tail_union`` and
-``approx._ao_groups`` hand to :func:`_thickening_groups`; the cells j/k of
-a union in ``invariant_set_search``.  A preimage needs no writer: its n
+the terms (n, residues, (p, q)), delta_n = p/q, that ``approx._ao_groups``
+hands to :func:`_thickening_groups`; the residues m <= n/2 of the terms of
+``approx.tail_union``, whose arcs clipped to [0, 1/2)
+(:func:`_half_circle_groups`) are merged as the union's half, which
+:func:`_mirrored` then mirrors; the cells j/k of a union in
+``invariant_set_search``.  A preimage needs no writer: its n
 copies of the set come out in order and disjoint, and
 ``AffineCircleMap.preimage`` writes each piece's triple in turn.
 Callers put a segment, an arc's start and length, or a segment and a
@@ -105,7 +121,8 @@ numerators (:func:`_affine_groups`).  The writer cuts the arcs at the
 seam, keys and merges them, and writes each merged segment as its reduced
 triple.  The boolean operations reuse the operands' triples for the
 segments they keep whole and write a triple only where a result's segment
-has endpoints from two segments.
+has endpoints from two segments; those of two tail unions do so on the
+halves, and mirror the result.
 
 Inclusion is decided on integer arcs, with no set or Fraction built, by
 one kernel (:func:`_union_within`): the outer union is merged once, and
@@ -186,13 +203,15 @@ def _key_bits(max_den: int) -> int:
 
 
 def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
-    """Sort nonempty segments by exact key and merge those that overlap or touch.
+    """Sort nonempty segments on their exact start keys and merge those that overlap or touch.
 
     Each item starts with ``(lo_key, hi_key)``; the rest is its endpoints in
     whatever form the caller keeps them.  Returns one ``(first, last)`` pair
     of items per merged segment: ``first`` holds its start and ``last`` its end.
+    Keys are exact, so items with equal start keys start at one point, and
+    the merge takes them in any order: the sort compares no more of the items.
     """
-    keyed.sort()
+    keyed.sort(key=itemgetter(0))
     merged = []
     items = iter(keyed)
     first = last = next(items, None)
@@ -337,13 +356,41 @@ def _integer_union(groups: Sequence[tuple]) -> "ArcSet":
 
     Each merged segment is written as its reduced triple; no Fraction is built.
     """
-    merged = _canonical(_keyed_pieces(groups, _key_bits(max((g[4] for g in groups), default=1))))
+    k = _key_bits(max((g[4] for g in groups), default=1))
+    return ArcSet._trusted(_written(_canonical(_keyed_pieces(groups, k))))
+
+
+def _written(merged: list[tuple[tuple, tuple]]) -> tuple[Triple, ...]:
+    """The reduced triples of the merged segments of _canonical, in order.
+
+    Popping frees each keyed item once its triple is written, when the caller keeps no other reference.
+    """
     merged.reverse()
     triples = []
-    while merged:  # popping frees each keyed item once its triple is written
+    while merged:
         first, last = merged.pop()
         triples.append(_triple(first[2], first[4], last[3], last[4]))
-    return ArcSet._trusted(tuple(triples))
+    return tuple(triples)
+
+
+def _mirrored(half: "ArcSet") -> "ArcSet":
+    """The set that is its own image under y -> -y and meets [0, 1/2) in half, which lies in [0, 1/2).
+
+    Its triples are half's, then their images ``(den - hi, den - lo, den)``
+    in reverse order, with a segment of half that ends at 1/2 joined to its
+    own image; the seam pieces stay split at 0.  The result keeps half as
+    its ``_half``, on which booleans of two such sets run (see Measures and
+    inclusions).
+    """
+    segs = half.triples
+    images = [(den - hi, den - lo, den) for lo, hi, den in reversed(segs)]
+    if segs and 2 * segs[-1][1] == segs[-1][2]:
+        lo, _, den = segs[-1]
+        images[0] = _triple(lo, den, den - lo, den)
+        segs = segs[:-1]
+    s = ArcSet._trusted(segs + tuple(images))
+    object.__setattr__(s, "_half", half)
+    return s
 
 
 def _union_within(inner: Sequence[tuple], outer: Sequence[tuple]) -> bool:
@@ -524,6 +571,9 @@ class ArcSet:
     """
 
     triples: tuple[Triple, ...] = ()
+    # the set's part in [0, 1/2) when _mirrored wrote it, else None; not a field, so like the caches below
+    # it takes no part in ==, hash, repr, copies or pickles
+    _half = None
 
     def __init__(self, segments: Iterable[Segment] = ()) -> None:
         groups = []
@@ -608,6 +658,8 @@ class ArcSet:
     __invert__ = complement
 
     def _boolean(self, other: "ArcSet", keep: tuple[bool, ...]) -> "ArcSet":
+        if self._half is not None and other._half is not None:
+            return _mirrored(self._half._boolean(other._half, keep))
         return ArcSet._trusted(tuple(_sweep(self, other, keep)))
 
     def union(self, other: "ArcSet") -> "ArcSet":
@@ -631,8 +683,11 @@ class ArcSet:
         One walk (see _runs) finds the runs of boundaries of self & other,
         self - other and other - self, as index ranges, and counts them;
         only the piece with the fewest is measured, and the result follows
-        from the cached measures of self and other.
+        from the cached measures of self and other.  Two mirror images of
+        themselves (see _mirrored) are compared on their halves.
         """
+        if self._half is not None and other._half is not None:
+            return 2 * self._half.symm_diff_measure(other._half)
         a_segs, b_segs = self.triples, other.triples
         both, a_only, b_only = pieces = ([], [], [])  # the boundaries of self & other, self - other, other - self
         n_both = n_a = n_b = 0  # their sizes
@@ -682,7 +737,12 @@ class ArcSet:
         return (other.measure - self.measure if p == 1 else self.measure - other.measure) + 2 * piece
 
     def issubset(self, other: "ArcSet") -> bool:
-        """Whether no run of the walk (see _runs) bounds self - other, classified as in symm_diff_measure."""
+        """Whether no run of the walk (see _runs) bounds self - other, classified as in symm_diff_measure.
+
+        Two mirror images of themselves (see _mirrored) are compared on their halves.
+        """
+        if self._half is not None and other._half is not None:
+            return self._half.issubset(other._half)
         i = j = 0
         for ni, nj in _runs(self._keys, other._keys, self.triples, other.triples):
             if (not j & 1) if nj == j else (i & 1) if ni == i else (i & 1 != j & 1):

@@ -11,8 +11,8 @@ sort for canonicalisation, a sweep that compares Fraction endpoints for
 boolean operations, a walk that bisects for every run of endpoints, one set per term for tail
 unions, one Fraction addition per term for exact sums, Fraction
 arithmetic for the affine maps, integer pairs for the circle's group
-operations, every residue's arc on the whole circle for the measures
-of tail unions, which the library takes on the half circle, a
+operations, every residue's arc on the whole circle for tail unions and
+their measures, which the library writes and takes on the half circle, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
 one Decimal division for the 12-digit rendering of a rational, a loop
 for the doubling schedule of partial-sum cutoffs,
@@ -51,7 +51,7 @@ from circlelab import (
     union_all,
 )
 from circlelab.approx import _coprime_residues, _tail_terms
-from circlelab.arcs import _key_bits, _keyed_pieces, _run_measure, _thickening_groups
+from circlelab.arcs import _integer_union, _key_bits, _keyed_pieces, _run_measure, _thickening_groups
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "measures.json"
 
@@ -546,6 +546,13 @@ def tail_union_per_term(spec: TailUnionSpec) -> ArcSet:
         for n in range(spec.n_min, spec.n_max + 1)
         if spec.pred(n)
     )
+
+
+def tail_union_full_circle(spec: TailUnionSpec) -> ArcSet:
+    """tail_union as the library once wrote it: every residue's arc on the whole circle, in one sort and
+    one merge, with no half kept."""
+    _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
+    return _integer_union(_thickening_groups((n, _coprime_residues(n), d) for n, d in terms))
 
 
 def _keyed_full_circle(*term_lists) -> list[tuple[list, list]]:

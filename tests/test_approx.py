@@ -470,13 +470,14 @@ def test_with_residues_shares_one_list_per_index(monkeypatch):
 
     monkeypatch.setattr(approx_module, "smallest_prime_factors", counting)
     monkeypatch.setattr(approx_module, "factorize", None)
-    a, b = approx_module._with_residues([[(12, (1, 288)), (7, (1, 98))], [(12, (1, 144)), (1, (1, 2))]], half=True)
+    a, b = approx_module._with_residues([[(12, (1, 288)), (7, (1, 98))], [(12, (1, 144)), (1, (1, 2))]])
     assert tables == [12]
     assert a == [(12, [1, 5], (1, 288)), (7, [1, 2, 3], (1, 98))] and b == [(12, [1, 5], (1, 144)), (1, [0], (1, 2))]
     assert a[0][1] is b[0][1]
-    full, = approx_module._with_residues([[(12, (1, 288)), (1, (1, 2))]], half=False)
-    assert full == [(12, [1, 5, 7, 11], (1, 288)), (1, [0], (1, 2))]
-    assert approx_module._with_residues([[]], half=True) == [[]]
+    # the residues stop at n // 2, so n = 2 keeps its centre 1/2
+    two, = approx_module._with_residues([[(2, (1, 8)), (10, (1, 400))]])
+    assert two == [(2, [1], (1, 8)), (10, [1, 3], (1, 400))]
+    assert approx_module._with_residues([[]]) == [[]]
 
 
 # -- tail-union measures on integer endpoints ---------------------------------------------
@@ -726,6 +727,35 @@ def test_tail_union_is_its_own_mirror_image():
         delta, pred, n_max = _rand_wide_delta(rng), rng.choice(preds), rng.randint(1, 40)
         segments = tail_union(TailUnionSpec(rng.randint(1, n_max), n_max, pred, delta)).segments
         assert tuple((1 - hi, 1 - lo) for lo, hi in reversed(segments)) == segments, (delta, pred)
+
+
+def test_tail_union_writes_its_half_and_mirrors_it():
+    """tail_union writes its part in [0, 1/2) and mirrors it: on seeded specs it equals the full-circle
+    writer and the union of one set per term, and it keeps its half, the set's part in [0, 1/2)."""
+    # the arc around 0 crosses the seam and stays split there; the one around 1/2 is one middle segment
+    w = tail_union(TailUnionSpec(1, 2, All(), Constant(F(1, 10))))
+    assert w.triples == ((0, 1, 10), (2, 3, 5), (9, 10, 10)) and w._half.triples == ((0, 1, 10), (4, 5, 10))
+    rng = random.Random(3001)
+    preds = [All(), NotDiv(2), ExactlyOnce(3), DivBySquare(2), Or(NotDiv(3), DivBySquare(2))]
+    upper = ArcSet(((F(0), F(1, 2)),))
+    seen = set()
+    for i in range(320):
+        delta, pred = _rand_wide_delta(rng), preds[i % len(preds)]
+        n_min = 1 if i % 3 == 0 else rng.randint(1, 30)
+        spec = TailUnionSpec(n_min, n_min + rng.randint(0, 24), pred, delta)
+        w = tail_union(spec)
+        assert w == helpers.tail_union_full_circle(spec) == helpers.tail_union_per_term(spec), spec
+        assert w._half == ArcSet._trusted(w.triples) & upper, spec
+        radii = {n: delta.eval_at(n) for n in range(spec.n_min, spec.n_max + 1) if pred(n)}
+        seen.add(type(delta))
+        seen.add(type(pred))
+        seen |= {"empty term" for r in radii.values() if r <= 0} | {"full term" for r in radii.values() if 2 * r >= 1}
+        if 0 < radii.get(1, 0) < F(1, 2):
+            seen.add("seam")
+        if 0 < radii.get(2, 0) < F(1, 2):
+            seen.add("middle")
+    assert seen == {Power, Constant, Table, All, NotDiv, ExactlyOnce, DivBySquare, Or,
+                    "empty term", "full term", "seam", "middle"}
 
 
 def test_half_circle_groups_clip_at_0_and_at_one_half():

@@ -21,6 +21,7 @@ from circlelab import (
     arc,
     circle_point,
     format_fraction,
+    gallagher_decomposition,
     parse_predicate,
     tail_union,
     thicken,
@@ -572,7 +573,7 @@ def _half_circle_pair(delta, m, pred, n_min, n_max):
     writes them, and those of each alone."""
     t1 = approx_module._tail_terms(pred, delta, [n_min], n_max)[1]
     tm = approx_module._tail_terms(pred, delta.scale(m), [n_min], n_max)[1]
-    g1, gm = map(arcs_module._half_circle_groups, approx_module._with_residues([t1, tm], half=True))
+    g1, gm = map(arcs_module._half_circle_groups, approx_module._with_residues([t1, tm]))
     return g1, gm
 
 
@@ -602,7 +603,7 @@ def test_run_measure_is_exact_on_equal_starts_of_tail_unions():
         # the library's merge: each union's items sorted on their start keys, then the two lists together
         (k1, _), (km, _) = arcs_module._keyed_half_thickenings(
             *approx_module._with_residues([approx_module._tail_terms(pred, d, [n_min], n_max)[1]
-                                           for d in (delta, delta.scale(m))], half=True))
+                                           for d in (delta, delta.scale(m))]))
         merged = sorted(k1 + km, key=itemgetter(0))
         assert arcs_module._run_measure(merged, g1 + gm) == _run_measure_and_oracle(g1 + gm)[1]
 
@@ -982,6 +983,84 @@ def test_large_booleans_compare_fractions_only_on_key_ties(monkeypatch):
         compared[0] = 0
         op(a, b)
         assert compared[0] <= 2 * ties, (op.__name__, compared[0])
+
+
+def _mirror_image_operands(rng: random.Random) -> list[ArcSet]:
+    """Tail unions over overlapping ranges, or the parts A, B, C of one gallagher_decomposition: sets
+    that are their own mirror images and keep their halves."""
+    if rng.random() < 0.5:
+        p, n_min = rng.choice((2, 3, 5)), rng.randint(1, 8)
+        return list(gallagher_decomposition(p, n_min, n_min + rng.randint(0, 40),
+                                            Power(Fraction(1, rng.randint(1, 6)), rng.randint(1, 3))))
+    preds = [parse_predicate("all"), NotDiv(2), ExactlyOnce(3), DivBySquare(2), Or(NotDiv(3), DivBySquare(2))]
+    specs = []
+    for _ in range(3):
+        n_min = rng.randint(1, 12)
+        delta = rng.choice((Power(Fraction(1, rng.randint(1, 8)), rng.randint(1, 3)),
+                            Table(tuple(Fraction(rng.randint(-1, 6), rng.randint(8, 40)) for _ in range(30)))))
+        specs.append(TailUnionSpec(n_min, n_min + rng.randint(0, 30), rng.choice(preds), delta))
+    return [tail_union(spec) for spec in specs]
+
+
+def _plain(s: ArcSet) -> ArcSet:
+    """A copy of s with no half, which the general sweep takes."""
+    return ArcSet._trusted(s.triples)
+
+
+def test_booleans_of_mirror_images_run_on_their_halves(monkeypatch):
+    """|, &, -, symm_diff_measure, <= and >= of two mirror images of themselves agree with the general
+    sweep on half-less copies and walk only the halves; booleans keep a half, so chains stay on the
+    halves, and a pair with one half-less operand takes the general sweep."""
+    rng = random.Random(3003)
+    upper = ArcSet(((Fraction(0), Fraction(1, 2)),))
+    swept = []
+    sweep = arcs_module._sweep
+
+    def recording(a, b, keep):
+        swept.append((a, b))
+        return sweep(a, b, keep)
+
+    monkeypatch.setattr(arcs_module, "_sweep", recording)
+    subsets = []
+    for _ in range(120):
+        a, b, c = _mirror_image_operands(rng)
+        pa, pb, pc = map(_plain, (a, b, c))
+        for op in (ArcSet.union, ArcSet.intersection, ArcSet.difference):
+            swept.clear()
+            r = op(a, b)
+            assert swept == [(a._half, b._half)]
+            assert r == op(pa, pb) and r._half == _plain(r) & upper, op.__name__
+            swept.clear()
+            mixed = op(a, pb)
+            assert swept == [(a, pb)] and mixed == r and mixed._half is None
+        chain = (a | b) - c
+        assert chain == (pa | pb) - pc and chain._half is not None
+        assert (a & b) | c == (pa & pb) | pc and (a - b) & c == (pa - pb) & pc
+        for s, t in ((a, b), (b, a), (a | b, b), (a & b, a)):
+            s, t = arcs_module._mirrored(s._half), arcs_module._mirrored(t._half)  # with no keys computed yet
+            ps, pt = _plain(s), _plain(t)
+            halves = s.symm_diff_measure(t), s <= t, s >= t
+            # the halves path walks the halves alone: the sets' own keys are not computed
+            assert "_keys" not in vars(s) and "_keys" not in vars(t)
+            assert halves == (ps.symm_diff_measure(pt), ps <= pt, ps >= pt)
+            assert halves == (s.symm_diff_measure(pt), s <= pt, s >= pt) == (ps.symm_diff_measure(t), ps <= t, ps >= t)
+            subsets.append(halves[1])
+    assert 100 < subsets.count(True) < len(subsets) - 100
+
+
+def test_half_is_kept_only_by_mirror_images():
+    """A set keeps its half only when the mirror writer built it; ==, hash, repr, copies and pickles
+    ignore the half, and every other writer builds sets with none."""
+    w = tail_union(TailUnionSpec(1, 30, parse_predicate("all"), Power(Fraction(1, 3), 2)))
+    plain = _plain(w)
+    assert w._half is not None and (w, hash(w), repr(w)) == (plain, hash(plain), repr(plain))
+    for x in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert x == w and x._half is None
+    others = [plain, ArcSet(w.segments), ArcSet.from_arcs(w.arcs), ArcSet.from_json(w.to_json()), ~w,
+              w.translate(circle_point(Fraction(1, 3))), w.mul_image(2), union_all([w]), w | plain,
+              approx_order_set(7, Fraction(1, 100)), thicken([circle_point(Fraction(1, 3))], Fraction(1, 9)),
+              AffineCircleMap(2, circle_point(Fraction(1, 5))).preimage(w), ArcSet.full(), ArcSet.empty()]
+    assert [x._half for x in others] == [None] * len(others)
 
 
 # endpoints of the oracle's sets: each of 1/3, 1/2 and 2/3 is written over several denominators, as the
