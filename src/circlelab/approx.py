@@ -16,20 +16,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
     ArcSet,
     _affine_groups,
-    _canonical,
     _integer_union,
-    _keyed_half_thickenings,
     _mirrored,
-    _run_measure,
+    _packed_half_thickenings,
+    _packed_measure,
+    _packed_union,
+    _Table,
     _thickening_groups,
     _union_within,
-    _written,
 )
 from .circle import CirclePoint, RationalLike, as_fraction, format_fraction, parse_fraction, parse_json
 from .numtheory import DivBySquare, ExactlyOnce, IndexPredicate, NotDiv
@@ -214,8 +214,7 @@ def finite_order_points(n: int) -> list[CirclePoint]:
 
 def _coprime_residues(n: int, stop: int | None = None, primes: Iterable[int] | None = None) -> list[int]:
     """The m in [0, stop) coprime to n, stop = n unless given, sieved by the primes that divide n,
-    factorize(n) unless given; a list, so arcs._run_measure can count a term's arcs and
-    arcs._half_circle_groups bisect them."""
+    factorize(n) unless given; a list, so arcs._half_circle_groups can bisect it and count a term's arcs."""
     stop = n if stop is None else stop
     mask = bytearray(b"\x01") * stop
     for p in factorize(n) if primes is None else primes:
@@ -223,25 +222,18 @@ def _coprime_residues(n: int, stop: int | None = None, primes: Iterable[int] | N
     return list(compress(range(stop), mask))
 
 
-def _with_residues(term_lists: Sequence[list]) -> list[list]:
-    """Each list of terms (n, (p, q)) as terms (n, ms, (p, q)): ms the m coprime to n in [0, n // 2], those
-    of the centres m/n in [0, 1/2], the only arcs that tail unions and their measures write (see
-    arcs._half_circle_groups).
+def _half_arcs(term_lists: Sequence[list]) -> tuple[list[list[int]], _Table]:
+    """The arcs of each list of terms (n, (p, q)) of _tail_terms clipped to [0, 1/2), packed and sorted, and
+    their table (see arcs._packed_half_thickenings).
 
-    The primes of every n come from one table of smallest prime factors up to
-    the largest n, and the lists share one residue list per n.
+    The residues of an index are the m coprime to n in [0, n // 2], those of
+    the centres m/n in [0, 1/2], the only arcs that tail unions and their
+    measures write.  They are sieved once per index, for all the lists,
+    by the primes of n from one table of smallest prime factors up to the
+    largest n.
     """
     spf = smallest_prime_factors(max((n for terms in term_lists for n, _ in terms), default=1))
-    residues: dict[int, list[int]] = {}
-    out = []
-    for terms in term_lists:
-        out.append([])
-        for n, d in terms:
-            ms = residues.get(n)
-            if ms is None:
-                ms = residues[n] = _coprime_residues(n, n // 2 + 1, prime_factors(n, spf))
-            out[-1].append((n, ms, d))
-    return out
+    return _packed_half_thickenings(term_lists, lambda n: _coprime_residues(n, n // 2 + 1, prime_factors(n, spf)))
 
 
 def approx_order_set(n: int, delta: RationalLike) -> ArcSet:
@@ -346,18 +338,17 @@ def tail_union(spec: TailUnionSpec) -> ArcSet:
 
     The union is its own mirror image under y -> -y, so only its part in
     [0, 1/2) is written: the arcs around m/n with m <= n/2, clipped to
-    [0, 1/2) as in tail_union_measures, go into one sort on their start
-    keys and one merge, and the merged half is mirrored (arcs._mirrored).
-    The result keeps its half, and booleans, symmetric differences and
-    inclusions of two such unions run on their halves.  A term with
-    delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the full circle,
-    written as one arc like any other term.  approx_order_set is the case
-    of one index at a constant radius.
+    [0, 1/2) and packed as in tail_union_measures, go into one sort and one
+    merge (arcs._packed_union), and the merged half is mirrored
+    (arcs._mirrored).  The result keeps its half, and booleans, symmetric
+    differences and inclusions of two such unions run on their halves.  A
+    term with delta_i <= 0 is empty, and one with 2*delta_i >= 1 is the
+    full circle, written as one arc like any other term.  approx_order_set
+    is the case of one index at a constant radius.
     """
     _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
-    # the keyed items are held only by _canonical and its result, so _written frees them as it goes
-    half = _written(_canonical(_keyed_half_thickenings(*_with_residues([terms]))[0][0]))
-    return _mirrored(ArcSet._trusted(half))
+    (items,), table = _half_arcs([terms])
+    return _mirrored(ArcSet._trusted(_packed_union(items, table)))
 
 
 def tail_union_measures(
@@ -366,20 +357,17 @@ def tail_union_measures(
     """The measure of the tail union over [N, n_max] for each start N in n_mins.
 
     Each union W is its own mirror image, so mu(W) = 2 mu(W & [0, 1/2)): only
-    the arcs around m/n with m <= n/2 are written, clipped to [0, 1/2) (see
-    arcs._half_circle_groups), tagged with their index and sorted once on
-    their start keys.  For each start, the arcs with index >= N are walked in
-    that order: their total width, in closed form per term, less the parts
-    where they overlap (see arcs._run_measure).  No merged list is built.
-    The residues of every term are sieved from one prime table (see
-    _with_residues).
+    the arcs around m/n with m <= n/2 are written, clipped to [0, 1/2) and
+    packed one integer per arc (see _half_arcs), and sorted once.  For each
+    start, one walk takes the arcs of indices >= N in that order: their
+    total width, in closed form per row, less the parts where they overlap
+    (see arcs._packed_measure).  No merged or filtered list is built.
     """
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     first = min(starts, default=n_max + 1)
-    (keyed, groups), = _keyed_half_thickenings(*_with_residues([[t for t in terms if t[0] >= first]]))
-    measures = {s: 2 * _run_measure(keyed if s == first else [a for a in keyed if a[5] >= s],
-                                    [g for g in groups if g[5] >= s]) for s in starts}
+    (items,), table = _half_arcs([[t for t in terms if t[0] >= first]])
+    measures = {s: 2 * _packed_measure(items, table, lambda _, n, s=s: n >= s) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
 
 
@@ -390,17 +378,18 @@ def scaled_tail_union_comparison(
     their measures, the measure of their symmetric difference, W1 <= Wm and Wm <= W1.
 
     The arcs of each union, a full term's one arc among them, are clipped
-    to [0, 1/2) as in tail_union_measures, sorted once on their start keys
-    and measured without merging (see arcs._run_measure), and W1 | Wm, a
-    mirror image of itself too, from the two sorted lists together; each
-    measure is doubled, and the rest follows from the three.  The two unions
-    share one residue list per index.
+    to [0, 1/2) and packed as in tail_union_measures, with one table and one
+    sieve per index for both, sorted once and measured without merging (see
+    arcs._packed_measure), and W1 | Wm, a mirror image of itself too, from
+    the two sorted lists together; each measure is doubled, and the rest
+    follows from the three.
     """
     _, t1 = _tail_terms(pred, delta, [n_min], n_max)
     _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
-    (k1, g1), (km, gm) = _keyed_half_thickenings(*_with_residues([t1, tm]))
-    mu_1, mu_m = 2 * _run_measure(k1, g1), 2 * _run_measure(km, gm)
-    mu_both = 2 * _run_measure(sorted(k1 + km, key=itemgetter(0)), g1 + gm)  # Timsort merges the two sorted runs
+    (i1, im), table = _half_arcs([t1, tm])
+    mu_1 = 2 * _packed_measure(i1, table, lambda i, _: i == 0)
+    mu_m = 2 * _packed_measure(im, table, lambda i, _: i == 1)
+    mu_both = 2 * _packed_measure(sorted(i1 + im), table, lambda i, _: True)  # Timsort merges the two runs
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 

@@ -26,23 +26,47 @@ canonicalisations are exact for the sets of interest.
 
 Exact keys
 ----------
-The one writer that builds ArcSets (below) sorts on integers, never on
-Fractions or floats.  The key of an endpoint a/b is ``(a << k) // b``
-with ``k = 2 * maxbits + 2``, where every b in play is below
+Arc writers sort on integers, never on Fractions or floats.  The general
+writer (below) keys an endpoint a/b as ``(a << k) // b`` with
+``k = 2 * maxbits + 2``, where every b in play is below
 ``2 ** maxbits``.  Two distinct such rationals differ by more than
 ``2 ** -(2 * maxbits)``, so their keys differ and order as the rationals
-do; equal rationals, reduced or not, get equal keys.  Boolean operations
-on canonical sets need no sort: one walk over the endpoints of both
-operands (:func:`_runs`) serves them all, the complement too, which is
-the full circle less the set.  The walk takes a run at a time, the
-endpoints of one operand below the other's next one.  A canonical set
-has two endpoints per segment, so a run is most often the rest of one
-segment: the walk compares the operand's next two keys with the other's
-next key, and bisects the keys only for a run longer than that.  The
-sweep keeps or drops each run whole and builds its result as one list,
-a kept run of whole segments as one slice of the operand's triples, so
-its cost follows the interleaving of the operands and the size of the
-result, not the size of the larger operand.
+do; equal rationals, reduced or not, get equal keys.
+
+Tail unions are written from packed integers, one per arc, with no tuple
+(:func:`_packed`).  With b the bit length of the call's largest den and
+``k = 3*b + 3``, an arc [lo/den, (lo + width)/den) of row g of the
+call's table becomes ``x = (lo*f << s) + g`` with ``f = 2**k // den``,
+where s has room for every row; the row holds f, width, den and the arc
+count.  So a whole group is packed in C, as ``lo*f << s`` is
+``m*(step*f << s) + (offset*f << s)``, and ``list.sort`` sorts plain
+ints.  ``x & (2**s - 1)`` is the row, ``(x >> s) // f`` is lo exactly,
+and x plus the row's ``width*f << s`` less g is the end's key, shifted.
+The key bound: two distinct endpoints over dens below ``2**b`` differ by
+at least ``2**-(2b)``, that is by ``2**(k - 2b) = 2**(b + 3)`` units of
+``2**-k``; and a key ``num*f`` lies below ``num * 2**k / den`` by less
+than num <= den < ``2**b`` units.  So the keys of distinct endpoints
+differ by more than ``7 * 2**b`` and order as the rationals do, while
+those of one endpoint over two dens, which may differ, lie within
+``2**b`` of each other: a start is at or before an end exactly when its
+key is below the end's key plus ``2**b``.  The measure walk
+(:func:`_packed_measure`) is exact whichever way equal endpoints
+compare, and the merge (:func:`_packed_union`) takes that sum as its
+touching test.  The general writer's keyed 6-tuples still serve
+:func:`_integer_union` and :func:`_union_within`, whose arcs cross the
+seam and come with a width per piece, mostly a few at a time.
+
+Boolean operations on canonical sets need no sort: one walk over the
+endpoints of both operands (:func:`_runs`) serves them all, the
+complement too, which is the full circle less the set.  The walk takes a
+run at a time, the endpoints of one operand below the other's next one.
+A canonical set has two endpoints per segment, so a run is most often
+the rest of one segment: the walk compares the operand's next two keys
+with the other's next key, and bisects the keys only for a run longer
+than that.  The sweep keeps or drops each run whole and builds its
+result as one list, a kept run of whole segments as one slice of the
+operand's triples, so its cost follows the interleaving of the operands
+and the size of the result, not the size of the larger operand.
 
 The walk and membership compare cached keys first.  Each ArcSet keeps the
 keys ``floor(x * 2**63)`` of its flattened endpoints in one flat list,
@@ -67,62 +91,73 @@ A <= B: A - B is empty exactly when no run bounds it, so
 :meth:`ArcSet.issubset` stops at the first run that does and writes no
 segment.  The tail-union
 experiments that report only measures and inclusions never build an
-ArcSet, sweep or merge.  The measure of a union of integer arcs is their
-total width, in closed form per term, less their overlaps, which one walk
-over the arcs in order of their starts finds (:func:`_run_measure`).
-Keys are exact, so equal start keys are equal starts, and of arcs with
-one start the union gains the widest's width whichever comes first: a
-sort on the start keys alone is exact, and it compares no end key,
-numerator or denominator.  A tail union is its own mirror image under
-y -> -y, as the arc around m/n pairs with the one around (n - m)/n, so its
-measure is twice that of its part in [0, 1/2).  So only the arcs around
-m/n with m <= n/2 are written, over 2*den so that 1/2 is an integer, and
-clipped to [0, 1/2) (:func:`_half_circle_groups`): the part of [0, 1/2)
-that the arc around 1 - m/n covers lies inside the clipped arc around m/n,
-and no arc crosses the seam.  A and B are each measured from their own
-sorted arcs, and A | B, symmetric too, from the two lists sorted together;
-radii come as integer pairs, and Fractions are made only in the final
-per-denominator sums.
+ArcSet, sweep or merge.  The measure of a union of packed arcs is their
+total width, in closed form per row, less their overlaps, which one walk
+over the arcs in order of their starts finds (:func:`_packed_measure`).
+Keys of distinct endpoints order as the rationals do, and each way that
+equal ones may compare is exact: an arc that starts at the run's end adds
+nothing, whether it starts a run or takes off an overlap of end - lo = 0;
+one that ends at the run's end takes off its own width or the part up to
+the end, which are equal; and of two arcs with one start, the union
+gains the wider one's width whichever comes first.  So the walk compares
+only the packed integers, and finds each overlap's numerators from the
+shifted keys, divided by f once per row.  A tail union is its own mirror
+image under y -> -y, as the arc around m/n pairs with the one around
+(n - m)/n, so its measure is twice that of its part in [0, 1/2).  So only
+the arcs around m/n with m <= n/2 are written, over 2*den so that 1/2 is
+an integer, and clipped to [0, 1/2) (:func:`_half_circle_groups`): the
+part of [0, 1/2) that the arc around 1 - m/n covers lies inside the
+clipped arc around m/n, and no arc crosses the seam.  A and B are each
+measured from their own sorted arcs, and A | B, symmetric too, from the
+two lists sorted together; radii come as integer pairs, and Fractions
+are made only in the final per-denominator sums.
 
-Tail unions themselves are written as their half: the same clipped arcs
-are merged once, and :func:`_mirrored` appends the mirror image of the
-merged half, which the result keeps as its ``_half``.  Booleans, symmetric
-differences and inclusions of two such sets run on their halves.  The
+Tail unions themselves are written as their half: the same packed arcs
+are merged once (:func:`_packed_union`), and :func:`_mirrored` appends the
+mirror image of the merged half, which the result keeps as its ``_half``.
+Booleans, symmetric differences and inclusions of two such sets, and the
+complement of one, run on their halves.  The
 endpoints of each are symmetric, so mirroring maps each open interval
 between consecutive endpoints of both to one where each operand, and so
 the result, is the same: the canonical segments [lo, hi) of any boolean
 of the two map exactly to [1 - hi, 1 - lo).  So a boolean sweeps the
 halves and mirrors the swept half, and its result keeps that half, so a
 chain of booleans stays on halves; mu(A ^ B) is twice that of the halves,
-and A <= B exactly when the halves are so.  A pair of which either set
-has no half takes the general sweep.
+and A <= B exactly when the halves are so.  The complement is mirrored
+from [0, 1/2) less the half.  A pair of which either set has no half
+takes the general sweep.
 
 Integer writer
 --------------
-One writer builds every ArcSet that is not already canonical, from
-integer arcs ``[lo/den, (lo + width)/den)`` in groups whose starts run
-through an arithmetic progression mod den: one start per raw segment of
-``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs` and of
-:meth:`ArcSet.from_json_dict`, and per segment of
-:meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point
-of a :func:`thicken` (``ball``, arbitrary point sets); the residues m of
-the terms (n, residues, (p, q)), delta_n = p/q, that ``approx._ao_groups``
-hands to :func:`_thickening_groups`; the residues m <= n/2 of the terms of
-``approx.tail_union``, whose arcs clipped to [0, 1/2)
-(:func:`_half_circle_groups`) are merged as the union's half, which
-:func:`_mirrored` then mirrors; the cells j/k of a union in
-``invariant_set_search``.  A preimage needs no writer: its n
-copies of the set come out in order and disjoint, and
-``AffineCircleMap.preimage`` writes each piece's triple in turn.
-Callers put a segment, an arc's start and length, or a segment and a
-map's offset over one denominator, and a set's triples are such groups as
-they are (:meth:`ArcSet._groups`), so images are integer arithmetic on
-numerators (:func:`_affine_groups`).  The writer cuts the arcs at the
-seam, keys and merges them, and writes each merged segment as its reduced
-triple.  The boolean operations reuse the operands' triples for the
-segments they keep whole and write a triple only where a result's segment
-has endpoints from two segments; those of two tail unions do so on the
-halves, and mirror the result.
+One writer builds every ArcSet that is not already canonical and not a
+tail union, from integer arcs ``[lo/den, (lo + width)/den)`` in groups
+whose starts run through an arithmetic progression mod den: one start
+per raw segment of ``ArcSet(...)``, per arc of :meth:`ArcSet.from_arcs`
+and of :meth:`ArcSet.from_json_dict`, and per segment of
+:meth:`ArcSet.translate` or :meth:`ArcSet.mul_image`; one per point of a
+:func:`thicken` (``ball``, arbitrary point sets); the residues m of the
+terms (n, residues, (p, q)), delta_n = p/q, that ``approx._ao_groups``
+hands to :func:`_thickening_groups`; the cells j/k of a union in
+``invariant_set_search``.  Callers put a segment, an arc's start and
+length, or a segment and a map's offset over one denominator, and a
+set's triples are such groups as they are (:meth:`ArcSet._groups`), so
+images are integer arithmetic on numerators (:func:`_affine_groups`).
+The writer (:func:`_integer_union`) cuts the arcs at the seam, keys them
+as 6-tuples (:func:`_keyed_pieces`), merges them (:func:`_canonical`) and
+writes each merged segment as its reduced triple (:func:`_written`).
+
+``approx.tail_union`` writes its half from packed arcs instead: the
+residues m <= n/2 of its terms, sieved once per index and freed as their
+arcs are packed (:func:`_packed_half_thickenings`), give arcs clipped to
+[0, 1/2) (:func:`_half_circle_groups`), which one walk merges, writing
+each merged segment's triple from its first arc's row and that of the
+arc that ends it (:func:`_packed_union`); :func:`_mirrored` mirrors the
+half.  A preimage needs no writer: its n copies of the set come out in
+order and disjoint, and ``AffineCircleMap.preimage`` writes each piece's
+triple in turn.  The boolean operations reuse the operands' triples for
+the segments they keep whole and write a triple only where a result's
+segment has endpoints from two segments; those of two tail unions do so
+on the halves, and mirror the result.
 
 Inclusion is decided on integer arcs, with no set or Fraction built, by
 one kernel (:func:`_union_within`): the outer union is merged once, and
@@ -143,10 +178,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd, lcm
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import add, itemgetter, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .circle import (
     CirclePoint,
@@ -228,38 +263,6 @@ def _canonical(keyed: list[tuple]) -> list[tuple[tuple, tuple]]:
     return merged
 
 
-def _run_measure(keyed: Iterable[tuple], groups: Iterable[tuple]) -> Fraction:
-    """Measure of the union of the arcs of groups (see _keyed_pieces), given their keyed items in order
-    of their start keys, those with equal start keys in any order.
-
-    The measure is the arcs' total width, len(ms) * width over den per
-    group (so ms must be sized), less their overlaps, which one walk over
-    the items finds without merging them.  A run is the union of the items
-    so far that overlap in a chain, and ``end`` is its end's key.  An item
-    that starts before the end overlaps the run up to the end, or wholly
-    if it ends inside it; one that starts at or past the end starts a new
-    run.  Of two items with one start, whichever comes first, the union
-    gains the wider one's width.  An item that ends at the end takes off
-    its own width in one branch and the overlap up to the end in the
-    other, which are equal.  The overlaps are taken off the numerators per
-    denominator, which are added in one tree.
-    """
-    by_den: dict[int, int] = {}
-    for ms, _, _, width, den, _ in groups:
-        by_den[den] = by_den.get(den, 0) + len(ms) * width
-    last, end = None, -1
-    for item in keyed:
-        if item[0] >= end:
-            last, end = item, item[1]
-        elif item[1] <= end:
-            by_den[item[4]] -= item[3] - item[2]
-        else:
-            by_den[last[4]] -= last[3]
-            by_den[item[4]] += item[2]
-            last, end = item, item[1]
-    return _measure(by_den)
-
-
 def _keyed_pieces(groups: Iterable[tuple], k: int) -> list:
     """Keyed items ``(lo_key, hi_key, lo, hi, den, tag)`` of groups of integer arcs, keyed with shift k.
 
@@ -300,38 +303,178 @@ def _thickening_groups(terms: Iterable[tuple[int, Iterable[int], tuple[int, int]
 
 def _half_circle_groups(terms: Iterable[tuple[int, Sequence[int], tuple[int, int]]]) -> list[tuple]:
     """The arcs [m/n - p/q, m/n + p/q) for the terms (n, ms, (p, q)), clipped to [0, 1/2), as groups of
-    _keyed_pieces tagged n.
+    _keyed_pieces or _packed tagged n, at most three per term.
 
     Needs 0 < p/q <= 1/2 reduced and ms sorted in [0, n/2].  Each group of
     _thickening_groups is put over 2*den, so 1/2 is the integer den: the
     arc around m/n is [2*(m*step + offset), 2*(m*step + offset + width)).
-    The arcs inside [0, den) are one group; the few that cross 0 or den,
-    found by bisection, are one-arc groups of their clipped widths.
+    The arcs inside [0, den) are one group, which is ms itself when it
+    holds them all.  Those that cross 0 or den, found by bisection, all
+    start at 0 or all end at den once clipped, so each kind lies inside its
+    widest: the last to cross 0 and the first to cross den alone, each as a
+    one-arc group of its clipped width, stand for them.
     """
     groups = []
     for ms, step, offset, width, half, n in _thickening_groups(terms):
         i = bisect_left(ms, -(offset // step))
         j = bisect_right(ms, (half - width) // (2 * step))
-        groups.append((ms[i:j], 2 * step, 2 * offset, 2 * width, 2 * half, n))
-        for m in ms[:i] + ms[max(i, j):]:
-            lo = max(2 * (m * step + offset), 0)
-            groups.append(((lo,), 1, 0, min(2 * (m * step + offset + width), half) - lo, 2 * half, n))
+        groups.append((ms if i == 0 and j == len(ms) else ms[i:j], 2 * step, 2 * offset, 2 * width, 2 * half, n))
+        if i:
+            groups.append(((0,), 1, 0, min(2 * (ms[i - 1] * step + offset + width), half), 2 * half, n))
+        if max(i, j) < len(ms):
+            lo = 2 * (ms[max(i, j)] * step + offset)
+            groups.append(((lo,), 1, 0, half - lo, 2 * half, n))
     return groups
 
 
-def _keyed_half_thickenings(
-    *term_lists: Iterable[tuple[int, Sequence[int], tuple[int, int]]]
-) -> list[tuple[list, list]]:
-    """For each term list, the keyed items ``(lo_key, hi_key, lo, hi, den, n)`` of its thickenings
-    clipped to [0, 1/2), sorted on their start keys alone, and its groups (see _half_circle_groups).
+class _Table(NamedTuple):
+    """The rows of packed arcs (see _packed), their shift s, the bit length b of their largest den, and
+    the shifted width ``ends[g]`` of each row g, which takes a packed arc of the row to its end.
 
-    All lists share one key shift, so their keys compare as the rationals do,
-    and items with equal start keys start at one point: _run_measure takes
-    them in any order, so the sort compares no more of the items.
+    Row g is ``(f, width, den, count, i, tag)``: its count arcs
+    [lo/den, (lo + width)/den), of a group tagged tag in list i, are each
+    packed as ``x = (lo * f << s) + g``, with f = 2**(3*b + 3) // den, and
+    x + ends[g] = (lo + width) * f << s.
     """
-    grids = [_half_circle_groups(terms) for terms in term_lists]
-    k = _key_bits(max((t[4] for grid in grids for t in grid), default=1))
-    return [(sorted(_keyed_pieces(grid, k), key=itemgetter(0)), grid) for grid in grids]
+
+    rows: list[tuple]
+    s: int
+    b: int
+    ends: list[int]
+
+
+def _packed(groups: Iterable[tuple[int, tuple]], lists: int, max_den: int, max_rows: int
+            ) -> tuple[list[list[int]], _Table]:
+    """The arcs of groups (i, (ms, step, offset, width, den, tag)) packed one integer per arc into lists
+    0 to lists - 1, each sorted, and their table (see Exact keys).
+
+    Each group is a row; its arcs [lo/den, (lo + width)/den), lo = m*step +
+    offset for m in ms, must lie in [0, 1], with den at most max_den, and
+    there may be at most max_rows groups.  The arcs of a group are packed in
+    C, by map over its ms, and groups may be made as they are read.
+    """
+    b = max_den.bit_length()
+    k = 3 * b + 3
+    s = max_rows.bit_length()
+    rows: list[tuple] = []
+    ends: list[int] = []
+    packed: list[list[int]] = [[] for _ in range(lists)]
+    den = f = 0
+    for i, (ms, step, offset, width, d, tag) in groups:
+        if d != den:
+            den, f = d, (1 << k) // d
+        g = len(rows)
+        rows.append((f, width, den, len(ms), i, tag))
+        ends.append((width * f << s) - g)
+        packed[i] += map(add, map(mul, ms, repeat(step * f << s)), repeat((offset * f << s) + g))
+    for items in packed:
+        items.sort()
+    return packed, _Table(rows, s, b, ends)
+
+
+def _packed_half_thickenings(
+    term_lists: Sequence[Sequence[tuple[int, tuple[int, int]]]], residues: Callable[[int], list[int]]
+) -> tuple[list[list[int]], _Table]:
+    """For each list of terms (n, (p, q)) in descending n, its thickenings clipped to [0, 1/2), packed
+    (see _packed) and sorted; and their table, whose rows come in descending n.
+
+    The lists are taken together in descending n, and residues(n), the
+    sorted m in [0, n/2] of index n, is called once per index for all of
+    them and let go when the next index's are sieved: the build holds the
+    packed arcs and the residues of one index, or two while it sieves.
+    Each term's groups (see _half_circle_groups), at most three, are rows
+    of the table.
+    """
+    def groups():
+        ms, last = None, 0
+        for n, i, pq in sorted(((n, i, pq) for i, terms in enumerate(term_lists) for n, pq in terms),
+                               key=itemgetter(0), reverse=True):
+            if n != last:
+                ms, last = residues(n), n
+            for group in _half_circle_groups([(n, ms, pq)]):
+                yield i, group
+
+    max_den = max((2 * n * (q // gcd(n, q)) for terms in term_lists for n, (_, q) in terms), default=1)
+    return _packed(groups(), len(term_lists), max_den, 3 * sum(map(len, term_lists)))
+
+
+def _packed_measure(items: Iterable[int], table: _Table, keep: Callable[[int, int], bool]) -> Fraction:
+    """Measure of the union of those of the packed arcs items, sorted, whose rows (i, tag) of table keep
+    holds for.
+
+    The measure is the kept rows' total width, count * width over den per
+    row, less the arcs' overlaps, which one walk over the items finds
+    without merging them; it passes over the items of other rows.  A run
+    is the union of the items so far that overlap in a chain, ``end`` its
+    end's key shifted by s, and ``last`` the row of the item that ends it.
+    An item that starts before the end overlaps the run up to the end, or
+    wholly if it ends inside it; one that starts at or past the end starts
+    a new run.  Keys order distinct endpoints as the rationals do, so only
+    equal endpoints over two dens may compare either way, and either way
+    is exact (see Exact keys).  The overlaps up to the end are taken off
+    per row as sums of shifted keys lo * f << s, which are divided by f
+    once, at the end.
+    """
+    s, ends = table.s, table.ends
+    mask = (1 << s) - 1
+    walked = [keep(row[4], row[5]) for row in table.rows]
+    nested = [0] * len(ends)
+    overlap = [0] * len(ends)
+    end, last = -1, 0
+    for x in items:
+        g = x & mask
+        if not walked[g]:
+            continue
+        if x >= end:
+            end, last = x + ends[g], g
+        elif x + ends[g] <= end:
+            nested[g] += 1
+        else:
+            overlap[last] -= end
+            overlap[g] += x - g
+            end, last = x + ends[g], g
+    by_den: dict[int, int] = {}
+    for g in compress(range(len(ends)), walked):
+        f, width, den, count, _, _ = table.rows[g]
+        by_den[den] = by_den.get(den, 0) + (count - nested[g]) * width + (overlap[g] >> s) // f
+    return _measure(by_den)
+
+
+def _packed_union(items: Iterable[int], table: _Table) -> tuple[Triple, ...]:
+    """The canonical segments of the union of the packed arcs items, sorted, as reduced triples in order.
+
+    One walk merges the items that overlap or touch.  ``end`` is the key of
+    the merged segment's end plus 2**b, shifted by s, so an item below it
+    starts at or before the end (see Exact keys).  Each segment is written
+    from the start of its first item and the end of the item that ends it,
+    ``last``, as key // f over their rows' dens.
+    """
+    s = table.s
+    mask = (1 << s) - 1
+    touch = 1 << (table.b + s)
+    ends = [e + touch for e in table.ends]
+    fs = [row[0] for row in table.rows]
+    dens = [row[2] for row in table.rows]
+    triples = []
+
+    def write(first: int, end: int, last: int) -> None:
+        g = first & mask
+        triples.append(_triple((first >> s) // fs[g], dens[g], ((end - touch) >> s) // fs[last], dens[last]))
+
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        return ()
+    end, last = first + ends[first & mask], first & mask
+    for x in items:
+        g = x & mask
+        if x >= end:
+            write(first, end, last)
+            first, end, last = x, x + ends[g], g
+        elif x + ends[g] > end:
+            end, last = x + ends[g], g
+    write(first, end, last)
+    return tuple(triples)
 
 
 def _triple(a: int, b: int, c: int, d: int) -> Triple:
@@ -652,7 +795,13 @@ class ArcSet:
     # -- boolean algebra ----------------------------------------------------
 
     def complement(self) -> "ArcSet":
-        """The full circle less self, by the same sweep as every other boolean operation."""
+        """The full circle less self, by the same sweep as every other boolean operation.
+
+        The complement of a mirror image of itself (see _mirrored) is one too, and is the mirrored
+        [0, 1/2) less its half.
+        """
+        if self._half is not None:
+            return _mirrored(_HALF_CIRCLE.difference(self._half))
         return ArcSet.full().difference(self)
 
     __invert__ = complement
@@ -831,6 +980,9 @@ class ArcSet:
         if self.is_full():
             return "full circle"
         return " ∪ ".join(str(a) for a in self.arcs)
+
+
+_HALF_CIRCLE = ArcSet._trusted(((0, 1, 2),))  # [0, 1/2)
 
 
 def _reduced_text(num: int, den: int) -> str:

@@ -12,7 +12,9 @@ boolean operations, a walk that bisects for every run of endpoints, one set per 
 unions, one Fraction addition per term for exact sums, Fraction
 arithmetic for the affine maps, integer pairs for the circle's group
 operations, every residue's arc on the whole circle for tail unions and
-their measures, which the library writes and takes on the half circle, a
+their measures, which the library writes and takes on the half circle,
+keyed 6-tuples for the half-circle arcs, which the library packs into one
+integer each, a
 walk over the gaps for the complement, a sort for the wrap-joined arcs,
 one Decimal division for the 12-digit rendering of a rational, a loop
 for the doubling schedule of partial-sum cutoffs,
@@ -51,7 +53,15 @@ from circlelab import (
     union_all,
 )
 from circlelab.approx import _coprime_residues, _tail_terms
-from circlelab.arcs import _integer_union, _key_bits, _keyed_pieces, _run_measure, _thickening_groups
+from circlelab.arcs import (
+    _half_circle_groups,
+    _integer_union,
+    _key_bits,
+    _keyed_pieces,
+    _measure,
+    _mirrored,
+    _thickening_groups,
+)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "measures.json"
 
@@ -555,6 +565,76 @@ def tail_union_full_circle(spec: TailUnionSpec) -> ArcSet:
     return _integer_union(_thickening_groups((n, _coprime_residues(n), d) for n, d in terms))
 
 
+def run_measure(keyed, groups) -> Fraction:
+    """Measure of the union of the arcs of groups (see arcs._keyed_pieces), given their keyed items in order
+    of their exact start keys, those with equal start keys in any order: the walk the library took before
+    it packed each arc into one integer (arcs._packed_measure).
+
+    The measure is the arcs' total width, len(ms) * width over den per
+    group, less their overlaps: an item that starts at or past the run's
+    end starts a new run, one that ends inside it is taken off whole, and
+    one that ends past it is taken off up to the end.
+    """
+    by_den: dict[int, int] = {}
+    for ms, _, _, width, den, _ in groups:
+        by_den[den] = by_den.get(den, 0) + len(ms) * width
+    last, end = None, -1
+    for item in keyed:
+        if item[0] >= end:
+            last, end = item, item[1]
+        elif item[1] <= end:
+            by_den[item[4]] -= item[3] - item[2]
+        else:
+            by_den[last[4]] -= last[3]
+            by_den[item[4]] += item[2]
+            last, end = item, item[1]
+    return _measure(by_den)
+
+
+def with_half_residues(term_lists) -> list[list]:
+    """Each list of terms (n, (p, q)) as terms (n, ms, (p, q)), ms the m coprime to n in [0, n // 2]."""
+    return [[(n, _coprime_residues(n, n // 2 + 1), d) for n, d in terms] for terms in term_lists]
+
+
+def keyed_half_thickenings(*term_lists) -> list[tuple[list, list]]:
+    """For each list of terms (n, ms, (p, q)), the keyed items (lo_key, hi_key, lo, hi, den, n) of its
+    thickenings clipped to [0, 1/2), sorted on their start keys alone, and its groups
+    (arcs._half_circle_groups), all with one exact key shift: the 6-tuples the library sorted and walked
+    before it packed each arc into one integer (arcs._packed_half_thickenings)."""
+    grids = [_half_circle_groups(terms) for terms in term_lists]
+    k = _key_bits(max((g[4] for grid in grids for g in grid), default=1))
+    return [(sorted(_keyed_pieces(grid, k), key=itemgetter(0)), grid) for grid in grids]
+
+
+def tail_union_by_keyed_half(spec: TailUnionSpec) -> ArcSet:
+    """tail_union as the library wrote it before it packed each arc into one integer: the keyed half
+    merged by arcs._integer_union's sort and merge, then mirrored."""
+    _, terms = _tail_terms(spec.pred, spec.delta, [spec.n_min], spec.n_max)
+    (_, grid), = keyed_half_thickenings(*with_half_residues([terms]))
+    return _mirrored(_integer_union(grid))
+
+
+def tail_union_measures_by_keyed_half(pred, delta, n_mins, n_max) -> list[Fraction]:
+    """tail_union_measures as the library took them before it packed each arc into one integer."""
+    full, terms = _tail_terms(pred, delta, n_mins, n_max)
+    starts = [n_min for n_min in n_mins if n_min > full]
+    first = min(starts, default=n_max + 1)
+    (keyed, groups), = keyed_half_thickenings(*with_half_residues([[t for t in terms if t[0] >= first]]))
+    measures = {s: 2 * run_measure([a for a in keyed if a[5] >= s], [g for g in groups if g[5] >= s])
+                for s in starts}
+    return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
+
+
+def scaled_comparison_by_keyed_half(pred, delta, scale, n_min, n_max) -> tuple:
+    """scaled_tail_union_comparison as the library took it before it packed each arc into one integer."""
+    _, t1 = _tail_terms(pred, delta, [n_min], n_max)
+    _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
+    (k1, g1), (km, gm) = keyed_half_thickenings(*with_half_residues([t1, tm]))
+    mu_1, mu_m = 2 * run_measure(k1, g1), 2 * run_measure(km, gm)
+    mu_both = 2 * run_measure(sorted(k1 + km, key=itemgetter(0)), g1 + gm)
+    return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
+
+
 def _keyed_full_circle(*term_lists) -> list[tuple[list, list]]:
     """For each list of terms (n, delta_n) of _tail_terms, the keyed items of every residue's arc, cut at
     the seam and sorted, and their groups, all with one key shift."""
@@ -569,7 +649,7 @@ def tail_union_measures_full_circle(pred, delta, n_mins, n_max) -> list[Fraction
     full, terms = _tail_terms(pred, delta, n_mins, n_max)
     starts = [n_min for n_min in n_mins if n_min > full]
     (keyed, groups), = _keyed_full_circle([t for t in terms if t[0] >= min(starts, default=n_max + 1)])
-    measures = {s: _run_measure([a for a in keyed if a[5] >= s], [g for g in groups if g[5] >= s]) for s in starts}
+    measures = {s: run_measure([a for a in keyed if a[5] >= s], [g for g in groups if g[5] >= s]) for s in starts}
     return [measures.get(n_min, Fraction(1)) for n_min in n_mins]
 
 
@@ -578,7 +658,7 @@ def scaled_comparison_full_circle(pred, delta, scale, n_min, n_max) -> tuple:
     _, t1 = _tail_terms(pred, delta, [n_min], n_max)
     _, tm = _tail_terms(pred, delta.scale(scale), [n_min], n_max)
     (k1, g1), (km, gm) = _keyed_full_circle(t1, tm)
-    mu_1, mu_m, mu_both = _run_measure(k1, g1), _run_measure(km, gm), _run_measure(sorted(k1 + km), g1 + gm)
+    mu_1, mu_m, mu_both = run_measure(k1, g1), run_measure(km, gm), run_measure(sorted(k1 + km), g1 + gm)
     return mu_1, mu_m, 2 * mu_both - mu_1 - mu_m, mu_both == mu_m, mu_both == mu_1
 
 

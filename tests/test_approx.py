@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 from itertools import chain
 from math import gcd
@@ -460,24 +461,56 @@ def test_table_residues_match_gcd_scan():
             assert got == [m for m in scan if m < stop], (n, stop)
 
 
-def test_with_residues_shares_one_list_per_index(monkeypatch):
-    """One table up to the largest index, and one residue list per index across the term lists."""
-    tables = []
+def _arcs_of(items, table):
+    """The packed arcs items as (start, end, list, index) with Fraction endpoints, in order."""
+    out = []
+    for x in items:
+        f, width, den, _, i, n = table.rows[x & ((1 << table.s) - 1)]
+        lo = (x >> table.s) // f
+        out.append((F(lo, den), F(lo + width, den), i, n))
+    return out
+
+
+def test_half_arcs_sieve_once_per_index(monkeypatch):
+    """One table up to the largest index, and one residue list per index, sieved for all the term lists in
+    descending n and gone once the next index's is packed; each list's packed arcs are its own terms'."""
+    tables, sieved, alive = [], [], []
+    coprime_residues = approx_module._coprime_residues
+
+    class Residues(list):  # a list that a weak reference can follow
+        pass
 
     def counting(limit):
         tables.append(limit)
         return smallest_prime_factors(limit)
 
+    def recording(n, stop, primes):
+        assert all(ref() is None for ref in alive[:-1]), sieved  # all but the last index's are gone
+        ms = Residues(coprime_residues(n, stop, primes))
+        sieved.append((n, list(ms)))
+        alive.append(weakref.ref(ms))
+        return ms
+
+    lists = [[(12, (1, 288)), (7, (1, 98))], [(12, (1, 144)), (1, (1, 2))]]
+    expected = [[(F(lo, den), F(hi, den), i, n) for _, _, lo, hi, den, n in keyed]
+                for i, (keyed, _) in enumerate(helpers.keyed_half_thickenings(*helpers.with_half_residues(lists)))]
     monkeypatch.setattr(approx_module, "smallest_prime_factors", counting)
     monkeypatch.setattr(approx_module, "factorize", None)
-    a, b = approx_module._with_residues([[(12, (1, 288)), (7, (1, 98))], [(12, (1, 144)), (1, (1, 2))]])
-    assert tables == [12]
-    assert a == [(12, [1, 5], (1, 288)), (7, [1, 2, 3], (1, 98))] and b == [(12, [1, 5], (1, 144)), (1, [0], (1, 2))]
-    assert a[0][1] is b[0][1]
+    monkeypatch.setattr(approx_module, "_coprime_residues", recording)
+    (a, b), table = approx_module._half_arcs(lists)
+    assert tables == [12] and sieved == [(12, [1, 5]), (7, [1, 2, 3]), (1, [0])]
+    assert all(ref() is None for ref in alive)
+    # rows (f, width, den, count, list, n) in descending n; the full term's one arc [0, 1/2) is clipped at 0
+    assert [row[3:] for row in table.rows] == [(2, 0, 12), (2, 1, 12), (3, 0, 7), (0, 1, 1), (1, 1, 1)]
+    assert [_arcs_of(a, table), _arcs_of(b, table)] == expected
     # the residues stop at n // 2, so n = 2 keeps its centre 1/2
-    two, = approx_module._with_residues([[(2, (1, 8)), (10, (1, 400))]])
-    assert two == [(2, [1], (1, 8)), (10, [1, 3], (1, 400))]
-    assert approx_module._with_residues([[]]) == [[]]
+    sieved.clear()
+    (two,), table = approx_module._half_arcs([[(2, (1, 8)), (10, (1, 400))]])
+    assert sieved == [(10, [1, 3]), (2, [1])]
+    assert [arc[:2] for arc in _arcs_of(two, table)] == [
+        (F(1, 10) - F(1, 400), F(1, 10) + F(1, 400)), (F(3, 10) - F(1, 400), F(3, 10) + F(1, 400)),
+        (F(3, 8), F(1, 2))]
+    assert approx_module._half_arcs([[]]) == ([[]], arcs_module._Table([], 0, 1, []))
 
 
 # -- tail-union measures on integer endpoints ---------------------------------------------
@@ -619,15 +652,19 @@ def test_tail_union_measures_write_no_arcs_below_a_full_term(monkeypatch):
     """Starts up to the last full-circle term measure 1; only the terms from the next start on are written,
     each with at most n // 2 + 1 residues, those of the centres m/n in [0, 1/2]."""
     written = []
-    keyed_half_thickenings = approx_module._keyed_half_thickenings
+    packed_half_thickenings = approx_module._packed_half_thickenings
 
-    def counting(*term_lists):
+    def counting(term_lists, residues):
         written.extend(len(terms) for terms in term_lists)
-        for n, ms, _ in chain.from_iterable(term_lists):
-            assert len(ms) <= n // 2 + 1 and all(2 * m <= n for m in ms), (n, ms)
-        return keyed_half_thickenings(*term_lists)
 
-    monkeypatch.setattr(approx_module, "_keyed_half_thickenings", counting)
+        def checked(n):
+            ms = residues(n)
+            assert len(ms) <= n // 2 + 1 and all(2 * m <= n for m in ms), (n, ms)
+            return ms
+
+        return packed_half_thickenings(term_lists, checked)
+
+    monkeypatch.setattr(approx_module, "_packed_half_thickenings", counting)
     delta = Power(F(1), 1)  # 2 * delta_n >= 1 for n <= 2
     assert approx_module.tail_union_measures(All(), delta, [1, 2], 2000) == [1, 1]
     assert written == [0]
@@ -758,6 +795,27 @@ def test_tail_union_writes_its_half_and_mirrors_it():
                     "empty term", "full term", "seam", "middle"}
 
 
+def test_packed_kernels_match_the_keyed_oracle():
+    """On 320 seeded specs, tail_union's triples, tail_union_measures and scaled_tail_union_comparison equal
+    those of the keyed 6-tuples that the packed integers replaced (helpers.keyed_half_thickenings): Power
+    radii up to exponent 3, Constant and Table ones, starts at 1, and every predicate kind."""
+    rng = random.Random(3107)
+    preds = [All(), NotDiv(2), ExactlyOnce(3), DivBySquare(2), Or(NotDiv(3), DivBySquare(2))]
+    for i in range(320):
+        delta = Power(F(rng.randint(1, 6), rng.randint(1, 5)), 3) if i % 4 == 0 else _rand_wide_delta(rng)
+        pred = preds[i % len(preds)]
+        n_min = 1 if i % 3 == 0 else rng.randint(1, 30)
+        n_max = n_min + rng.randint(0, 40)
+        spec = TailUnionSpec(n_min, n_max, pred, delta)
+        assert tail_union(spec).triples == helpers.tail_union_by_keyed_half(spec).triples, spec
+        starts = sorted(rng.sample(range(n_min, n_max + 1), min(n_max - n_min + 1, 3)))
+        assert approx_module.tail_union_measures(pred, delta, starts, n_max) == (
+            helpers.tail_union_measures_by_keyed_half(pred, delta, starts, n_max)), (delta, pred, starts)
+        m = rng.choice([F(1, 3), F(1, 2), F(3, 2), F(2), F(5, 2)])
+        assert approx_module.scaled_tail_union_comparison(pred, delta, m, n_min, n_max) == (
+            helpers.scaled_comparison_by_keyed_half(pred, delta, m, n_min, n_max)), (delta, pred, m)
+
+
 def test_half_circle_groups_clip_at_0_and_at_one_half():
     """Over 2*den the half circle is [0, den): arcs inside it stay in their term's group,
     and each arc that crosses 0 or den is a group of its own, clipped.  Radii are integer pairs (p, q)."""
@@ -773,3 +831,20 @@ def test_half_circle_groups_clip_at_0_and_at_one_half():
     ]
     # 1/7, 2/7 and 3/7 +- 1/10 over 140: only 3/7's arc [46, 74) crosses 70
     assert groups([(7, [1, 2, 3], (1, 10))]) == [([1, 2], 20, -14, 28, 140, 7), ((46,), 1, 0, 24, 140, 7)]
+
+
+def test_half_circle_groups_keep_the_widest_arc_across_0_and_one_half():
+    """Clipped, a term's arcs that cross 0 all start there and those that cross 1/2 all end there, so each
+    kind is written as its widest alone; the union is that of every arc clipped."""
+    groups = arcs_module._half_circle_groups
+    # 1/11 and 2/11 +- 1/5 over 110 cross 0, and 4/11 and 5/11 cross 1/2 (55): [0, 42) and [18, 55) stand for them
+    assert groups([(11, [1, 2, 3, 4, 5], (1, 5))]) == [
+        ([3], 10, -22, 44, 110, 11), ((0,), 1, 0, 42, 110, 11), ((18,), 1, 0, 37, 110, 11)]
+    # 1/7 and 2/7 +- 2/5 over 70 cross both 0 and 1/2, and 3/7 crosses 1/2 alone
+    assert groups([(7, [1, 2, 3], (2, 5))]) == [
+        ([], 10, -28, 56, 70, 7), ((0,), 1, 0, 35, 70, 7), ((2,), 1, 0, 33, 70, 7)]
+    for n, ms, pq in ((11, [1, 2, 3, 4, 5], (1, 5)), (7, [1, 2, 3], (2, 5)), (9, [0, 1, 2, 4], (3, 10))):
+        p, q = pq
+        clipped = [(max(F(m, n) - F(p, q), F(0)), min(F(m, n) + F(p, q), F(1, 2))) for m in ms]
+        assert arcs_module._integer_union(groups([(n, ms, pq)])).segments == (
+            helpers.canonical_by_fraction_sort(clipped)), (n, ms, pq)

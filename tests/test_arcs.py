@@ -47,7 +47,10 @@ from helpers import (
     subset_by_fraction,
     sweep_by_fraction,
     symm_diff_by_fraction,
+    keyed_half_thickenings,
+    run_measure,
     thicken_by_arcs,
+    with_half_residues,
 )
 
 starts = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda q: q < 1)
@@ -477,15 +480,41 @@ def test_canonical_matches_fraction_sort_oracle():
         assert ArcSet(tuple(raw)).segments == canonical_by_fraction_sort(raw)
 
 
-# -- measures of sorted keyed arcs without merging ------------------------------------------
+# -- measures and unions of packed arcs, against the keyed walk and the Fraction merge ----------------
+
+
+def _keyed(groups):
+    """The groups' keyed items (arcs._keyed_pieces), cut at the seam and sorted, with one exact key shift."""
+    return sorted(arcs_module._keyed_pieces(groups, arcs_module._key_bits(max((g[4] for g in groups), default=1))))
 
 
 def _run_measure_and_oracle(groups):
-    """_run_measure of the groups' sorted keyed items, and the Fraction sort-and-merge measure of their pieces."""
-    keyed = sorted(arcs_module._keyed_pieces(groups, arcs_module._key_bits(max((g[4] for g in groups), default=1))))
+    """helpers._run_measure of the groups' sorted keyed items, and the Fraction sort-and-merge measure of their
+    pieces."""
+    keyed = _keyed(groups)
     oracle = measure_per_denominator(canonical_by_fraction_sort(
         (Fraction(lo, den), Fraction(hi, den)) for _, _, lo, hi, den, _ in keyed))
-    return arcs_module._run_measure(keyed, groups), oracle
+    return run_measure(keyed, groups), oracle
+
+
+def _packed_pieces(groups):
+    """The groups' arcs cut at the seam, each a one-arc group of arcs._packed, packed into one sorted list;
+    and their table."""
+    pieces = [((lo,), 1, 0, hi - lo, den, tag) for _, _, lo, hi, den, tag in _keyed(groups)]
+    (items,), table = arcs_module._packed(((0, p) for p in pieces), 1, max((p[4] for p in pieces), default=1),
+                                         len(pieces))
+    return items, table
+
+
+def _every_row(i, tag):
+    """The rows that _packed_measure walks: all of them."""
+    return True
+
+
+def _start(x, table):
+    """The start of the packed arc x, as a Fraction: key // f over its row's den."""
+    f, _, den, *_ = table.rows[x & ((1 << table.s) - 1)]
+    return Fraction((x >> table.s) // f, den)
 
 
 def _pieces(*pieces):
@@ -493,15 +522,36 @@ def _pieces(*pieces):
     return [((lo,), 1, 0, hi - lo, den, 0) for lo, hi, den in pieces]
 
 
+def _apart(d1, d2, sign):
+    """The pieces [0, a/d1) and [c/d2, 1) with a/d1 - c/d2 = sign/(d1*d2), the least distance of two
+    endpoints over d1 and d2: they overlap by it for sign 1 and leave it as a gap for sign -1."""
+    a = sign * pow(d2, -1, d1) % d1
+    return _pieces((0, a, d1), ((a * d2 - sign) // d1, d2, d2))
+
+
+BIG = 10**20 + 39
+
 RUN_MEASURE_CASES = {
     "empty": [],
     # touching at 1/5 = 2/10, over different denominators, and again at 1/2 = 5/10
     "touching": _pieces((0, 1, 5), (2, 5, 10), (1, 2, 2)),
     "nested": _pieces((1, 6, 10), (2, 4, 10), (3, 5, 10)),
     "equal": _pieces((1, 6, 10), (1, 6, 10), (2, 12, 20)),
+    # one start written over 7, 14 and 21, where its packed keys differ
+    "shared-start": _pieces((1, 3, 7), (2, 4, 14), (3, 5, 21), (3, 13, 21)),
     # three overlapping items whose middle one is the widest, and a chain where it ends the run
     "widest-middle": _pieces((0, 3, 10), (1, 9, 10), (2, 5, 10)),
     "widest-middle-chain": _pieces((0, 3, 10), (2, 8, 10), (7, 9, 10), (9, 10, 10)),
+    # arcs that end at 1/2 over 10, 8 and 12, and one that starts there
+    "half": _pieces((1, 5, 10), (3, 4, 8), (2, 6, 12)),
+    "half-touching": _pieces((1, 5, 10), (3, 4, 8), (2, 6, 12), (5, 7, 10)),
+    # a full term's arc clipped to [0, 1/2), and arcs inside it, one ending at 1/2
+    "full-term": _pieces((0, 2, 4), (1, 3, 7), (2, 4, 8)),
+    # endpoints 1/(d1*d2) apart, at the call's largest denominators
+    "overlap-at-largest-dens": _apart(BIG, BIG - 1, 1),
+    "gap-at-largest-dens": _apart(BIG, BIG - 1, -1),
+    "overlap-across-dens": _apart(2**31 - 1, BIG, 1),
+    "gap-across-dens": _apart(2**31 - 1, BIG, -1),
     # arcs across the seam, cut into two pieces each
     "seam": [((9, 2), 1, 0, 3, 10, 1), ((0,), 1, 6, 3, 7, 2)],
     # a full-circle arc that starts off 0, with the other arcs inside it
@@ -511,8 +561,27 @@ RUN_MEASURE_CASES = {
 
 @pytest.mark.parametrize("groups", RUN_MEASURE_CASES.values(), ids=RUN_MEASURE_CASES.keys())
 def test_run_measure_matches_merged_measure(groups):
+    """The packed walk and merge, and the keyed walk they replaced, measure and write as the Fraction merge
+    and the writer do."""
     measure, oracle = _run_measure_and_oracle(groups)
-    assert measure == oracle == arcs_module._integer_union(groups).measure
+    union = arcs_module._integer_union(groups)
+    assert measure == oracle == union.measure
+    items, table = _packed_pieces(groups)
+    assert arcs_module._packed_measure(items, table, _every_row) == oracle
+    assert arcs_module._packed_union(items, table) == union.triples
+
+
+def test_packed_keys_at_the_largest_dens():
+    """Endpoints 1/(d1*d2) apart keep their order in the packed keys, and equal ones over two dens stay within
+    2**b of each other, so an arc that ends there merges with the next only when they overlap."""
+    for name, segments in (("overlap-at-largest-dens", 1), ("gap-at-largest-dens", 2),
+                           ("overlap-across-dens", 1), ("gap-across-dens", 2)):
+        items, table = _packed_pieces(RUN_MEASURE_CASES[name])
+        assert len(arcs_module._packed_union(items, table)) == segments, name
+    items, table = _packed_pieces(RUN_MEASURE_CASES["shared-start"])
+    keys = sorted({x >> table.s for x in items})
+    assert len(keys) == 2 and keys[-1] - keys[0] < 2**table.b  # 1/7 over 7 and 21, and over 14
+    assert {_start(x, table) for x in items} == {Fraction(1, 7)}
 
 
 def test_run_measure_matches_merged_measure_on_random_groups():
@@ -526,36 +595,42 @@ def test_run_measure_matches_merged_measure_on_random_groups():
             groups.append((ms, rng.randint(1, 3), rng.randrange(den), rng.randint(1, den), den, tag))
         measure, oracle = _run_measure_and_oracle(groups)
         assert measure == oracle, groups
+        items, table = _packed_pieces(groups)
+        assert arcs_module._packed_measure(items, table, _every_row) == oracle, groups
+        assert arcs_module._packed_union(items, table) == arcs_module._integer_union(groups).triples, groups
 
 
-def _start_key_orders(keyed, rng, limit=200):
-    """Orders of the keyed items sorted on their start keys alone: every order of the items that share
-    a start key if there are at most limit of them, else limit shuffles sorted stably on that key."""
-    blocks = [list(block) for _, block in groupby(sorted(keyed), key=itemgetter(0))]
+def _start_orders(items, table, rng, limit=200):
+    """Orders of the packed items by their starts as rationals: every order of the items that share a start
+    if there are at most limit of them, else limit shuffles within each such block."""
+    blocks = [list(block) for _, block in groupby(items, key=lambda x: _start(x, table))]
     if prod(factorial(len(b)) for b in blocks) <= limit:
         for choice in product(*(permutations(b) for b in blocks)):
             yield [item for block in choice for item in block]
         return
     for _ in range(limit):
-        items = list(keyed)
-        rng.shuffle(items)
-        yield sorted(items, key=itemgetter(0))
+        for block in blocks:
+            rng.shuffle(block)
+        yield [item for block in blocks for item in block]
 
 
 def _assert_exact_in_any_start_order(groups, rng):
-    """_run_measure of the groups' items in each order of equal start keys equals the Fraction oracle;
-    returns how many items share a start key with another."""
-    keyed = arcs_module._keyed_pieces(groups, arcs_module._key_bits(max((g[4] for g in groups), default=1)))
+    """The packed walk and merge of the groups' arcs, taken in each order of equal starts, equal the Fraction
+    oracle and the writer; returns how many arcs share a start with another."""
+    items, table = _packed_pieces(groups)
     _, oracle = _run_measure_and_oracle(groups)
-    for items in _start_key_orders(keyed, rng):
-        assert arcs_module._run_measure(items, groups) == oracle, (groups, items)
-    starts = [item[0] for item in keyed]
+    triples = arcs_module._integer_union(groups).triples
+    for order in _start_orders(items, table, rng):
+        assert arcs_module._packed_measure(order, table, _every_row) == oracle, (groups, order)
+        assert arcs_module._packed_union(order, table) == triples, (groups, order)
+    starts = [_start(x, table) for x in items]
     return sum(starts.count(s) > 1 for s in starts)
 
 
 def test_run_measure_is_exact_in_any_order_of_equal_starts():
-    """Keyed items sorted on their start keys alone, ties in any order, measure as the Fraction merge does:
-    groups over 12, 24 and 36 whose starts fall on the twelfths, so that many coincide across denominators."""
+    """Packed arcs sorted on their starts, equal starts in any order, measure and merge as the Fraction merge
+    does: groups over 12, 24 and 36 whose starts fall on the twelfths, so that many coincide across
+    denominators, where their packed keys differ."""
     rng = random.Random(2503)
     shared = 0
     for _ in range(200):
@@ -570,11 +645,11 @@ def test_run_measure_is_exact_in_any_order_of_equal_starts():
 
 def _half_circle_pair(delta, m, pred, n_min, n_max):
     """The clipped groups of the tail unions at radii delta_n and m*delta_n, as scaled_tail_union_comparison
-    writes them, and those of each alone."""
+    writes them, and their terms."""
     t1 = approx_module._tail_terms(pred, delta, [n_min], n_max)[1]
     tm = approx_module._tail_terms(pred, delta.scale(m), [n_min], n_max)[1]
-    g1, gm = map(arcs_module._half_circle_groups, approx_module._with_residues([t1, tm]))
-    return g1, gm
+    g1, gm = map(arcs_module._half_circle_groups, with_half_residues([t1, tm]))
+    return g1, gm, [t1, tm]
 
 
 def test_run_measure_is_exact_on_equal_starts_of_tail_unions():
@@ -583,7 +658,7 @@ def test_run_measure_is_exact_on_equal_starts_of_tail_unions():
     share starts (every one of them at m = 1)."""
     rng = random.Random(2504)
     table = Table((Fraction(0), Fraction(1, 4), Fraction(1, 12)))
-    g1, gm = _half_circle_pair(table, Fraction(3, 2), parse_predicate("all"), 2, 3)
+    g1, gm, _ = _half_circle_pair(table, Fraction(3, 2), parse_predicate("all"), 2, 3)
     pieces = arcs_module._keyed_pieces(g1, 16)
     assert sorted((Fraction(lo, den), Fraction(hi, den)) for _, _, lo, hi, den, _ in pieces) == [
         (Fraction(1, 4), Fraction(5, 12)), (Fraction(1, 4), Fraction(1, 2))]
@@ -598,14 +673,16 @@ def test_run_measure_is_exact_on_equal_starts_of_tail_unions():
         (Power(Fraction(1, 2), 3), Fraction(1), Or(NotDiv(5), ExactlyOnce(3)), 2, 40, True),
     ]
     for delta, m, pred, n_min, n_max, shares in cases:
-        g1, gm = _half_circle_pair(delta, m, pred, n_min, n_max)
+        g1, gm, terms = _half_circle_pair(delta, m, pred, n_min, n_max)
         assert (_assert_exact_in_any_start_order(g1 + gm, rng) > 0) == shares, (delta, m)
-        # the library's merge: each union's items sorted on their start keys, then the two lists together
-        (k1, _), (km, _) = arcs_module._keyed_half_thickenings(
-            *approx_module._with_residues([approx_module._tail_terms(pred, d, [n_min], n_max)[1]
-                                           for d in (delta, delta.scale(m))]))
-        merged = sorted(k1 + km, key=itemgetter(0))
-        assert arcs_module._run_measure(merged, g1 + gm) == _run_measure_and_oracle(g1 + gm)[1]
+        oracle = _run_measure_and_oracle(g1 + gm)[1]
+        # the keyed walk: each union's items sorted on their start keys, then the two lists together
+        (k1, _), (km, _) = keyed_half_thickenings(*with_half_residues(terms))
+        assert run_measure(sorted(k1 + km, key=itemgetter(0)), g1 + gm) == oracle
+        # the library's: each union's packed arcs sorted, then the two lists together, in any order of equal starts
+        (i1, im), packed = approx_module._half_arcs(terms)
+        for order in _start_orders(sorted(i1 + im), packed, rng, limit=20):
+            assert arcs_module._packed_measure(order, packed, _every_row) == oracle, (delta, m)
 
 
 # -- boolean operations against the grid oracle -------------------------------------------
@@ -1048,6 +1125,39 @@ def test_booleans_of_mirror_images_run_on_their_halves(monkeypatch):
     assert 100 < subsets.count(True) < len(subsets) - 100
 
 
+def test_complement_of_a_mirror_image_runs_on_its_half(monkeypatch):
+    """~ of a mirror image of itself sweeps only [0, 1/2) against its half, keeps the swept half, and equals
+    the general sweep's complement of a half-less copy: on seeded tail unions and gallagher parts, on one
+    whose half ends at 1/2, and on empty and full ones."""
+    rng = random.Random(3011)
+    upper = ArcSet(((Fraction(0), Fraction(1, 2)),))
+    swept = []
+    sweep = arcs_module._sweep
+
+    def recording(a, b, keep):
+        swept.append((a, b))
+        return sweep(a, b, keep)
+
+    monkeypatch.setattr(arcs_module, "_sweep", recording)
+    everything = parse_predicate("all")
+    sets = [tail_union(TailUnionSpec(2, 2, everything, Table((Fraction(0), Fraction(1, 10))))),  # [2/5, 3/5)
+            tail_union(TailUnionSpec(1, 9, everything, Table((Fraction(0),)))),
+            tail_union(TailUnionSpec(1, 9, everything, Table((Fraction(1, 2),))))]
+    assert [s.triples for s in sets] == [((2, 3, 5),), (), ((0, 1, 1),)]
+    for _ in range(40):
+        sets += _mirror_image_operands(rng)
+    at_half = 0
+    for w in sets:
+        swept.clear()
+        c = ~w
+        assert swept == [(upper, w._half)]
+        assert c == ~_plain(w) and c._half == _plain(c) & upper
+        assert ~c == w and (~c)._half == w._half
+        at_half += bool(w._half.triples) and 2 * w._half.triples[-1][1] == w._half.triples[-1][2]
+    assert at_half >= 5
+    assert (~ArcSet.empty(), ~ArcSet.full()) == (ArcSet.full(), ArcSet.empty())
+
+
 def test_half_is_kept_only_by_mirror_images():
     """A set keeps its half only when the mirror writer built it; ==, hash, repr, copies and pickles
     ignore the half, and every other writer builds sets with none."""
@@ -1056,7 +1166,7 @@ def test_half_is_kept_only_by_mirror_images():
     assert w._half is not None and (w, hash(w), repr(w)) == (plain, hash(plain), repr(plain))
     for x in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
         assert x == w and x._half is None
-    others = [plain, ArcSet(w.segments), ArcSet.from_arcs(w.arcs), ArcSet.from_json(w.to_json()), ~w,
+    others = [plain, ArcSet(w.segments), ArcSet.from_arcs(w.arcs), ArcSet.from_json(w.to_json()), ~plain,
               w.translate(circle_point(Fraction(1, 3))), w.mul_image(2), union_all([w]), w | plain,
               approx_order_set(7, Fraction(1, 100)), thicken([circle_point(Fraction(1, 3))], Fraction(1, 9)),
               AffineCircleMap(2, circle_point(Fraction(1, 5))).preimage(w), ArcSet.full(), ArcSet.empty()]
